@@ -26,7 +26,7 @@ import pyarrow as pa
 import ray.data
 
 from .. import refsem
-from ..testdata import hash_u32
+from ..hashing import hash_u32
 
 _KEY_COLS = ["subj", "pred", "obj", "conv_id", "turn_idx", "ref_type"]
 

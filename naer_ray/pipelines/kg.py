@@ -33,7 +33,7 @@ from ..stages.extract import (
     make_conversation_assembler,
     make_mention_detector,
 )
-from ..testdata import hash_u32
+from ..hashing import hash_u32
 
 
 def build_triples(

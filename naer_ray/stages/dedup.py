@@ -26,7 +26,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..testdata import hash_u32
+from ..hashing import _bucket_series, _fnv64_arr, _varlen_buffers, hash_u32  # noqa: F401
+from .canon import _grouped_runs, connected_components  # noqa: F401
 
 _MERSENNE = (1 << 61) - 1
 
@@ -117,30 +118,6 @@ def minhash_signatures_batch(
     return out
 
 
-def _varlen_buffers(col):
-    """(offsets int64[n+1], flat data uint8) of a string/binary Arrow
-    array — branching on the offset width, so ``large_string`` /
-    ``large_binary`` columns (Arrow promotes when a block's character
-    data exceeds 2 GB — plausible at 100-TB block shapes) parse
-    correctly instead of being silently misread as int32 offsets
-    (round-4 ADVICE)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    t = col.type
-    if pa.types.is_string(t) or pa.types.is_binary(t):
-        off_dt = np.int32
-    elif pa.types.is_large_string(t) or pa.types.is_large_binary(t):
-        off_dt = np.int64
-    else:
-        raise TypeError(f"expected a string/binary column, got {t}")
-    n = len(col)
-    offs = np.frombuffer(col.buffers()[1], off_dt)[
-        col.offset : col.offset + n + 1
-    ].astype(np.int64, copy=False)
-    data = np.frombuffer(col.buffers()[2], np.uint8)
-    return offs, data
-
-
 def _sig_matrix(col) -> np.ndarray:
     """(n_rows, num_perm) int64 signature matrix from an Arrow binary
     column WITHOUT per-row boxing: signatures are fixed-width
@@ -159,23 +136,6 @@ def _sig_matrix(col) -> np.ndarray:
     if flat.__array_interface__["data"][0] % 8:
         flat = flat.copy()  # realign for the int64 view (sliced buffer)
     return flat.view(np.int64).reshape(n, -1)
-
-
-def _bucket_series(series, n_buckets: int) -> np.ndarray:
-    """Vectorized int32 bucket keys for a pandas Series: a splitmix
-    finalizer for integer dtypes, the FNV64 Arrow kernel over the
-    stringified values otherwise.  Replaces the per-row
-    ``.map(hash_u32)`` loops on full-corpus shuffle-key paths (round-4
-    judge item 2) — bucket keys only need determinism + co-location,
-    so the hash family is free to differ from hash_u32."""
-    if pd.api.types.is_integer_dtype(series):
-        with np.errstate(over="ignore"):
-            v = series.to_numpy().astype(np.uint64, copy=False)
-            h = (v ^ (v >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-            h ^= h >> np.uint64(33)
-        return (h % np.uint64(n_buckets)).astype(np.int32)
-    arr = pa.array(series.astype(str), from_pandas=True)
-    return (_fnv64_arr(arr) % np.uint64(n_buckets)).astype(np.int32)
 
 
 def exact_dedup(ds, id_col: str, content_col: str, n_buckets: int = 64):
@@ -264,62 +224,6 @@ def minhash_bands(
     # 12.5k internally); at corpus scale read blocks exceed any of
     # these values and bundling is per-block regardless.
     return ds.map_batches(explode, batch_format="pyarrow", batch_size=256)
-
-
-def _grouped_runs(ds, keys: list[str], kernel, n_buckets: int = 64,
-                  min_group_size: int = 1):
-    """Bucketed fine-grained groupby: hash the composite key into
-    ``n_buckets`` Ray groups, run ``kernel`` per logical key-run inside
-    a pandas loop — Ray dispatch stays O(n_buckets) even with millions
-    of distinct keys (same rationale as stages/agg.py).
-
-    ``min_group_size=2`` vectorized-drops singleton key groups before
-    the Python loop — for pair-generation kernels (LSH buckets are
-    overwhelmingly singletons) this removes ~99% of the tiny-DataFrame
-    creations that otherwise dominate.
-    """
-
-    def bucketize(batch: pd.DataFrame) -> pd.DataFrame:
-        if batch.empty:
-            batch["bucket"] = pd.Series([], dtype="int32")
-            return batch
-        if all(pd.api.types.is_integer_dtype(batch[k]) for k in keys):
-            # vectorized splitmix-style mix for integer keys — the
-            # string-concat + per-row python hash path below costs more
-            # than the grouped kernel itself on wide band tables
-            with np.errstate(over="ignore"):
-                h = np.zeros(len(batch), np.uint64)
-                for k in keys:
-                    v = batch[k].to_numpy().astype(np.uint64, copy=False)
-                    h ^= v + np.uint64(0x9E3779B97F4A7C15) + (h << np.uint64(6)) + (
-                        h >> np.uint64(2)
-                    )
-                    h *= np.uint64(0xBF58476D1CE4E5B9)
-                    h ^= h >> np.uint64(27)
-            batch["bucket"] = (h % np.uint64(n_buckets)).astype("int32")
-            return batch
-        comb = batch[keys[0]].astype(str)
-        for k in keys[1:]:
-            comb = comb + "|" + batch[k].astype(str)
-        batch["bucket"] = _bucket_series(comb, n_buckets)
-        return batch
-
-    def run(group: pd.DataFrame) -> pd.DataFrame:
-        if min_group_size >= 2 and not group.empty:
-            group = group[group.duplicated(subset=keys, keep=False)]
-        outs = [kernel(sub) for _, sub in group.groupby(keys, sort=False)]
-        outs = [o for o in outs if o is not None and len(o)]
-        if not outs:
-            return kernel(group.head(0))
-        if isinstance(outs[0], pa.Table):
-            return pa.concat_tables(outs)
-        return pd.concat(outs, ignore_index=True)
-
-    return (
-        ds.map_batches(bucketize, batch_format="pandas", batch_size=65536)
-        .groupby("bucket")
-        .map_groups(run, batch_format="pandas")
-    )
 
 
 def minhash_candidate_pairs(
@@ -478,199 +382,6 @@ def minhash_candidate_pairs(
         .groupby("bucket")
         .map_groups(dedup_pairs, batch_format="pandas")
     )
-
-
-def connected_components(
-    pairs, max_rounds: int = 10, n_buckets: int = 64, driver_threshold: int = 500_000
-):
-    """Distributed min-label propagation over an edge Dataset (id_a, id_b).
-
-    Returns a Dataset (node, label) where label = min node id of the
-    component.  Fully distributed union-find analogue — no driver-side
-    adjacency: each round is two bucketed shuffles,
-
-      1. group (labels ∪ edge-endpoints) by hash(node) bucket; the
-         kernel joins each node's current label onto its incident
-         edges and emits (other_endpoint, label) messages;
-      2. group (labels ∪ messages) by hash(node) bucket; the kernel
-         takes the min label per node.
-
-    Convergence: min labels are monotone non-increasing; dense
-    duplicate clusters (LSH near-cliques) converge in 2-3 rounds, path
-    graphs in O(diameter) <= max_rounds.  The round loop runs on the
-    driver but each iteration's data stays in the object store; only
-    the scalar changed-count is collected.
-    """
-    import ray.data
-
-    # Small-graph fast path: below ``driver_threshold`` edges the graph is a
-    # broadcast-sized side table — classic union-find on the driver beats a
-    # multi-round distributed propagation by orders of magnitude (the
-    # per-round Ray stage overhead dominates tiny graphs).  The distributed
-    # path below is the scale path and is exercised directly in tests with
-    # driver_threshold=0.
-    pairs = pairs.select_columns(["id_a", "id_b"]).materialize()  # count + reuse, one execution
-    n_edges = pairs.count()
-    if n_edges <= driver_threshold:
-        df = pairs.to_pandas()
-        parent: dict = {}
-
-        def find(x):
-            root = x
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(x, x) != x:
-                parent[x], x = root, parent[x]
-            return root
-
-        for a, b in zip(df["id_a"], df["id_b"]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                # always attach under the smaller root -> final root is the
-                # component min, matching the distributed min-label semantics
-                lo, hi = (ra, rb) if ra <= rb else (rb, ra)
-                parent[hi] = lo
-        nodes = pd.unique(pd.concat([df["id_a"], df["id_b"]], ignore_index=True))
-        labels = pd.DataFrame(
-            {"node": nodes, "label": [find(n) for n in nodes]}
-        ).sort_values("node").reset_index(drop=True)
-        return ray.data.from_pandas(labels)
-
-    # ---- distributed rounds, Arrow-native end to end (round-4 judge
-    # item 3): one shared schema S = (node, other?, label?, is_old,
-    # changed, bucket) for labels AND adjacency, so each round is
-    # exactly two groupby exchanges with ZERO padding passes and no
-    # pandas boxing at block boundaries (the d01 LSH lesson).  The
-    # per-bucket join is pc.index_in (label nodes are unique per
-    # bucket), the per-bucket min is Arrow hash aggregation, and all
-    # bucket keys come from the vectorized hash kernels.
-    edges = pairs.select_columns(["id_a", "id_b"])
-
-    def _bucket_arr(arr) -> pa.Array:
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        if pa.types.is_integer(arr.type):
-            with np.errstate(over="ignore"):
-                v = arr.to_numpy(zero_copy_only=False).astype(np.uint64)
-                h = (v ^ (v >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-                h ^= h >> np.uint64(33)
-        else:
-            h = _fnv64_arr(arr)
-        return pa.array((h % np.uint64(n_buckets)).astype(np.int32), pa.int32())
-
-    def _s_table(node, other, label, is_old: int, changed) -> pa.Table:
-        n = len(node)
-        if isinstance(changed, int):
-            changed = pa.array(np.full(n, changed, np.int8), pa.int8())
-        return pa.table(
-            {
-                "node": node,
-                "other": other,
-                "label": label,
-                "is_old": pa.array(np.full(n, is_old, np.int8), pa.int8()),
-                "changed": changed,
-                "bucket": _bucket_arr(node),
-            }
-        )
-
-    def _concat(a, b) -> pa.Array:
-        if isinstance(a, pa.ChunkedArray):
-            a = a.combine_chunks()
-        if isinstance(b, pa.ChunkedArray):
-            b = b.combine_chunks()
-        return pa.concat_arrays([a, b])
-
-    # init: labels[node] = node from each batch's distinct endpoints —
-    # a pure map (NO dedup shuffle): duplicate (node, node) seed rows
-    # across batches emit duplicate round-1 messages, which the first
-    # min-reduce collapses for free
-    def init_nodes(batch: pa.Table) -> pa.Table:
-        nodes = pc.unique(_concat(batch["id_a"], batch["id_b"]))
-        t = nodes.type
-        return _s_table(nodes, pa.nulls(len(nodes), t), nodes, 1, 1)
-
-    labels = edges.map_batches(
-        init_nodes, batch_format="pyarrow", batch_size=65536
-    ).materialize()
-
-    def edge_rows(batch: pa.Table) -> pa.Table:
-        node = _concat(batch["id_a"], batch["id_b"])
-        other = _concat(batch["id_b"], batch["id_a"])
-        return _s_table(node, other, pa.nulls(len(node), node.type), 0, 0)
-
-    adjacency = edges.map_batches(
-        edge_rows, batch_format="pyarrow", batch_size=65536
-    ).materialize()
-
-    for _round in range(max_rounds):
-
-        def send(group: pa.Table) -> pa.Table:
-            # label rows keep is_old=1 so the reduce can emit the
-            # changed flag inline — folding the convergence check into
-            # the propagation keeps each round at TWO shuffles
-            is_lbl = pc.equal(group["is_old"], 1)
-            lbl = group.filter(is_lbl)
-            adj = group.filter(pc.invert(is_lbl))
-            lbl_node = lbl["node"].combine_chunks()
-            lbl_label = lbl["label"].combine_chunks()
-            pos = pc.index_in(adj["node"], value_set=lbl_node)
-            msg_label = pc.take(lbl_label, pos).combine_chunks()
-            node = _concat(lbl_node, adj["other"].combine_chunks())
-            label = _concat(lbl_label, msg_label)
-            n_lbl, n_adj = len(lbl_node), len(msg_label)
-            is_old = pa.array(
-                np.concatenate(
-                    [np.ones(n_lbl, np.int8), np.zeros(n_adj, np.int8)]
-                ),
-                pa.int8(),
-            )
-            return pa.table(
-                {
-                    "node": node,
-                    "label": label,
-                    "is_old": is_old,
-                    "bucket": _bucket_arr(node),
-                }
-            )
-
-        messages = (
-            labels.union(adjacency).groupby("bucket").map_groups(
-                send, batch_format="pyarrow"
-            )
-        )
-
-        def reduce_min(group: pa.Table) -> pa.Table:
-            agg = (
-                group.select(["node", "label"])
-                .group_by("node")
-                .aggregate([("label", "min")])
-            )
-            old = group.filter(pc.equal(group["is_old"], 1))
-            pos = pc.index_in(agg["node"], value_set=old["node"].combine_chunks())
-            old_label = pc.take(old["label"].combine_chunks(), pos)
-            new_label = agg["label_min"].combine_chunks()
-            changed = pc.cast(
-                pc.not_equal(new_label, old_label), pa.int8()
-            ).combine_chunks()
-            node = agg["node"].combine_chunks()
-            return _s_table(
-                node, pa.nulls(len(node), node.type), new_label, 1, changed
-            )
-
-        new_labels = (
-            messages.groupby("bucket").map_groups(
-                reduce_min, batch_format="pyarrow"
-            )
-        ).materialize()
-
-        # convergence: the changed flags came out of the reduce itself;
-        # summing them is a scan over the already-materialized blocks
-        changed = new_labels.sum("changed")
-        labels = new_labels
-        if not changed:
-            break
-
-    return labels.select_columns(["node", "label"])
 
 
 def minhash_lsh_clusters(
@@ -2671,30 +2382,6 @@ def remove_duplicated_spans(
         return texts_ds.map_batches(apply_bcast, batch_format="pyarrow")
 
     return _doc_copartition(dup_starts, apply_kernel, None)
-
-
-def _fnv64_arr(arr) -> np.ndarray:
-    """Vectorized 64-bit FNV-1a over an Arrow string array: byte-column
-    folds over the flat data buffer with per-position masking (one numpy
-    pass per byte position up to the longest string — grams are ~50
-    bytes, so ~50 masked passes per batch instead of a Python loop per
-    gram)."""
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    n = len(arr)
-    if n == 0:
-        return np.empty(0, np.uint64)
-    offs, data = _varlen_buffers(arr)
-    starts = offs[:-1]
-    lens = offs[1:] - starts
-    h = np.full(n, np.uint64(14695981039346656037), dtype=np.uint64)
-    prime = np.uint64(1099511628211)
-    with np.errstate(over="ignore"):
-        for j in range(int(lens.max())):
-            m = lens > j
-            hm = h[m]
-            h[m] = (hm ^ data[starts[m] + j].astype(np.uint64)) * prime
-    return h
 
 
 def bloom_decontaminate(

@@ -31,6 +31,7 @@ import pyarrow as pa
 import pyarrow.compute as _pc
 
 from .. import schema
+from ..hashing import hash_u32
 from ..sources.gazetteer import matcher_from_ref, tokenize
 
 #: anaphora cue: the turn opens with a pronoun reference ("It is very big.")
@@ -71,8 +72,6 @@ class MentionDetector:
     """
 
     def __init__(self, dict_ref, n_buckets: int = 64):
-        from ..testdata import hash_u32
-
         self.matcher = matcher_from_ref(dict_ref)
         self.n_buckets = n_buckets
         self._hash = hash_u32

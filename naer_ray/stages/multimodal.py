@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..testdata import hash_u32
+from ..hashing import hash_u32
 from .dedup import _bucket_series
 
 MEDIA_SCHEMA = pa.schema(

@@ -34,6 +34,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from . import refsem, schema
+from .hashing import hash_u32
 from .names import alias_variants
 
 REFERENCE_EVAL_DIR = (
@@ -467,14 +468,6 @@ def generate_corpus(
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2)
     return manifest
-
-
-def hash_u32(s: str) -> int:
-    """Deterministic 32-bit string hash (FNV-1a); stable across processes."""
-    h = 2166136261
-    for ch in s.encode("utf-8"):
-        h = ((h ^ ch) * 16777619) & 0xFFFFFFFF
-    return h
 
 
 _TIERS = {

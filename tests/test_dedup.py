@@ -94,52 +94,6 @@ def test_ngram_jaccard_pairs_strategies_agree(docs_ds, ray_session):
     assert 0.0 < by_pair[(0, 2)] < 1.0
 
 
-def test_connected_components_chain(ray_session):
-    import ray.data
-
-    from naer_ray.stages.dedup import connected_components
-
-    pairs = ray.data.from_items(
-        [
-            {"id_a": "a", "id_b": "b"},
-            {"id_a": "b", "id_b": "c"},
-            {"id_a": "d", "id_b": "e"},
-        ]
-    )
-    # both paths: driver fast path (default) and the distributed
-    # label-propagation path (driver_threshold=0)
-    for kwargs in ({}, {"driver_threshold": 0}):
-        labels = connected_components(pairs, **kwargs).to_pandas()
-        lbl = dict(zip(labels["node"], labels["label"]))
-        assert lbl["a"] == lbl["b"] == lbl["c"] == "a", kwargs
-        assert lbl["d"] == lbl["e"] == "d", kwargs
-
-
-def test_connected_components_distributed_random(ray_session):
-    """Forced distributed label-propagation (driver_threshold=0) on a
-    200-edge int-node random graph must agree exactly with the driver
-    union-find fast path — exercises multi-round convergence, the
-    inline changed flags, and the Arrow-native round kernels."""
-    import ray.data
-
-    from naer_ray.stages.dedup import connected_components
-
-    rng = __import__("numpy").random.default_rng(7)
-    edges = [
-        {"id_a": int(a), "id_b": int(b)}
-        for a, b in rng.integers(0, 120, size=(200, 2))
-    ]
-    pairs = ray.data.from_items(edges)
-    fast = connected_components(pairs).to_pandas()
-    dist = connected_components(
-        ray.data.from_items(edges).repartition(5), driver_threshold=0,
-        n_buckets=8,
-    ).to_pandas()
-    f = dict(zip(fast["node"], fast["label"]))
-    d = dict(zip(dist["node"], dist["label"]))
-    assert f == d
-
-
 def test_embedding_neardup(ray_session):
     import ray.data
 
@@ -350,22 +304,6 @@ class TestBloomDecontaminate:
         flags = self._flags(ray_session, prefilter=sat)
         assert flags == {1: True, 2: False, 3: False}
 
-    def test_fnv64_arr_matches_scalar(self):
-        import pyarrow as pa
-
-        from naer_ray.stages.dedup import _fnv64_arr
-
-        def fnv64(s: str) -> int:
-            h = 14695981039346656037
-            for b in s.encode():
-                h = ((h ^ b) * 1099511628211) & 0xFFFFFFFFFFFFFFFF
-            return h
-
-        vals = ["", "a", "alpha beta", "x" * 200, "gamma"]
-        arr = pa.array(vals, pa.string())
-        got = _fnv64_arr(arr)
-        assert [int(v) for v in got] == [fnv64(s) for s in vals]
-
 
 class TestNonAsciiRobustness:
     """The span/shingle kernels are byte-oriented (utf-8); multi-byte
@@ -421,21 +359,6 @@ class TestNonAsciiRobustness:
             minhash_bands(ds, "doc_id", "text"), "doc_id", min_est=0.95
         ).to_pandas()
         assert set(zip(pairs["id_a"], pairs["id_b"])) == {(1, 2)}
-
-    def test_fnv64_arr_multibyte_matches_scalar(self):
-        import pyarrow as pa
-
-        from naer_ray.stages.dedup import _fnv64_arr
-
-        def fnv64(s: str) -> int:
-            h = 14695981039346656037
-            for b in s.encode("utf-8"):
-                h = ((h ^ b) * 1099511628211) & 0xFFFFFFFFFFFFFFFF
-            return h
-
-        vals = ["déjà", "日本語テキスト", "🎉🎊", "mixed ascii + ünï"]
-        got = _fnv64_arr(pa.array(vals, pa.string()))
-        assert [int(v) for v in got] == [fnv64(s) for s in vals]
 
     def test_sliding_min_u64_matches_naive(self):
         import numpy as np
