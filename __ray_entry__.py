@@ -8,8 +8,10 @@ here (or in naer_ray) calls ``ray.init()`` / ``ray.shutdown()``.
   ``documents`` table (10-word chunks as turns), run mention detection
   + conversation assembly against an inline entity dictionary, return
   the (subj, pred, obj) triples Dataset.
-* ``queries()`` — one callable per implemented operator/pipeline
-  (SURVEY.md §2 coverage); each takes ``sf_dir``.
+* ``queries()`` — one callable per KG query of
+  ``naer_ray.pipelines.queries`` (transcript derivation, occurrence and
+  flagship triples, canonicalization, the LLM extractor paths and the
+  parity gate); each takes ``sf_dir``.
 * ``oracle_sql()`` — DuckDB-equivalent SQL for every oracle-checkable
   query (column names match the Ray results exactly).
 """
@@ -28,7 +30,7 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    """One entry per implemented pipeline/operator (SURVEY.md §2)."""
+    """One entry per KG query of the registry."""
     from naer_ray.pipelines.queries import REGISTRY
 
     return {name: fn for name, (fn, _sql) in REGISTRY.items()}

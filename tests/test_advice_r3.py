@@ -82,7 +82,7 @@ class TestE02NullText:
     def test_trailing_null_text_row(self, ray_session, tmp_path):
         """ADVICE r3 (low): a trailing null text row yields a list offset
         equal to len(flat); the boundary scatter used to IndexError."""
-        from naer_ray.pipelines.queries import KG_ENTITIES, e02_adjacent_relations
+        from opzoo.queries import KG_ENTITIES, e02_adjacent_relations
 
         ents = sorted(KG_ENTITIES)[:2]
         tbl = pa.table(
@@ -159,7 +159,7 @@ class TestQ03SizeGate:
         matches the broadcast path exactly."""
         import pandas as pd
 
-        from naer_ray.pipelines.queries import q03_orders_by_segment
+        from opzoo.queries import q03_orders_by_segment
 
         sf = "/root/testdata/sf0.001"
         bc = (
@@ -272,7 +272,7 @@ class TestJ01AsofRowLevel:
         import pandas as pd
         import pyarrow.parquet as pq_
 
-        from naer_ray.pipelines.queries import j01_asof_join
+        from opzoo.queries import j01_asof_join
 
         sf = "/root/testdata/sf0.001"
         a = (

@@ -211,7 +211,7 @@ def test_remove_duplicated_spans_strategy_equivalence(ray_session):
 def test_session_ops_invariant_to_bucket_count(ray_session):
     """The new bucketed session/audit ops must emit identical results
     at any bucket count (the two-cluster-size rule's analogue)."""
-    from naer_ray.pipelines.queries import (
+    from opzoo.queries import (
         e07_entity_density,
         j08_band_join,
         r06_semiadditive_last,

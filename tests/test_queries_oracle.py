@@ -2,7 +2,9 @@
 
 This mirrors the driver's correctness harness: run the Ray query and
 the oracle SQL on the same parquet tables, normalize (sort columns by
-name, sort rows), compare exactly.
+name, sort rows), compare exactly.  It covers the KG registry of the
+driver contract (``naer_ray.pipelines.queries``) and the general
+operator registry (``opzoo.queries``).
 """
 
 import duckdb
@@ -31,17 +33,37 @@ def _norm(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
-def _registry():
-    from naer_ray.pipelines.queries import REGISTRY
+KG_QUERIES = {
+    "q14_kg_transcripts",
+    "q15_kg_occurs_triples",
+    "q16_kg_cooccurrence",
+    "q17_kg_flagship",
+    "q27_llm_extract",
+    "q28_llm_two_part",
+    "c01_canonical_labels",
+    "c02_fuzzy_canonical_labels",
+    "kg_parity_eval",
+}
 
-    return [(n, fn, sql) for n, (fn, sql) in REGISTRY.items() if sql is not None]
+
+def _registry() -> dict:
+    from naer_ray.pipelines.queries import REGISTRY as KG
+    from opzoo.queries import REGISTRY as ZOO
+
+    assert not set(KG) & set(ZOO)
+    return {n: (fn, sql) for n, (fn, sql) in {**KG, **ZOO}.items() if sql is not None}
 
 
-@pytest.mark.parametrize("name", [n for n, _, _ in _registry()])
+def test_driver_contract_is_the_kg_registry():
+    import __ray_entry__
+
+    assert set(__ray_entry__.queries()) == KG_QUERIES
+    assert set(__ray_entry__.oracle_sql()) == KG_QUERIES
+
+
+@pytest.mark.parametrize("name", list(_registry()))
 def test_query_matches_oracle(name, ray_session, con):
-    from naer_ray.pipelines.queries import REGISTRY
-
-    fn, sql = REGISTRY[name]
+    fn, sql = _registry()[name]
     res = fn(SF)
     if hasattr(res, "to_pandas"):
         res = res.to_pandas()

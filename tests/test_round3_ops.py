@@ -5,7 +5,7 @@ decontaminate / keep_best_dedup (stages/dedup.py),
 rollup_sum (stages/agg.py).
 
 The happy paths over the real corpus are covered by the oracle suite
-(t07/t08/p02/d06/d07/r01 in pipelines/queries.py); these tests hit the
+(t07/t08/p02/d06/d07/r01 in opzoo/queries.py); these tests hit the
 inputs the corpus never produces.
 """
 
@@ -400,8 +400,8 @@ class TestCubeSum:
 class TestNtile:
     def test_small_groups_and_remainder(self, ray_session):
         import ray.data
-        from naer_ray.pipelines.queries import w04_order_ntile
-        import naer_ray.pipelines.queries as Q
+        from opzoo.queries import w04_order_ntile
+        import opzoo.queries as Q
 
         # custkey 1 has 6 orders -> NTILE(4) sizes 2,2,1,1;
         # custkey 2 has 2 orders (< k) -> tiles 1,2
@@ -437,7 +437,7 @@ class TestFunnel:
     def test_adjacency_and_gap_boundary(self, ray_session):
         import tempfile, os
         import pyarrow.parquet as pq
-        from naer_ray.pipelines.queries import w05_funnel
+        from opzoo.queries import w05_funnel
 
         base = pd.Timestamp("2024-01-01")
         rows = [
@@ -476,7 +476,7 @@ class TestFunnel:
 
 class TestGlobalShuffle:
     def test_deterministic_and_mixed(self, ray_session):
-        from naer_ray.pipelines.queries import s04_global_shuffle
+        from opzoo.queries import s04_global_shuffle
 
         sf = "/root/testdata/sf0.001"
         a = s04_global_shuffle(sf).to_pandas()
@@ -512,7 +512,7 @@ class TestPagerank:
     def test_small_graph_hand_computed(self, ray_session):
         import tempfile, os
         import pyarrow.parquet as pq
-        from naer_ray.pipelines.queries import g01_pagerank
+        from opzoo.queries import g01_pagerank
 
         # parts {1,2} both link supplier 7; bidirected:
         # nodes: 2, 4 (parts), 15 (supp); edges 2->15, 4->15, 15->2, 15->4
@@ -537,7 +537,7 @@ class TestJsonExtract:
     def test_negative_and_spacing(self, ray_session):
         import tempfile, os
         import pyarrow.parquet as pq
-        from naer_ray.pipelines.queries import e01_json_extract
+        from opzoo.queries import e01_json_extract
 
         t = pa.table(
             {
@@ -572,7 +572,7 @@ class TestRetentionCohorts:
     def test_hand_computed_offsets(self, ray_session):
         import tempfile
 
-        from naer_ray.pipelines.queries import w06_retention_cohorts
+        from opzoo.queries import w06_retention_cohorts
 
         WEEK = 7 * 86_400 * 1_000_000
         # user 1: weeks 0, 0, 2 -> cohort 0, offsets {0, 2}
@@ -594,7 +594,7 @@ class TestRetentionCohorts:
     def test_duplicate_weeks_counted_once(self, ray_session):
         import tempfile
 
-        from naer_ray.pipelines.queries import w06_retention_cohorts
+        from opzoo.queries import w06_retention_cohorts
 
         with tempfile.TemporaryDirectory() as d:
             _events_table([5, 5, 5], [1, 2, 3], tmpdir=d)
@@ -608,7 +608,7 @@ class TestActivityStreaks:
     def test_islands_split_on_gap(self, ray_session):
         import tempfile
 
-        from naer_ray.pipelines.queries import w07_activity_streaks
+        from opzoo.queries import w07_activity_streaks
 
         DAY = 86_400 * 1_000_000
         # user 1: days 0,1,2 then 5 -> streaks [3, 1]
@@ -633,7 +633,7 @@ class TestActivityStreaks:
     def test_streak_never_crosses_users(self, ray_session):
         import tempfile
 
-        from naer_ray.pipelines.queries import w07_activity_streaks
+        from opzoo.queries import w07_activity_streaks
 
         DAY = 86_400 * 1_000_000
         # user 1 ends on day 3, user 65 (same bucket mod 64) starts day 4:
@@ -649,7 +649,7 @@ class TestScd2Intervals:
     def test_runs_collapse_and_close(self, ray_session):
         import tempfile
 
-        from naer_ray.pipelines.queries import i01_scd2_intervals
+        from opzoo.queries import i01_scd2_intervals
 
         OPEN = np.iinfo(np.int64).max
         # user 1: a@10, a@20, b@30, a@40 -> [a,10,30) [b,30,40) [a,40,open)
@@ -673,7 +673,7 @@ class TestScd2Intervals:
     def test_last_interval_open_per_user(self, ray_session):
         import tempfile
 
-        from naer_ray.pipelines.queries import i01_scd2_intervals
+        from opzoo.queries import i01_scd2_intervals
 
         OPEN = np.iinfo(np.int64).max
         with tempfile.TemporaryDirectory() as d:
@@ -689,7 +689,7 @@ class TestUnigramLm:
         import tempfile, os
         import pyarrow.parquet as pq
 
-        from naer_ray.pipelines.queries import t11_unigram_lm
+        from opzoo.queries import t11_unigram_lm
 
         t = pa.table(
             {
@@ -711,7 +711,7 @@ class TestUnigramLm:
         import tempfile, os
         import pyarrow.parquet as pq
 
-        from naer_ray.pipelines.queries import t11_unigram_lm
+        from opzoo.queries import t11_unigram_lm
 
         t = pa.table(
             {
@@ -742,7 +742,7 @@ class TestTriangleCount:
     def test_hand_graph(self, ray_session):
         import tempfile
 
-        from naer_ray.pipelines.queries import g02_triangle_count
+        from opzoo.queries import g02_triangle_count
 
         # parts 7,14,21 all share order 1 -> K3 = 1 triangle;
         # part 28 shares order 2 with 7 only -> adds edge, no triangle;
@@ -761,7 +761,7 @@ class TestTriangleCount:
     def test_k4_counts_each_triangle_once(self, ray_session):
         import tempfile
 
-        from naer_ray.pipelines.queries import g02_triangle_count
+        from opzoo.queries import g02_triangle_count
 
         # K4 on {7,14,21,28} via one order -> C(4,3) = 4 triangles,
         # plus a duplicate order that must not double-count.
@@ -778,7 +778,7 @@ class TestMadOutliers:
         import tempfile, os
         import pyarrow.parquet as pq
 
-        from naer_ray.pipelines.queries import t12_mad_outliers
+        from opzoo.queries import t12_mad_outliers
 
         # source A lengths: [10, 10, 12, 100]; lower median (k=2) = 10;
         # deviations [0, 0, 2, 90] -> MAD (k=2) = 0; outlier iff dev > 0.
@@ -836,7 +836,7 @@ class TestKnnGraph:
         import tempfile, os
         import pyarrow.parquet as pq
 
-        from naer_ray.pipelines.queries import a04_knn_graph
+        from opzoo.queries import a04_knn_graph
 
         # ids 0,4,8,12 pass the %4 filter; id 5 must be ignored.
         # Quantized dots from unit-ish vectors: 0~4 closest, then 8.
@@ -873,7 +873,7 @@ class TestSemanticDedup:
         import tempfile, os
         import pyarrow.parquet as pq
 
-        from naer_ray.pipelines.queries import d10_semantic_dedup
+        from opzoo.queries import d10_semantic_dedup
 
         # Chain: 0~4 (dot 1e6*0.9), 4~8 (0.9) but 0!~8 (0.62 < thr):
         # transitive closure must still put all three in one cluster.
@@ -1028,7 +1028,7 @@ class TestGraphCopartitionFallback:
         return con.sql(sql).df()
 
     def test_g01_forced_copartition_vs_oracle(self, ray_session):
-        from naer_ray.pipelines.queries import G01_SQL, g01_pagerank
+        from opzoo.queries import G01_SQL, g01_pagerank
 
         got = g01_pagerank(self.SF, node_threshold=0).reset_index(drop=True)
         want = (
@@ -1040,7 +1040,7 @@ class TestGraphCopartitionFallback:
         pd.testing.assert_frame_equal(got, want)
 
     def test_g04_forced_copartition_vs_oracle(self, ray_session):
-        from naer_ray.pipelines.queries import G04_SQL, g04_bfs_levels
+        from opzoo.queries import G04_SQL, g04_bfs_levels
 
         got = g04_bfs_levels(self.SF, node_threshold=0).reset_index(drop=True)
         want = (

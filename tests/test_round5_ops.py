@@ -17,7 +17,7 @@ def _py_bucket(tok: str, mod: int = 64) -> int:
 
 
 def test_token_feature_buckets_match_python_reference():
-    from naer_ray.pipelines.queries import _token_feature_buckets
+    from opzoo.queries import _token_feature_buckets
 
     toks = ["hash", "a", "window", "zz", "scan", "merge", "x" * 40]
     lens, buckets = _token_feature_buckets(pa.array(toks, pa.string()))
@@ -26,7 +26,7 @@ def test_token_feature_buckets_match_python_reference():
 
 
 def test_token_feature_buckets_empty_and_large_string():
-    from naer_ray.pipelines.queries import _token_feature_buckets
+    from opzoo.queries import _token_feature_buckets
 
     # empty tokens get bucket 0 and len 0 (callers mask on len)
     lens, buckets = _token_feature_buckets(pa.array(["", "ab"], pa.string()))
@@ -41,7 +41,7 @@ def test_token_feature_buckets_empty_and_large_string():
 
 
 def test_token_feature_buckets_sliced_array_offset():
-    from naer_ray.pipelines.queries import _token_feature_buckets
+    from opzoo.queries import _token_feature_buckets
 
     arr = pa.array(["skip", "hash", "vector"], pa.string()).slice(1)
     lens, buckets = _token_feature_buckets(arr)
@@ -50,7 +50,7 @@ def test_token_feature_buckets_sliced_array_offset():
 
 
 def test_t14_weights_deterministic_and_bounded(ray_session):
-    from naer_ray.pipelines.queries import t14_hashed_classifier
+    from opzoo.queries import t14_hashed_classifier
 
     out = t14_hashed_classifier(SF)
     # one row per language, counts partition the corpus
@@ -63,7 +63,7 @@ def test_t14_weights_deterministic_and_bounded(ray_session):
 
 
 def test_d16_scores_nonincreasing_and_deterministic(ray_session):
-    from naer_ray.pipelines.queries import d16_dsir_importance
+    from opzoo.queries import d16_dsir_importance
 
     out = d16_dsir_importance(SF)
     assert len(out) == 100
@@ -81,7 +81,7 @@ def test_x01_probe_reads_only_query_token_shards(ray_session, monkeypatch):
     the partition-pruning property that makes the index pay at scale."""
     import ray.data as rd
 
-    from naer_ray.pipelines import queries as q
+    from opzoo import queries as q
     from naer_ray.stages.dedup import _fnv64_arr
 
     seen: list[str] = []
@@ -110,7 +110,7 @@ def test_x01_probe_reads_only_query_token_shards(ray_session, monkeypatch):
 
 
 def test_x01_index_is_cleaned_up(ray_session):
-    from naer_ray.pipelines import queries as q
+    from opzoo import queries as q
 
     q.x01_inverted_index_search(SF)
     leftovers = glob.glob(f"/tmp/naer_inverted_index/{os.getpid()}-*")

@@ -66,7 +66,7 @@ def test_bigram_lm_drops_sub2_token_docs(ray_session):
 
 
 def test_bm25_score_matches_closed_form(ray_session):
-    from naer_ray.pipelines.queries import x02_bm25_topk
+    from opzoo.queries import x02_bm25_topk
 
     out = x02_bm25_topk(SF)
     assert list(out.columns) == ["rnk", "doc_id"]
@@ -102,7 +102,7 @@ def test_bm25_score_matches_closed_form(ray_session):
 
 
 def test_url_canonical_dedup_keep_rule(ray_session):
-    from naer_ray.pipelines.queries import d17_url_canonical_dedup
+    from opzoo.queries import d17_url_canonical_dedup
 
     out = d17_url_canonical_dedup(SF)
     if hasattr(out, "to_pandas"):
@@ -117,7 +117,7 @@ def test_url_canonical_dedup_keep_rule(ray_session):
 
 def test_url_canonical_dedup_tie_breaks():
     """The keep rule (len DESC, doc_id ASC) inside one bucket kernel."""
-    from naer_ray.pipelines.queries import d17_url_canonical_dedup  # noqa: F401
+    from opzoo.queries import d17_url_canonical_dedup  # noqa: F401
 
     g = pd.DataFrame(
         {
@@ -141,7 +141,7 @@ def test_g05_distributed_path_matches_fast_path(ray_session):
     (which takes the driver union-find fast path at this scale)."""
     import pyarrow.compute as pc
 
-    from naer_ray.pipelines.queries import (
+    from opzoo.queries import (
         _copurchase_edges,
         g05_connected_components,
     )
@@ -175,7 +175,7 @@ def test_g05_distributed_path_matches_fast_path(ray_session):
 def test_d18_apply_properties(ray_session):
     """Canonical map invariants: total, idempotent, canonical rows are
     fixed points, and clusters agree with a single-process closure."""
-    from naer_ray.pipelines.queries import d18_neardup_dedup_apply
+    from opzoo.queries import d18_neardup_dedup_apply
 
     out = d18_neardup_dedup_apply(SF).to_pandas()
     assert len(out) == 500 and out["doc_id"].is_unique
@@ -191,7 +191,7 @@ def test_w09_raw_lag_chain_semantics(ray_session):
     not the last kept event: 0, +30min, +61min keeps only the first."""
     import ray.data
 
-    from naer_ray.pipelines.queries import w09_windowed_dedup  # noqa: F401
+    from opzoo.queries import w09_windowed_dedup  # noqa: F401
 
     g = pd.DataFrame(
         {
@@ -268,7 +268,7 @@ def test_setsim_self_candidates_triangle():
 def test_d19_soft_dedup_invariants(ray_session):
     """SoftDeDup invariant: every cluster's member weights sum to
     exactly 1 (n * (1/n)), so total weight == number of clusters."""
-    from naer_ray.pipelines.queries import d19_soft_dedup
+    from opzoo.queries import d19_soft_dedup
 
     out = d19_soft_dedup(SF).to_pandas()
     assert len(out) == 500 and out["doc_id"].is_unique
@@ -313,8 +313,8 @@ def test_j04_interval_join_matches_brute_force(ray_session):
                 ).astype("datetime64[us]"),
             }
         )
-        from naer_ray.pipelines.queries import j04_interval_join  # noqa: F401
-        from naer_ray.pipelines import queries as q
+        from opzoo.queries import j04_interval_join  # noqa: F401
+        from opzoo import queries as q
 
         # drive the kernel through the real bucketed Dataset path
         import pyarrow.parquet as pq_
@@ -344,7 +344,7 @@ def test_i03_watermark_semantics(ray_session):
 
     import pyarrow.parquet as pq_
 
-    from naer_ray.pipelines import queries as q
+    from opzoo import queries as q
 
     # user 1: arrival order by (id%7, id) = ids [7, 14, 3] ->
     # ts 100, 50 (late by 50), 80 (late by 20)
@@ -372,7 +372,7 @@ def test_new_ops_partitioning_invariance(ray_session):
     """d17/w09/i03/j04 results must be identical under a different
     bucket count (the repo's partitioning-invariance gate for every
     bucketed kernel)."""
-    from naer_ray.pipelines import queries as q
+    from opzoo import queries as q
 
     for fn, kwargs, sort_cols in (
         (q.d17_url_canonical_dedup, {"n_buckets": 3}, ["url_key"]),

@@ -13,7 +13,7 @@ SF = "/root/testdata/sf0.001"
 def test_grouping_sets_levels_and_sentinels(ray_session):
     """r04 must emit EXACTLY the two requested sets — no finest level,
     no grand total — with None in the grouped-out key."""
-    from naer_ray.pipelines.queries import r04_grouping_sets
+    from opzoo.queries import r04_grouping_sets
 
     out = r04_grouping_sets(SF)
     by_status = out[out["o_orderpriority"].isna()]
@@ -27,7 +27,7 @@ def test_grouping_sets_levels_and_sentinels(ray_session):
 
 
 def test_unpivot_metric_coverage(ray_session):
-    from naer_ray.pipelines.queries import r05_unpivot
+    from opzoo.queries import r05_unpivot
 
     out = r05_unpivot(SF)
     metrics = set(out["metric"])
@@ -45,7 +45,7 @@ def test_unpivot_metric_coverage(ray_session):
 def test_salted_equals_unsalted(ray_session):
     """The salt only changes shuffle distribution, never the result."""
     from naer_ray.stages.agg import bucketed_sum
-    from naer_ray.pipelines.queries import _read
+    from opzoo.queries import _read
 
     ds = _read(SF, "events", ["event_type"])
     a = (
@@ -65,7 +65,7 @@ def test_salted_equals_unsalted(ray_session):
 
 
 def test_window_topn_rank_and_tiebreak(ray_session):
-    from naer_ray.pipelines.queries import w10_window_topn
+    from opzoo.queries import w10_window_topn
 
     out = w10_window_topn(SF)
     # at most 2 rows per window, ordered (n desc, event_type asc)
@@ -80,7 +80,7 @@ def test_exists_filter_matches_pandas_reference(ray_session):
     existence predicates (independent of the SQL oracle)."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import q34_exists_filter
+    from opzoo.queries import q34_exists_filter
 
     li = pq.read_table(
         f"{SF}/lineitem.parquet",
@@ -112,7 +112,7 @@ def test_fd_violations_planted(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import v02_fd_violations
+    from opzoo.queries import v02_fd_violations
 
     t = pa.table(
         {
@@ -138,7 +138,7 @@ def test_proximity_window_semantics(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import x05_proximity_search
+    from opzoo.queries import x05_proximity_search
 
     docs = [
         (1, "hash a b vector"),          # dist 3 -> 1 pair
@@ -159,7 +159,7 @@ def test_proximity_window_semantics(ray_session, tmp_path):
 
 
 def test_fof_bucket_invariance(ray_session):
-    from naer_ray.pipelines.queries import g06_friends_of_friends
+    from opzoo.queries import g06_friends_of_friends
 
     a = g06_friends_of_friends(SF)
     b = g06_friends_of_friends(SF, n_buckets=7)
@@ -167,7 +167,7 @@ def test_fof_bucket_invariance(ray_session):
 
 
 def test_gray_histogram_bins_cover_all_pixels(ray_session):
-    from naer_ray.pipelines.queries import m14_gray_histogram
+    from opzoo.queries import m14_gray_histogram
 
     out = m14_gray_histogram(SF).to_pandas()
     w = 4 + (out["doc_id"] * 131) % 29
@@ -181,7 +181,7 @@ def test_resumable_write_second_pass_skips(ray_session, tmp_path):
     """The manifest makes the rerun a no-op: pass 1 writes all buckets,
     pass 2 writes none; a partially-complete manifest resumes only the
     missing buckets."""
-    from naer_ray.pipelines.queries import _s07_write_pass
+    from opzoo.queries import _s07_write_pass
     from naer_ray.state.checkpoint import Manifest
 
     root = str(tmp_path / "ckpt")
@@ -222,7 +222,7 @@ def test_containment_join_hand_built(ray_session, tmp_path):
 
 
 def test_d20_planted_quotes_all_found(ray_session):
-    from naer_ray.pipelines.queries import d20_containment_pairs
+    from opzoo.queries import d20_containment_pairs
 
     out = d20_containment_pairs(SF)
     pairs = set(map(tuple, out[["id_a", "id_b"]].to_numpy()))
@@ -244,7 +244,7 @@ def test_radius_search_integer_boundary(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import a09_radius_search
+    from opzoo.queries import a09_radius_search
 
     # query ids 0,1,2 are required by the op; make 0 the probe axis
     vecs = {
@@ -274,7 +274,7 @@ def test_ngram_novelty_hand_built(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import t17_ngram_novelty
+    from opzoo.queries import t17_ngram_novelty
 
     docs = [
         (1, "a b c d"),       # grams: abc, bcd -> both novel
@@ -300,7 +300,7 @@ def test_group_percentiles_rank_rule(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import n03_group_percentiles
+    from opzoo.queries import n03_group_percentiles
 
     vals = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10, 10]
     t = pa.table(
@@ -326,7 +326,7 @@ def test_window_cooccurrence_excludes_same_turn(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import e05_window_cooccurrence
+    from opzoo.queries import e05_window_cooccurrence
 
     # 10-word turns derive from documents: craft a 30-word doc =
     # 3 turns: turn0 has spark+join (same turn), turn1 has spark,
@@ -353,7 +353,7 @@ def test_window_cooccurrence_excludes_same_turn(ray_session, tmp_path):
 
 def test_incremental_agg_state_not_rescanned(ray_session):
     """The merged incremental result equals the full-scan aggregate."""
-    from naer_ray.pipelines.queries import i04_incremental_agg, q35_salted_skew_agg
+    from opzoo.queries import i04_incremental_agg, q35_salted_skew_agg
 
     inc = i04_incremental_agg(SF)
     full = q35_salted_skew_agg(SF)
@@ -368,7 +368,7 @@ def test_rolling_window_hand_built(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import w11_rolling_window
+    from opzoo.queries import w11_rolling_window
 
     t = pa.table(
         {
@@ -400,7 +400,7 @@ def test_fuzzy_search_rejects_symmetric_delete_overmatch(
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import x06_fuzzy_search
+    from opzoo.queries import x06_fuzzy_search
 
     # queries are ('vektor', 'sow'); plant each match class for 'sow':
     #   'sw' (deletion), 'sol' (substitution), 'sown' (insertion),
@@ -422,7 +422,7 @@ def test_fuzzy_search_rejects_symmetric_delete_overmatch(
 
 
 def test_fuzzy_search_matches_expected_terms(ray_session):
-    from naer_ray.pipelines.queries import x06_fuzzy_search
+    from opzoo.queries import x06_fuzzy_search
 
     out = x06_fuzzy_search(SF)
     assert set(out["q"]) == {"vektor", "sow"}
@@ -433,7 +433,7 @@ def test_audio_segments_run_length_semantics(ray_session):
     """Segment stats must be consistent: sum of segments' lengths =
     n_active, and max_seg = 0 iff no segments; re-derive one doc's
     runs directly from the decoder."""
-    from naer_ray.pipelines.queries import m15_audio_segments
+    from opzoo.queries import m15_audio_segments
     from naer_ray.stages.multimodal import decode_wav, synth_wav_payload
 
     out = m15_audio_segments(SF).to_pandas().set_index("doc_id")
@@ -460,7 +460,7 @@ def test_prefix_search_counts_all_matching_terms(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import x07_prefix_search
+    from opzoo.queries import x07_prefix_search
 
     t = pa.table(
         {
@@ -479,7 +479,7 @@ def test_top_percent_threshold_includes_ties(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import q36_top_percent
+    from opzoo.queries import q36_top_percent
 
     # 200 orders: 197 at 1.00, three at 9.99.  ceil(0.99*200) = 198
     # lands past the 1.00 bucket (cum 197), so the threshold is 9.99
@@ -507,7 +507,7 @@ def test_gap_stats_hand_built(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import w12_gap_stats
+    from opzoo.queries import w12_gap_stats
 
     hours = [0, 0, 2, 5]  # user 1: hours {0,2,5} -> span 6, active 3, gaps 3
     t = pa.table(
@@ -533,7 +533,7 @@ def test_copurchase_pair_weight_counts_orders_once(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import g07_copurchase_topk
+    from opzoo.queries import g07_copurchase_topk
 
     rows = [
         (100, 1), (100, 2), (100, 2),   # order 100: pair (1,2) once
@@ -555,7 +555,7 @@ def test_copurchase_pair_weight_counts_orders_once(ray_session, tmp_path):
 
 
 def test_more_like_this_excludes_query_doc(ray_session):
-    from naer_ray.pipelines.queries import x08_more_like_this
+    from opzoo.queries import x08_more_like_this
 
     out = x08_more_like_this(SF)
     assert 42 not in set(out["doc_id"])
@@ -566,7 +566,7 @@ def test_more_like_this_excludes_query_doc(ray_session):
 
 
 def test_kmeans_persisted_assign_gate(ray_session):
-    from naer_ray.pipelines.queries import k02_kmeans_assign_persisted
+    from opzoo.queries import k02_kmeans_assign_persisted
 
     out = k02_kmeans_assign_persisted(SF)
     assert out["persisted_assign_match"].all()
@@ -578,7 +578,7 @@ def test_bloom_semi_join_equals_plain_semi(ray_session):
     direct pandas semi join."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import j06_bloom_semi_join, _cents
+    from opzoo.queries import j06_bloom_semi_join, _cents
 
     out = j06_bloom_semi_join(SF)
     orders = pq.read_table(
@@ -605,7 +605,7 @@ def test_bloom_semi_join_equals_plain_semi(ray_session):
 
 
 def test_schema_drift_classes(ray_session):
-    from naer_ray.pipelines.queries import v03_schema_drift
+    from opzoo.queries import v03_schema_drift
 
     out = v03_schema_drift(SF).set_index("col")
     assert out.loc["doc_id", "status"] == "type_changed"
@@ -616,7 +616,7 @@ def test_schema_drift_classes(ray_session):
 
 def test_frame_diff_single_frame_is_zero(ray_session):
     """Docs whose clip has one frame have no transitions."""
-    from naer_ray.pipelines.queries import m16_frame_diff
+    from opzoo.queries import m16_frame_diff
 
     out = m16_frame_diff(SF).to_pandas()
     single = out[out["n_frames"] == 1]
@@ -631,7 +631,7 @@ def test_filtered_search_subset_of_unfiltered(ray_session):
     result (at the same threshold) intersected with the en-doc ids."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import (
+    from opzoo.queries import (
         a09_radius_search,
         a10_filtered_vector_search,
     )
@@ -650,7 +650,7 @@ def test_snapshot_diff_hand_built_counts(ray_session):
     """Re-derive the planted diff classes directly."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import i05_snapshot_diff
+    from opzoo.queries import i05_snapshot_diff
 
     ids = pq.read_table(
         f"{SF}/documents.parquet", columns=["doc_id"]
@@ -672,7 +672,7 @@ def test_snapshot_diff_hand_built_counts(ray_session):
 def test_vocab_coverage_all_tokens_in_corpus_vocab(ray_session):
     """The corpus vocabulary has ~31 terms; with top_k=40 every token
     is in-vocab, with top_k=1 only the most frequent term is."""
-    from naer_ray.pipelines.queries import b03_vocab_coverage
+    from opzoo.queries import b03_vocab_coverage
 
     full = b03_vocab_coverage(SF, top_k=40).to_pandas()
     assert (full["n_oov"] == 0).all()
@@ -685,7 +685,7 @@ def test_running_distinct_hand_built(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import w13_running_distinct
+    from opzoo.queries import w13_running_distinct
 
     # user 1: view, view, click, view, click -> 1,1,2,2,2
     t = pa.table(
@@ -713,7 +713,7 @@ def test_running_distinct_hand_built(ray_session, tmp_path):
 def test_new_bucketed_ops_partitioning_invariance(ray_session):
     """Every bucketed kernel added this session must be invariant to
     the bucket count (the repo's partitioning-invariance gate)."""
-    from naer_ray.pipelines import queries as q
+    from opzoo import queries as q
 
     for fn, kwargs, sort_cols in (
         (q.e05_window_cooccurrence, {"n_buckets": 5}, ["subj", "obj"]),
@@ -736,7 +736,7 @@ def test_new_bucketed_ops_partitioning_invariance(ray_session):
 
 
 def test_host_cap_keeps_lowest_ids(ray_session):
-    from naer_ray.pipelines.queries import u02_host_cap
+    from opzoo.queries import u02_host_cap
 
     out = u02_host_cap(SF)
     for _, g in out.groupby("host"):
@@ -753,7 +753,7 @@ def test_host_cap_keeps_lowest_ids(ray_session):
 
 
 def test_skew_report_shares_sum_bound(ray_session):
-    from naer_ray.pipelines.queries import v04_skew_report
+    from opzoo.queries import v04_skew_report
 
     out = v04_skew_report(SF)
     # floor division: shares sum to <= 1e6 and > 1e6 - n_keys
@@ -762,7 +762,7 @@ def test_skew_report_shares_sum_bound(ray_session):
 
 
 def test_morton_key_interleaves_bits():
-    from naer_ray.pipelines.queries import _morton16
+    from opzoo.queries import _morton16
 
     a = np.array([0b10101010], np.int64)
     b = np.array([0b11110000], np.int64)
@@ -776,7 +776,7 @@ def test_morton_key_interleaves_bits():
 
 
 def test_zorder_rank_is_total_order(ray_session):
-    from naer_ray.pipelines.queries import s09_zorder_layout
+    from opzoo.queries import s09_zorder_layout
 
     out = s09_zorder_layout(SF).to_pandas().sort_values("global_rank")
     assert out["global_rank"].tolist() == list(range(1, len(out) + 1))
@@ -787,7 +787,7 @@ def test_zorder_rank_is_total_order(ray_session):
 def test_column_profile_invariants(ray_session):
     """Profiler internal consistency: n equal across columns (same
     table), min <= max, discount distinct count small (11 values)."""
-    from naer_ray.pipelines.queries import v05_column_profile
+    from opzoo.queries import v05_column_profile
 
     out = v05_column_profile(SF).set_index("col")
     assert out["n"].nunique() == 1
@@ -799,7 +799,7 @@ def test_transition_matrix_hand_built(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import w14_transition_matrix
+    from opzoo.queries import w14_transition_matrix
 
     # user 1: a->b->b ; user 2: b->a (no cross-user transition)
     t = pa.table(
@@ -822,7 +822,7 @@ def test_transition_matrix_hand_built(ray_session, tmp_path):
 
 
 def test_windowed_percentiles_bucket_invariance_and_bounds(ray_session):
-    from naer_ray.pipelines.queries import n04_windowed_percentiles
+    from opzoo.queries import n04_windowed_percentiles
 
     out = n04_windowed_percentiles(SF)
     assert (out["p50_mils"] <= out["p95_mils"]).all()
@@ -833,7 +833,7 @@ def test_stats_pruning_selects_subset_and_is_range_exact(ray_session):
     the aggregate against a direct read."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import s10_stats_pruned_read
+    from opzoo.queries import s10_stats_pruned_read
 
     out = s10_stats_pruned_read(SF).iloc[0]
     df = pq.read_table(
@@ -849,7 +849,7 @@ def test_full_curation_cap_binds(ray_session):
     aggregated per lang; with cap=1 the counts shrink to <= hosts."""
     import duckdb
 
-    from naer_ray.pipelines.queries import p04_full_curation
+    from opzoo.queries import p04_full_curation
 
     uncapped = p04_full_curation(SF, cap=10_000)
     ref = duckdb.sql(

@@ -14,7 +14,7 @@ SF = "/root/testdata/sf0.001"
 def test_salted_join_equals_plain_join(ray_session):
     """Salting only changes shuffle distribution — the (key, salt)
     join must be row-identical to the plain pandas key join."""
-    from naer_ray.pipelines.queries import j07_skew_salted_join
+    from opzoo.queries import j07_skew_salted_join
 
     out = j07_skew_salted_join(SF)
     ev = pq.read_table(f"{SF}/events.parquet").to_pandas()
@@ -36,7 +36,7 @@ def test_countmin_never_underestimates(ray_session):
     """CM property the prefilter relies on: for EVERY true key count,
     the sketch's min-row estimate >= the exact count — so no true
     heavy hitter can be pruned."""
-    from naer_ray.pipelines.queries import _CM_DEPTH, _cm_rows
+    from opzoo.queries import _CM_DEPTH, _cm_rows
     from naer_ray.stages.dedup import _fnv64_arr
     import pyarrow as pa
 
@@ -49,7 +49,7 @@ def test_countmin_never_underestimates(ray_session):
     key = pa.array(true["user_id"].astype(str) + "|" + true["event_type"])
     rows = _cm_rows(_fnv64_arr(key))
     # build the sketch exactly as the operator does, single-process
-    from naer_ray.pipelines.queries import _CM_WIDTH
+    from opzoo.queries import _CM_WIDTH
 
     mat = np.zeros((_CM_DEPTH, _CM_WIDTH), np.int64)
     n = true["n"].to_numpy(np.int64)
@@ -60,7 +60,7 @@ def test_countmin_never_underestimates(ray_session):
 
 
 def test_countmin_output_is_exact_threshold_set(ray_session):
-    from naer_ray.pipelines.queries import n05_countmin_heavy_hitters
+    from opzoo.queries import n05_countmin_heavy_hitters
 
     out = n05_countmin_heavy_hitters(SF, threshold=15)
     ev = pq.read_table(f"{SF}/events.parquet").to_pandas()
@@ -73,7 +73,7 @@ def test_countmin_output_is_exact_threshold_set(ray_session):
 def test_kcore_matches_sequential_peel(ray_session):
     """Distributed peel == single-process reference peel (nodes AND
     within-core degrees)."""
-    from naer_ray.pipelines.queries import g08_kcore
+    from opzoo.queries import g08_kcore
 
     out = g08_kcore(SF, k=10)
     li = pq.read_table(
@@ -108,7 +108,7 @@ def test_kcore_matches_sequential_peel(ray_session):
 def test_kcore_raises_when_oracle_unroll_too_short(ray_session):
     """The Ray side must refuse to return a result the unrolled SQL
     could disagree with: max_rounds=1 cannot even observe convergence."""
-    from naer_ray.pipelines.queries import g08_kcore
+    from opzoo.queries import g08_kcore
 
     with pytest.raises(RuntimeError, match="did not converge"):
         g08_kcore(SF, k=10, max_rounds=1)
@@ -117,7 +117,7 @@ def test_kcore_raises_when_oracle_unroll_too_short(ray_session):
 def test_entity_profile_counts_turns_not_tokens(ray_session):
     """A repeated entity token inside one turn counts ONE mention
     (turn-level presence, mirroring the oracle's list_contains join)."""
-    from naer_ray.pipelines.queries import e06_entity_profile, KG_ENTITIES
+    from opzoo.queries import e06_entity_profile, KG_ENTITIES
     from naer_ray.pipelines.queries import _CHUNK
 
     out = e06_entity_profile(SF)
@@ -150,7 +150,7 @@ def test_entity_profile_counts_turns_not_tokens(ray_session):
 
 def test_multi_distinct_one_dedup_exchange(ray_session):
     """q37's distinct counts must equal independent pandas distincts."""
-    from naer_ray.pipelines.queries import q37_multi_distinct_agg
+    from opzoo.queries import q37_multi_distinct_agg
 
     out = q37_multi_distinct_agg(SF)
     ev = pq.read_table(f"{SF}/events.parquet").to_pandas()
@@ -172,7 +172,7 @@ def test_multi_distinct_one_dedup_exchange(ray_session):
 def test_interval_coverage_merges_overlaps(ray_session):
     """Covered time must never exceed span x n_islands... and must
     equal a brute-force per-user interval union."""
-    from naer_ray.pipelines.queries import w15_interval_coverage
+    from opzoo.queries import w15_interval_coverage
 
     span = 300_000_000
     out = w15_interval_coverage(SF, span_us=span)
@@ -201,7 +201,7 @@ def test_kwic_contexts_clip_at_doc_boundaries(ray_session):
     leak tokens from the neighboring doc in the flat token array),
     and overlapping windows of adjacent hits are gathered
     independently."""
-    from naer_ray.pipelines.queries import t18_kwic
+    from opzoo.queries import t18_kwic
 
     out = t18_kwic(SF, term="spark", width=2)
     docs = pq.read_table(f"{SF}/documents.parquet").to_pandas()
@@ -218,7 +218,7 @@ def test_kwic_contexts_clip_at_doc_boundaries(ray_session):
 def test_time_travel_tie_break_and_cutoff(ray_session):
     """AS-OF read: rows after the cutoff must be invisible, and equal
     timestamps break by event_id descending."""
-    from naer_ray.pipelines.queries import i06_time_travel
+    from opzoo.queries import i06_time_travel
 
     out = i06_time_travel(SF, asof="2024-01-03")
     ev = pq.read_table(f"{SF}/events.parquet").to_pandas()
@@ -308,7 +308,7 @@ def test_remove_spans_driver_and_distributed_confirm_agree(ray_session):
 def test_kcore_empty_core_terminates(ray_session):
     """A k that empties the graph must converge to an empty core, not
     crash the degree pass on an empty alive set."""
-    from naer_ray.pipelines.queries import g08_kcore
+    from opzoo.queries import g08_kcore
 
     out = g08_kcore(SF, k=1000, max_rounds=8)
     assert len(out) == 0
@@ -317,7 +317,7 @@ def test_kcore_empty_core_terminates(ray_session):
 
 def test_boolean_search_negation(ray_session):
     """Matches must contain every must-term and NO banned term."""
-    from naer_ray.pipelines.queries import x09_boolean_search
+    from opzoo.queries import x09_boolean_search
 
     out = x09_boolean_search(SF)
     docs = pq.read_table(f"{SF}/documents.parquet").to_pandas()
@@ -338,7 +338,7 @@ def test_boolean_search_negation(ray_session):
 def test_weighted_median_rule(ray_session):
     """The reported value must be the smallest v with 2*cumw >= total
     (weight = the value itself here)."""
-    from naer_ray.pipelines.queries import n06_weighted_median
+    from opzoo.queries import n06_weighted_median
 
     out = n06_weighted_median(SF)
     docs = pq.read_table(f"{SF}/documents.parquet").to_pandas()
@@ -352,7 +352,7 @@ def test_weighted_median_rule(ray_session):
 
 
 def test_time_to_convert_first_purchase_after_first_signup(ray_session):
-    from naer_ray.pipelines.queries import w16_time_to_convert
+    from opzoo.queries import w16_time_to_convert
 
     out = w16_time_to_convert(SF)
     ev = pq.read_table(f"{SF}/events.parquet").to_pandas()

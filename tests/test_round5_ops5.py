@@ -8,7 +8,7 @@ SF = "/root/testdata/sf0.001"
 
 
 def test_u03_budget_sums_exactly(ray_session):
-    from naer_ray.pipelines.queries import u03_crawl_budget
+    from opzoo.queries import u03_crawl_budget
 
     out = u03_crawl_budget(SF, budget=1000)
     assert int(out["budget"].sum()) == 1000
@@ -24,7 +24,7 @@ def test_g09_dominated_by_hops(ray_session):
     """Weighted dist is >= hop count (min weight 1) and <= 18*hops
     (max weight 18... actually 19? weights are (u+v)%19+1 in [1,19]);
     seeds have dist 0."""
-    from naer_ray.pipelines.queries import g04_bfs_levels, g09_shortest_paths
+    from opzoo.queries import g04_bfs_levels, g09_shortest_paths
 
     g9 = g09_shortest_paths(SF).set_index("node_id")["dist"]
     g4 = g04_bfs_levels(SF).set_index("node_id")["dist"]
@@ -45,7 +45,7 @@ def test_x10_rederives_from_arms(ray_session):
     ASC)."""
     import numpy as np
 
-    from naer_ray.pipelines.queries import (
+    from opzoo.queries import (
         _bm25_ranked,
         _quantized_dot_ranked,
         x10_rrf_hybrid,
@@ -123,7 +123,7 @@ def test_w17_brute_force(ray_session):
     import pandas as pd
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import w17_sliding_distinct
+    from opzoo.queries import w17_sliding_distinct
 
     out = w17_sliding_distinct(SF).set_index("user_id")["max_types"]
     ev = pq.read_table(
@@ -147,7 +147,7 @@ def test_j08_brute_force_and_no_dupes(ray_session):
     import numpy as np
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import j08_band_join
+    from opzoo.queries import j08_band_join
 
     out = j08_band_join(SF)
     assert not out.duplicated(["cust_a", "cust_b"]).any()
@@ -173,7 +173,7 @@ def test_g09_forced_copartition_equivalence(ray_session):
     emit exactly the dense driver-reduce result."""
     import pandas as pd
 
-    from naer_ray.pipelines.queries import g09_shortest_paths
+    from opzoo.queries import g09_shortest_paths
 
     dense = g09_shortest_paths(SF)
     dist = g09_shortest_paths(SF, node_threshold=0)

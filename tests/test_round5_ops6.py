@@ -14,7 +14,7 @@ def test_w21_dense_and_gapped(ray_session):
     and whose nonzero total is the corpus row count."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import w21_gap_filled_series
+    from opzoo.queries import w21_gap_filled_series
 
     out = w21_gap_filled_series(SF)
     us = out["hour_start"].astype("int64").to_numpy()
@@ -33,7 +33,7 @@ def test_n11_gini_closed_form(ray_session):
     pairwise |xi - xj| = num) on the raw table."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import n11_gini
+    from opzoo.queries import n11_gini
 
     out = n11_gini(SF).set_index("o_orderpriority")
     t = pq.read_table(
@@ -59,7 +59,7 @@ def test_i08_monotone_and_final_totals(ray_session):
     with a direct filter count."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import i08_snapshot_series
+    from opzoo.queries import i08_snapshot_series
 
     out = i08_snapshot_series(SF)
     for c in ["n_events", "n_users", "cents"]:
@@ -82,7 +82,7 @@ def test_x11_prefilter_lossless(ray_session):
 
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import x11_regex_search
+    from opzoo.queries import x11_regex_search
 
     out = x11_regex_search(SF).to_pandas()
     rx = re.compile("hash [a-z]+ join")
@@ -102,7 +102,7 @@ def test_w22_brute_force(ray_session):
     """Re-derive attribution per purchase by a direct scan."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import w22_attribution
+    from opzoo.queries import w22_attribution
 
     out = w22_attribution(SF)
     ev = pq.read_table(
@@ -136,7 +136,7 @@ def test_n12_brute_force(ray_session):
     """2U re-derived by the O(na*nb) pairwise definition."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import n12_mannwhitney
+    from opzoo.queries import n12_mannwhitney
 
     out = n12_mannwhitney(SF).iloc[0]
     d = pq.read_table(
@@ -156,7 +156,7 @@ def test_s12_partition_conservation(ray_session):
     bin ids follow the fixed-boundary rule."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import s12_compaction_plan
+    from opzoo.queries import s12_compaction_plan
 
     out = s12_compaction_plan(SF)
     ts = pq.read_table(SF + "/events.parquet", columns=["ts"])["ts"]
@@ -184,7 +184,7 @@ def test_a12_full_rederivation(ray_session):
     cosine within the pool."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import a12_prefix_rerank
+    from opzoo.queries import a12_prefix_rerank
 
     out = a12_prefix_rerank(SF)
     t = pq.read_table(SF + "/embeddings.parquet", columns=["vec_id", "embedding"])
@@ -209,11 +209,8 @@ def test_e08_brute_force(ray_session):
     """Re-derive per-entity gap stats from the derived transcripts."""
     from collections import defaultdict
 
-    from naer_ray.pipelines.queries import (
-        KG_ENTITIES,
-        e08_entity_gap_stats,
-        q14_kg_transcripts,
-    )
+    from naer_ray.pipelines.queries import KG_ENTITIES, q14_kg_transcripts
+    from opzoo.queries import e08_entity_gap_stats
 
     out = e08_entity_gap_stats(SF).set_index("entity")
     t = q14_kg_transcripts(SF)
@@ -248,7 +245,7 @@ def test_q40_zero_customers_counted(ray_session):
     """The denominator must include customers with no orders."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import q40_segment_activity
+    from opzoo.queries import q40_segment_activity
 
     out = q40_segment_activity(SF)
     cust = pq.read_table(
@@ -266,7 +263,7 @@ def test_n13_brute_force(ray_session):
     """Re-derive the lag-1 sums from a dense hourly bincount."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import n13_lag1_autocov
+    from opzoo.queries import n13_lag1_autocov
 
     out = n13_lag1_autocov(SF).iloc[0]
     ts = pq.read_table(SF + "/events.parquet", columns=["ts"])["ts"]
@@ -284,7 +281,7 @@ def test_i09_tombstone_semantics(ray_session):
     tombstoned id never survives."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import i09_deletion_vectors
+    from opzoo.queries import i09_deletion_vectors
 
     out = i09_deletion_vectors(SF)
     ev = pq.read_table(
@@ -305,7 +302,7 @@ def test_g12_brute_force(ray_session):
 
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import g12_assortativity
+    from opzoo.queries import g12_assortativity
 
     out = g12_assortativity(SF).iloc[0]
     li = pq.read_table(
@@ -337,7 +334,7 @@ def test_w23_quintile_invariants(ray_session):
     monotone in its metric."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import w23_rfm
+    from opzoo.queries import w23_rfm
 
     out = w23_rfm(SF)
     ev = pq.read_table(
@@ -363,7 +360,7 @@ def test_n14_scipy_free_brute_force(ray_session):
     """Re-derive Σ(2rx−2ry)² with average ranks computed directly."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import n14_spearman
+    from opzoo.queries import n14_spearman
 
     out = n14_spearman(SF).iloc[0]
     d = pq.read_table(
@@ -396,7 +393,7 @@ def test_s13_probe_key_and_pruning(ray_session):
     an exact filter aggregate (Bloom negatives cannot drop rows)."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import s13_bloom_pruned_read
+    from opzoo.queries import s13_bloom_pruned_read
 
     out = s13_bloom_pruned_read(SF).iloc[0]
     o = pq.read_table(
@@ -416,7 +413,7 @@ def test_s13_probe_key_and_pruning(ray_session):
 def test_m18_generator_rederivation(ray_session):
     """ZCR/TV re-derived from the closed-form generator (independent
     of the decoder)."""
-    from naer_ray.pipelines.queries import m18_audio_zcr
+    from opzoo.queries import m18_audio_zcr
 
     out = m18_audio_zcr(SF)
     if hasattr(out, "to_pandas"):
@@ -445,7 +442,7 @@ def test_g13_brute_force_and_identity(ray_session):
 
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import g13_local_clustering
+    from opzoo.queries import g13_local_clustering
 
     out = g13_local_clustering(SF).set_index("node")
     li = pq.read_table(
@@ -483,7 +480,7 @@ def test_t19_counter_rederivation(ray_session):
 
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import t19_char_histogram
+    from opzoo.queries import t19_char_histogram
 
     out = t19_char_histogram(SF)
     texts = pq.read_table(SF + "/documents.parquet", columns=["text"])[
@@ -501,7 +498,7 @@ def test_j10_brute_force(ray_session):
     """Nearest-click join re-derived per purchase."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import j10_nearest_event_join
+    from opzoo.queries import j10_nearest_event_join
 
     out = j10_nearest_event_join(SF)
     ev = pq.read_table(
@@ -529,7 +526,7 @@ def test_m19_generator_rederivation(ray_session):
     """Distinct colors re-derived from the generator arithmetic."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import m19_distinct_colors
+    from opzoo.queries import m19_distinct_colors
 
     out = m19_distinct_colors(SF)
     if hasattr(out, "to_pandas"):
@@ -557,7 +554,7 @@ def test_w24_conservation_and_brute_force(ray_session):
     censored); durations re-derived per user."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import w24_survival_table
+    from opzoo.queries import w24_survival_table
 
     out = w24_survival_table(SF)
     ev = pq.read_table(
@@ -596,11 +593,8 @@ def test_e09_burstiness_invariants(ray_session):
     by brute force); burstiness agrees with e07's hits total."""
     from collections import defaultdict
 
-    from naer_ray.pipelines.queries import (
-        KG_ENTITIES,
-        e09_entity_burstiness,
-        q14_kg_transcripts,
-    )
+    from naer_ray.pipelines.queries import KG_ENTITIES, q14_kg_transcripts
+    from opzoo.queries import e09_entity_burstiness
 
     out = e09_entity_burstiness(SF).set_index("entity")
     t = q14_kg_transcripts(SF)
@@ -625,7 +619,7 @@ def test_s14_only_target_days_doubled(ray_session):
     byte-identical to the source aggregation."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import s14_partition_overwrite
+    from opzoo.queries import s14_partition_overwrite
 
     out = s14_partition_overwrite(SF).set_index("day")
     ev = pq.read_table(SF + "/events.parquet", columns=["ts", "value"]).to_pandas()

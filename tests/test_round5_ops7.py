@@ -15,7 +15,7 @@ def test_a13_brute_force(ray_session):
     (score DESC, doc ASC)."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import a13_maxsim_multivector
+    from opzoo.queries import a13_maxsim_multivector
 
     out = a13_maxsim_multivector(SF)
 
@@ -52,7 +52,7 @@ def test_x12_tier_semantics(ray_session):
     could displace a returned row."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import x12_tiered_search
+    from opzoo.queries import x12_tiered_search
 
     out = x12_tiered_search(SF)
     docs = pq.read_table(
@@ -92,7 +92,7 @@ def test_r07_conservation(ray_session):
     the grand total must equal the raw orders total."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import r07_share_of_total
+    from opzoo.queries import r07_share_of_total
 
     out = r07_share_of_total(SF)
     g = out.groupby("month_start")
@@ -116,7 +116,7 @@ def test_n15_contingency_identities(ray_session):
     grand total matches the corpus."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import n15_chi2_contingency
+    from opzoo.queries import n15_chi2_contingency
 
     out = n15_chi2_contingency(SF)
     n = out["n"].iloc[0]
@@ -142,7 +142,7 @@ def test_s15_bitmap_counts(ray_session):
     the three probed combos must each be non-empty at this sf."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import s15_bitmap_index
+    from opzoo.queries import s15_bitmap_index
 
     out = s15_bitmap_index(SF)
     li = pq.read_table(
@@ -163,7 +163,7 @@ def test_w25_sweep_brute_force(ray_session):
     event start t, count events with start in (t - 30min, t]."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import w25_peak_concurrency
+    from opzoo.queries import w25_peak_concurrency
 
     out = w25_peak_concurrency(SF)
     ts = (
@@ -188,7 +188,7 @@ def test_q41_brute_force_nonempty(ray_session):
     not)."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import q41_temporal_anti_join
+    from opzoo.queries import q41_temporal_anti_join
 
     out = q41_temporal_anti_join(SF)
     o = pq.read_table(
@@ -220,7 +220,7 @@ def test_x13_mm_semantics(ray_session):
     ranking re-derived in plain Python over the full corpus."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import x13_min_should_match
+    from opzoo.queries import x13_min_should_match
 
     out = x13_min_should_match(SF)
     assert len(out) > 0
@@ -247,7 +247,7 @@ def test_i10_layout_split_and_totals(ray_session):
     sf."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import i10_partition_evolution
+    from opzoo.queries import i10_partition_evolution
 
     out = i10_partition_evolution(SF)
     ev = pq.read_table(SF + "/events.parquet", columns=["ts"])
@@ -269,7 +269,7 @@ def test_x14_seek_equals_offset(ray_session):
     with previous pages)."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import x14_keyset_pagination
+    from opzoo.queries import x14_keyset_pagination
 
     out = x14_keyset_pagination(SF)
     o = pq.read_table(
@@ -297,7 +297,7 @@ def test_i11_wap_audit_gate(ray_session):
     and keys are unique."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import i11_write_audit_publish
+    from opzoo.queries import i11_write_audit_publish
 
     out = i11_write_audit_publish(SF)
     ev = pq.read_table(SF + "/events.parquet", columns=["event_type"])
@@ -311,7 +311,7 @@ def test_p06_trim_brute_force(ray_session):
     token slices; the over-budget filter must be non-trivial."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import p06_token_budget_trim
+    from opzoo.queries import p06_token_budget_trim
 
     out = p06_token_budget_trim(SF)
     docs = pq.read_table(
@@ -337,7 +337,7 @@ def test_s16_equals_global_sort(ray_session):
     strictly fewer row groups were read than exist)."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import s16_sorted_run_topk
+    from opzoo.queries import s16_sorted_run_topk
 
     out = s16_sorted_run_topk(SF)
     o = pq.read_table(
@@ -354,7 +354,7 @@ def test_s16_equals_global_sort(ray_session):
 
 def test_e11_composes_e02(ray_session):
     """Fan-out stats re-derived from the e02 pair table itself."""
-    from naer_ray.pipelines.queries import (
+    from opzoo.queries import (
         e02_adjacent_relations,
         e11_relation_cardinality,
     )
@@ -374,7 +374,7 @@ def test_p07_bijection_and_divergence(ray_session):
     collisions), and the two epoch orderings must actually differ."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import p07_epoch_shuffle
+    from opzoo.queries import p07_epoch_shuffle
 
     out = p07_epoch_shuffle(SF)
     ids = pq.read_table(SF + "/documents.parquet", columns=["doc_id"])[
@@ -398,7 +398,7 @@ def test_v09_order_independence_and_sensitivity(ray_session):
     shuffled copy) and sensitive to a single-cent corruption."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import v09_table_checksum
+    from opzoo.queries import v09_table_checksum
 
     out = v09_table_checksum(SF)
     t = pq.read_table(
@@ -426,7 +426,7 @@ def test_q42_list_semantics(ray_session):
     its customers' segments, comma-joined."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.queries import q42_grouped_concat
+    from opzoo.queries import q42_grouped_concat
 
     out = q42_grouped_concat(SF)
     c = pq.read_table(
