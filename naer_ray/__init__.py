@@ -1,14 +1,14 @@
 """naer_ray — a Ray-Data-native knowledge-graph construction engine.
 
 Reimplements the query/data-processing capabilities of
-ardoco/named-architecture-entity-recognition (NAER, reference at
-/root/reference) as a streaming extraction DAG over Parquet transcript
-tables: mention detection, alias handling, occurrence resolution with
-DIRECT/INDIRECT reference typing, gazetteer-assisted linking,
-name-pool canonicalization, (subj, pred, obj) triple materialization,
-and P/R/F1 evaluation — plus the large-scale training-data operators a
-100 TB pipeline needs (dedup, similarity search, text analysis,
-multimodal plumbing).
+ardoco/named-architecture-entity-recognition (NAER) as a streaming
+extraction DAG over Parquet transcript tables: mention detection, alias
+handling, occurrence resolution with DIRECT/INDIRECT reference typing,
+gazetteer-assisted linking, name-pool canonicalization, (subj, pred,
+obj) triple materialization, and P/R/F1 evaluation.  The
+general-purpose operators (dedup, similarity search, text analysis,
+multimodal plumbing) live in the separate ``opzoo`` package, which this
+one never imports.
 
 Nothing in this package calls ``ray.init()``; sessions are owned by the
 caller (driver / bench.py / test fixture).

@@ -156,7 +156,7 @@ GROUP BY l_returnflag, l_linestatus
 def q02_top_revenue_orders(sf_dir: str):
     """Top-10 orders by lineitem revenue: bucketed high-cardinality sum
     (stages/agg.py) -> per-bucket local top-k -> tiny global top-k."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
 
@@ -475,7 +475,7 @@ FROM gaps GROUP BY user_id
 def q08_tumbling_hour(sf_dir: str):
     """Tumbling 1-hour windowed aggregate per event_type (bucketed sum —
     thousands of (window, type) groups would choke per-group dispatch)."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
 
@@ -651,7 +651,7 @@ def q13_ann_topk(sf_dir: str):
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
     def local_topk(batch: pa.Table) -> pa.Table:
-        from naer_ray.stages.ann import _as_matrix
+        from .stages.ann import _as_matrix
 
         mat = _as_matrix(batch["embedding"])
         sims = (mat @ qnorm) / np.linalg.norm(mat, axis=1)
@@ -741,7 +741,7 @@ def d01_minhash_planted_pairs(sf_dir: str):
     must recover every planted (i, i+1M) pair (est_jaccard = 1.0)."""
     import pyarrow.compute as pc
 
-    from naer_ray.stages.dedup import minhash_bands, minhash_candidate_pairs
+    from .stages.dedup import minhash_bands, minhash_candidate_pairs
 
     ds = _docs_with_mutants(sf_dir)
     strong = minhash_candidate_pairs(
@@ -758,7 +758,7 @@ SELECT doc_id AS id_a, doc_id + 1000000 AS id_b FROM documents
 def d02_simhash_pairs(sf_dir: str):
     """SimHash near-dup detection over documents ∪ mutants: planted
     (i, i+1M) pairs at Hamming distance 0."""
-    from naer_ray.stages.dedup import simhash_pairs
+    from .stages.dedup import simhash_pairs
 
     ds = _docs_with_mutants(sf_dir)
     return _planted_only(simhash_pairs(ds, "doc_id", "text", max_hamming=0))
@@ -772,12 +772,12 @@ def d03_embedding_neardup(sf_dir: str):
     direction-preserving copies (vec_id + 1M, scaled 2x): cosine exactly 1."""
     import ray.data
 
-    from naer_ray.stages.dedup import embedding_neardup_pairs
+    from .stages.dedup import embedding_neardup_pairs
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
     def mutate(batch: pa.Table) -> pa.Table:
-        from naer_ray.stages.ann import _as_matrix
+        from .stages.ann import _as_matrix
 
         ids = batch["vec_id"].to_numpy().astype(np.int64)
         mat = _as_matrix(batch["embedding"])  # zero-copy flatten, no boxing
@@ -816,7 +816,7 @@ def d04_embedding_clusters(sf_dir: str):
     """Near-dup clusters over embeddings ∪ colinear copies: LSH pairs
     (d03) -> distributed union-find -> (node, label) with label = the
     original vec_id — the full embedding-dedup DAG, oracle-checked."""
-    from naer_ray.stages.dedup import connected_components
+    from naer_ray.stages.canon import connected_components
 
     pairs = d03_embedding_neardup(sf_dir)
     labels = connected_components(pairs)
@@ -843,7 +843,7 @@ def d05_ngram_jaccard_pairs(sf_dir: str):
     documents ∪ case mutants: minhash bands propose, the distributed
     two-join verify stage (stages/dedup.ngram_jaccard_pairs) confirms
     jaccard = 1.0 for every planted (i, i+1M) pair."""
-    from naer_ray.stages.dedup import (
+    from opzoo.stages.dedup import (
         minhash_bands,
         minhash_candidate_pairs,
         ngram_jaccard_pairs,
@@ -897,7 +897,7 @@ def _docs_with_planted(sf_dir: str, planted: list[tuple[int, str]]):
 def t01_lang_id(sf_dir: str):
     """Language ID over documents ∪ planted per-language docs; the planted
     rows' predictions are oracle-checked against their true language."""
-    from naer_ray.stages.text import lang_id
+    from .stages.text import lang_id
 
     ds = _docs_with_planted(sf_dir, [(i, t) for i, t, _l in _T01_PLANTED])
     out = lang_id(ds)
@@ -920,7 +920,7 @@ def t02_fingerprints(sf_dir: str, n_buckets: int = 64):
     fingerprint-identical and the equal-fingerprint pair extraction
     (fingerprint-hash bucket-run, no per-value dispatch) must recover
     all of them."""
-    from naer_ray.stages.text import fingerprints
+    from .stages.text import fingerprints
 
     fps = fingerprints(_docs_with_mutants(sf_dir))
 
@@ -954,7 +954,7 @@ def t03_quality(sf_dir: str):
     """Quality score over documents ∪ planted letters-and-spaces docs;
     planted rows are oracle-checked against an INDEPENDENT SQL
     translation of the scoring formula (same IEEE expression tree)."""
-    from naer_ray.stages.text import quality_score
+    from .stages.text import quality_score
 
     ds = _docs_with_planted(sf_dir, [(i, t) for i, t, _l in _T03_PLANTED])
     out = quality_score(ds)
@@ -1041,7 +1041,7 @@ def _ann_recall_vs_exact(sf_dir: str, method: str, k: int = 5, min_hits: int = 4
     centroids / id-keyed sample), so recall_ok is a stable value the
     SQL oracle can assert as literal TRUE per query — a driver-checked
     recall@k >= 0.8 bound rather than a rows-only smoke check."""
-    from naer_ray.stages.ann import (
+    from opzoo.stages.ann import (
         brute_force_topk,
         ivf_topk,
         lsh_topk,
@@ -1073,7 +1073,7 @@ def _ann_recall_vs_exact(sf_dir: str, method: str, k: int = 5, min_hits: int = 4
         import os as _os
         import shutil
 
-        from naer_ray.stages.ann import pq_topk_indexed, save_pq_index
+        from .stages.ann import pq_topk_indexed, save_pq_index
 
         def ann_fn(ds, q, k):
             path = f"/tmp/naer_pq_index/{_os.getpid()}-{_os.path.basename(sf_dir.rstrip('/'))}"
@@ -1155,7 +1155,7 @@ def a06_mmr_select(sf_dir: str, k: int = 10, n_cand: int = 50):
     quantization, or tie-breaks changes specific ranks."""
     import ray
 
-    from naer_ray.stages.ann import _as_matrix, mmr_greedy
+    from .stages.ann import _as_matrix, mmr_greedy
 
     qtbl = _point_read_embeddings(sf_dir, [0])
     qv = np.floor(
@@ -1232,7 +1232,7 @@ def a05_quantized_topk(sf_dir: str):
 
 def a03_brute_topk_multi(sf_dir: str):
     """Exact multi-query cosine top-5 — oracle-checked against DuckDB."""
-    from naer_ray.stages.ann import brute_force_topk
+    from .stages.ann import brute_force_topk
 
     got = brute_force_topk(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -1313,7 +1313,7 @@ def q19_semi_anti_join(sf_dir: str):
     import pyarrow.parquet as _pq
     from ray.data.aggregate import Sum
 
-    from naer_ray.stages.bloom import bloom_flag_membership
+    from .stages.bloom import bloom_flag_membership
 
     # size the Bloom from the parquet footer (metadata-only read)
     n_orders = _pq.ParquetFile(f"{sf_dir}/orders.parquet").metadata.num_rows
@@ -1394,7 +1394,7 @@ def q20_sliding_window(sf_dir: str):
         ex = pd.concat(frames, ignore_index=True)
         return ex[ex["window_start"].isin(valid)]
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     rows = ds.map_batches(expand, batch_format="pandas", batch_size=65536)
     agg = bucketed_sum(rows, ["window_start", "event_type"], [], count_col="n_events")
@@ -1418,7 +1418,7 @@ def q21_distinct_count(sf_dir: str):
     sketch in stages/sketch.py)."""
     from ray.data.aggregate import Sum
 
-    from naer_ray.stages.dedup import _bucket_series
+    from naer_ray.hashing import _bucket_series
 
     ds = _read(sf_dir, "orders", ["o_orderpriority", "o_custkey"])
 
@@ -1462,7 +1462,7 @@ def q25_streaming_sessionize(sf_dir: str):
     """Sessionization via stateful Ray actors fed in event-time order
     (stages/streaming.py) — identical result to q07's batch groupby,
     different execution model; oracle-checked against the same SQL."""
-    from naer_ray.stages.streaming import streaming_sessionize
+    from .stages.streaming import streaming_sessionize
 
     return streaming_sessionize(_read(sf_dir, "events", ["user_id", "ts"]))
 
@@ -1482,7 +1482,7 @@ def q23_asof_join(sf_dir: str):
     """
     from ray.data.aggregate import Sum
 
-    from naer_ray.stages.joins import asof_join
+    from .stages.joins import asof_join
 
     events = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"])
@@ -1549,7 +1549,7 @@ def q26_range_join(sf_dir: str):
     sides large, nothing broadcast).  Aggregated per orderpriority."""
     from ray.data.aggregate import Sum
 
-    from naer_ray.stages.joins import range_join
+    from .stages.joins import range_join
 
     later = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"])
     earlier = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
@@ -1660,7 +1660,7 @@ def q22_hll_distinct(sf_dir: str):
     driver-checked accuracy gate: the deterministic estimate must land
     within 5% of the exact distinct count (computed distributively),
     asserted against a literal TRUE oracle row."""
-    from naer_ray.stages.sketch import approx_distinct
+    from .stages.sketch import approx_distinct
 
     ds = _read(sf_dir, "events", ["user_id"])
     est = approx_distinct(ds, "user_id")
@@ -1679,7 +1679,7 @@ def m01_multimodal_features(sf_dir: str):
     the SQL oracle re-derives width/height/mean_luma from the generator
     arithmetic — so a decoder bug (offset, channel order, header parse)
     breaks the hash match."""
-    from naer_ray.stages.multimodal import decode_ppm_features, synth_ppm_payload
+    from .stages.multimodal import decode_ppm_features, synth_ppm_payload
 
     return decode_ppm_features(_media_rows(sf_dir, "m", synth_ppm_payload))
 
@@ -1712,7 +1712,7 @@ def _derived_media(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id"])
 
     def derive(batch: pa.Table) -> pa.Table:
-        from naer_ray.stages.multimodal import MEDIA_SCHEMA
+        from .stages.multimodal import MEDIA_SCHEMA
 
         ids = batch["doc_id"].to_pylist()
         kinds = ["image", "audio", "video"]
@@ -1745,7 +1745,7 @@ def m02_resize_plan(sf_dir: str):
     """Image resize planning (aspect-preserving, integer half-up,
     never upscale) over doc-derived media metadata — the multimodal
     dimension math oracle-checked end to end."""
-    from naer_ray.stages.multimodal import resize_plan
+    from .stages.multimodal import resize_plan
 
     return resize_plan(_derived_media(sf_dir), max_side=224)
 
@@ -1768,7 +1768,7 @@ FROM media WHERE kind_i = 0
 def m03_frame_sample_plan(sf_dir: str):
     """Video frame-sampling grid (1 fps, max 16 frames, always t=0)
     over doc-derived media metadata — oracle-checked."""
-    from naer_ray.stages.multimodal import frame_sample_plan
+    from .stages.multimodal import frame_sample_plan
 
     return frame_sample_plan(_derived_media(sf_dir), fps=1.0, max_frames=16)
 
@@ -1793,7 +1793,7 @@ def s01_hash_sample(sf_dir: str):
     """Deterministic ~5% document sample (stages/sample.hash_sample):
     multiplicative-hash of doc_id, stable under any partitioning —
     the repeatable-subset primitive for ablations and holdouts."""
-    from naer_ray.stages.sample import hash_sample
+    from .stages.sample import hash_sample
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "source"])
     return hash_sample(ds, "doc_id", rate_pct=5)
@@ -1809,7 +1809,7 @@ def t04_token_quantiles(sf_dir: str):
     """Exact per-language token-count quantiles via a distributed value
     histogram (stages/quantile.grouped_discrete_quantiles) — the
     shuffle carries (lang, n_tokens, cnt) partials, never documents."""
-    from naer_ray.stages.quantile import grouped_discrete_quantiles
+    from .stages.quantile import grouped_discrete_quantiles
 
     ds = _read(sf_dir, "documents", ["lang", "text"])
 
@@ -1846,7 +1846,7 @@ def p01_pack_plan(sf_dir: str):
     """Sequence-packing plan (stages/pack.pack_plan): distributed
     exclusive prefix sum of token counts in doc_id order, split every
     512 tokens; one histogram-sized shuffle per pass."""
-    from naer_ray.stages.pack import pack_plan
+    from .stages.pack import pack_plan
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -1888,7 +1888,7 @@ def s02_bottomk_sample(sf_dir: str):
     """Fixed-size deterministic sample (stages/sample.bottom_k_sample):
     the 100 docs with the smallest hash rank — per-batch argpartition
     local bottom-k, exact sort only over the k x n_blocks survivors."""
-    from naer_ray.stages.sample import bottom_k_sample
+    from .stages.sample import bottom_k_sample
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "source"])
     df = bottom_k_sample(ds, "doc_id", k=100).to_pandas()
@@ -1906,7 +1906,7 @@ def w01_weighted_mixture(sf_dir: str):
     per-source keep rates over the same hash-bucket rule as s01 —
     the curriculum/downsampling primitive; rate lookup touches unique
     source values only (dictionary-encoded)."""
-    from naer_ray.stages.sample import weighted_mixture_sample
+    from .stages.sample import weighted_mixture_sample
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "source"])
     rates = {"src0": 80, "src1": 50, "src2": 20}
@@ -1928,7 +1928,7 @@ def t05_tfidf_top_terms(sf_dir: str):
     vocab-histogram shuffle for document frequencies + a broadcast
     df-map second pass; ties (score DESC, term ASC) so the result is
     deterministic and the float expression tree matches the SQL."""
-    from naer_ray.stages.text import tfidf_top_terms
+    from .stages.text import tfidf_top_terms
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     n_docs = ds.count()
@@ -1963,7 +1963,7 @@ def s03_stratified_sample(sf_dir: str):
     """Per-language fixed-size sample (stages/sample.stratified_bottom_k):
     20 docs per lang by hash rank — local per-group bottom-k per batch,
     k x groups x blocks merge."""
-    from naer_ray.stages.sample import stratified_bottom_k
+    from .stages.sample import stratified_bottom_k
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
     return stratified_bottom_k(ds, "doc_id", "lang", k=20)
@@ -1983,7 +1983,7 @@ def n01_group_zscore(sf_dir: str):
     """Per-row z-score of n_chars against the language's moments
     (stages/agg.group_zscore): exact integer moment shuffle + broadcast
     + fixed IEEE expression tree, so floats match DuckDB bit-exactly."""
-    from naer_ray.stages.agg import group_zscore
+    from .stages.agg import group_zscore
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
     return group_zscore(ds, "lang", "n_chars")
@@ -2012,7 +2012,7 @@ def t06_normalize_text(sf_dir: str):
     """Canonical normalization (stages/text.normalize_text): lowercase
     + whitespace collapse + trim — pure Arrow kernels; Arrow and DuckDB
     both use RE2, so the regex semantics line up exactly."""
-    from naer_ray.stages.text import normalize_text
+    from .stages.text import normalize_text
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return normalize_text(ds).select_columns(["doc_id", "norm_text"])
@@ -2033,7 +2033,7 @@ def k01_kmeans_clusters(sf_dir: str):
     a01-style literal-TRUE row pattern for non-SQL-expressible ops."""
     import pyarrow.parquet as pq
 
-    from naer_ray.stages.cluster import kmeans_fit, kmeans_reference
+    from .stages.cluster import kmeans_fit, kmeans_reference
 
     k = 8
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
@@ -2069,7 +2069,7 @@ def t07_pii_redact(sf_dir: str):
     the query plants one deterministic email + phone per doc (pure
     Arrow concat, mirrored exactly in the SQL) and the oracle checks
     the redaction kernel end-to-end."""
-    from naer_ray.stages.text import pii_redact
+    from .stages.text import pii_redact
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -2124,7 +2124,7 @@ def t08_gopher_rules(sf_dir: str):
     bounds + mean-word-length band + stopword floor, fixed IEEE
     expression tree (DOUBLE cast before each divide) so the SQL oracle
     matches bit-exactly."""
-    from naer_ray.stages.text import gopher_rules
+    from .stages.text import gopher_rules
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return gopher_rules(ds)
@@ -2159,7 +2159,7 @@ def p02_chunk_plan(sf_dir: str):
     """Overlapping chunk plan (stages/text.chunk_plan): budget 128,
     stride 112 — per-batch arithmetic only (split + repeat/arange),
     no shuffle; the p01 token convention."""
-    from naer_ray.stages.text import chunk_plan
+    from .stages.text import chunk_plan
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return chunk_plan(ds, budget=128, stride=112)
@@ -2189,8 +2189,8 @@ def d06_decontaminate(sf_dir: str):
     cap); training batches probe via dictionary-encoded uniques."""
     import ray
 
-    from naer_ray.stages.dedup import decontaminate
-    from naer_ray.stages.sample import KNUTH_K
+    from .stages.dedup import decontaminate
+    from .stages.sample import KNUTH_K
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -2251,7 +2251,7 @@ def d07_priority_dedup(sf_dir: str):
     lowest (source priority, doc_id) wins per distinct text.  Exact
     duplicates are planted (each doc re-enters as source 'src9' under
     doc_id+10M) so the keep-best rule is exercised on every text."""
-    from naer_ray.stages.dedup import keep_best_dedup
+    from .stages.dedup import keep_best_dedup
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
 
@@ -2361,7 +2361,7 @@ def r01_rollup_agg(sf_dir: str):
     shuffle); subtotal and grand-total levels derived from the finest
     result on the driver — no second scan.  Quantities cast to int64
     (whole-valued in this corpus) so sums are exact."""
-    from naer_ray.stages.agg import rollup_sum
+    from .stages.agg import rollup_sum
 
     ds = _read(
         sf_dir, "lineitem", ["l_returnflag", "l_linestatus", "l_quantity"]
@@ -2412,7 +2412,7 @@ def t09_c4_line_rules(sf_dir: str):
     for terminal punctuation, 'spark'→'javascript', 'slow'→'{slow}',
     'key agg'→'lorem ipsum') then a newline every 7 tokens — mirrored
     exactly in the SQL, so every rule fires on real data."""
-    from naer_ray.stages.text import c4_line_rules
+    from .stages.text import c4_line_rules
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -2461,7 +2461,7 @@ def d08_line_dedup(sf_dir: str):
     boilerplate footer appended to EVERY doc — only the earliest doc
     keeps the footer, exercising the global first-win rule on real
     cross-doc duplication."""
-    from naer_ray.stages.dedup import line_dedup
+    from .stages.dedup import line_dedup
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -2509,7 +2509,7 @@ def q29_heavy_hitters(sf_dir: str, k: int = 20):
     (k-th count > N/(capacity+1)) makes the result provably equal to
     the brute-force SQL top-k, deterministic ties (count desc, token
     asc)."""
-    from naer_ray.stages.sketch import frequent_tokens_topk
+    from .stages.sketch import frequent_tokens_topk
 
     ds = _read(sf_dir, "documents", ["text"])
     return frequent_tokens_topk(ds, k=k, capacity=256)
@@ -2639,7 +2639,7 @@ def q31_quantile_sketch(sf_dir: str):
     p50/p90/p99 estimates must have true rank within ±1% — asserted
     against literal-TRUE oracle rows, the q22/q29 sketch-then-verify
     pattern."""
-    from naer_ray.stages.sketch import quantile_sketch_gate
+    from .stages.sketch import quantile_sketch_gate
 
     ds = _read(sf_dir, "lineitem", ["l_extendedprice"])
     return quantile_sketch_gate(ds, "l_extendedprice")
@@ -2656,7 +2656,7 @@ def q32_grouped_hll(sf_dir: str):
     stages/sketch.grouped_approx_distinct) gated within 5% of the
     exact per-group count (computed by the q21 bucketed-distinct
     pipeline) — literal-TRUE oracle rows per group."""
-    from naer_ray.stages.sketch import grouped_approx_distinct
+    from .stages.sketch import grouped_approx_distinct
 
     ds = _read(sf_dir, "orders", ["o_orderpriority", "o_custkey"])
     est = grouped_approx_distinct(ds, "o_orderpriority", "o_custkey")
@@ -2725,7 +2725,7 @@ def s04_global_shuffle(sf_dir: str):
     permutation on every run and any partition layout, without
     ``random_shuffle``'s nondeterminism.  The oracle checks the row
     SET is preserved; determinism and mixing are unit-tested."""
-    from naer_ray.stages.sketch import _fmix64
+    from .stages.sketch import _fmix64
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "source"])
 
@@ -2815,7 +2815,7 @@ def _pagerank_copartition(edges, iters: int, scale: int, n_buckets: int = 64):
     both paths bit-exactly."""
     import ray.data
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     deg = bucketed_sum(edges, ["src"], [], count_col="deg").materialize()
     n = deg.count()
@@ -2974,7 +2974,7 @@ def g01_pagerank(sf_dir: str, iters: int = 3, node_threshold: int = 50_000_000):
     (forced-path test in tests/test_round3_ops.py)."""
     import ray
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     SCALE = 1_000_000_000
     ds = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
@@ -3083,7 +3083,7 @@ def r02_cube_agg(sf_dir: str):
     """GROUP BY CUBE (stages/agg.cube_sum): all 2^k grouping subsets
     from ONE distributed finest-level pass; coarser levels derived
     from the cardinality-sized finest result, no second scan."""
-    from naer_ray.stages.agg import cube_sum
+    from .stages.agg import cube_sum
 
     ds = _read(sf_dir, "documents", ["lang", "source", "n_chars"])
     return cube_sum(ds, ["lang", "source"], "n_chars")
@@ -3213,7 +3213,7 @@ def t10_rep_ngrams(sf_dir: str):
     characters in the most common word 2-gram and in duplicated word
     5-grams; the corpus's small vocabulary guarantees both rules fire
     on real data (e.g. 'batch batch batch')."""
-    from naer_ray.stages.text import rep_ngrams
+    from .stages.text import rep_ngrams
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return rep_ngrams(ds)
@@ -3278,7 +3278,7 @@ def w06_retention_cohorts(sf_dir: str, n_buckets: int = 64):
     partition users, so partial counts are disjoint user sets; the
     final merge is a bucketed sum over the cardinality-sized partials
     (weeks x offsets rows, not events)."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     WEEK_US = 7 * 86_400 * 1_000_000
     ds = _read(sf_dir, "events", ["user_id", "ts"])
@@ -3489,7 +3489,7 @@ def t11_unigram_lm(sf_dir: str):
     (stages/text.unigram_lm_score): vocab histogram shuffle +
     broadcast-frequency scoring pass; integer-exact per-doc stats so
     the oracle hashes bit-identically (no float log sums)."""
-    from naer_ray.stages.text import unigram_lm_score
+    from .stages.text import unigram_lm_score
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return unigram_lm_score(ds)
@@ -3520,7 +3520,7 @@ def _copurchase_edges(sf_dir: str, n_buckets: int = 64):
     bucketed sum dedupes edges.  Shared by g02 (triangles) and g03
     (link prediction).  Returns a materialized Dataset — the edge list
     is reused by multiple downstream passes."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
@@ -3594,7 +3594,7 @@ def g02_triangle_count(sf_dir: str, n_buckets: int = 64):
     driver-side adjacency, no all-pairs."""
     import ray
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     # distinct undirected edges (u < v), reused twice
     edges = _copurchase_edges(sf_dir, n_buckets)
@@ -3731,7 +3731,7 @@ def t12_mad_outliers(sf_dir: str):
     the tiny per-source (med, mad) map."""
     import ray
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "documents", ["doc_id", "source", "n_chars"])
 
@@ -3833,8 +3833,8 @@ def d09_edit_distance_pairs(sf_dir: str):
     level (per-batch strings, per-bucket candidates, bucketed pair
     reduce), so duplicate input strings across batches cannot change
     the output pair set."""
-    from naer_ray.stages.dedup import edit_distance_pairs
-    from naer_ray.stages.text import _RE2_SPACE_CLASS, _flat_nonempty, _string_array
+    from .stages.dedup import edit_distance_pairs
+    from .stages.text import _RE2_SPACE_CLASS, _flat_nonempty, _string_array
 
     ds = _read_wide(sf_dir, "documents", ["text"])
 
@@ -3890,7 +3890,7 @@ def a04_knn_graph(sf_dir: str, k: int = 3, modulus: int = 4):
     on neighbor id."""
     import ray
 
-    from naer_ray.stages.ann import _as_matrix
+    from .stages.ann import _as_matrix
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
@@ -3971,7 +3971,7 @@ def d10_semantic_dedup(sf_dir: str, threshold: int = 350_000, modulus: int = 4):
     pairwise SQL join can't express."""
     import ray
 
-    from naer_ray.stages.dedup import connected_components
+    from naer_ray.stages.canon import connected_components
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
@@ -3987,7 +3987,7 @@ def d10_semantic_dedup(sf_dir: str, threshold: int = 350_000, modulus: int = 4):
     ).astype(np.int64)
     index_ref = ray.put((ids, mat))
 
-    from naer_ray.stages.ann import _as_matrix
+    from .stages.ann import _as_matrix
 
     def edges(batch: pa.Table) -> pd.DataFrame:
         iids, imat = ray.get(index_ref)
@@ -4070,7 +4070,7 @@ def d11_incremental_dedup(sf_dir: str):
     import os as _os
     import shutil
 
-    from naer_ray.stages.dedup import minhash_probe_index, save_minhash_index
+    from .stages.dedup import minhash_probe_index, save_minhash_index
 
     path = f"/tmp/naer_minhash_index/{_os.getpid()}-{_os.path.basename(sf_dir.rstrip('/'))}"
     shutil.rmtree(path, ignore_errors=True)
@@ -4113,7 +4113,7 @@ def n02_group_corr(sf_dir: str):
     matches the SQL oracle bit-exactly (the n01 moment-shuffle pattern
     extended to second cross-moments).  Small integer domains
     (qty <= 50, pct <= 10) keep every moment in int64 at any SF."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity", "l_discount"])
 
@@ -4246,7 +4246,7 @@ def q33_full_outer_join(sf_dir: str, n_buckets: int = 64):
     (typed-null padded sides, the asof/attach pattern) + one per-bucket
     outer merge; counts surface as DOUBLE because the unmatched side is
     NULL (matching DuckDB's NULL-able aggregate output dtype)."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     orders = _read(sf_dir, "orders", ["o_custkey"])
 
@@ -4359,7 +4359,7 @@ def b01_bpe_merges(sf_dir: str, n_merges: int = 12):
     path; production callers keep the size-adaptive default."""
     import pyarrow.parquet as pq
 
-    from naer_ray.stages.text import bpe_learn, bpe_reference
+    from .stages.text import bpe_learn, bpe_reference
 
     ds = _read(sf_dir, "documents", ["text"])
     got = bpe_learn(ds, "text", n_merges=n_merges, local_threshold=0)
@@ -4396,7 +4396,7 @@ def b02_bpe_encode(sf_dir: str, n_merges: int = 12):
     application order breaks specific rows, not just an aggregate."""
     import pyarrow.parquet as pq
 
-    from naer_ray.stages.text import _bpe_apply_merge, bpe_learn, bpe_encode_counts
+    from .stages.text import _bpe_apply_merge, bpe_learn, bpe_encode_counts
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     merges = bpe_learn(ds, "text", n_merges=n_merges)
@@ -4452,7 +4452,7 @@ def d12_duplicated_spans(sf_dir: str):
     gram-hash bucket-run candidates + exact co-partition verify
     (stages/dedup.duplicated_span_pairs); the SQL oracle brute-forces
     the same grams with substr + self-join."""
-    from naer_ray.stages.dedup import duplicated_span_pairs
+    from .stages.dedup import duplicated_span_pairs
 
     ds = _read_wide(sf_dir, "documents", ["doc_id", "text"])
     return duplicated_span_pairs(ds, k=40)
@@ -4482,7 +4482,7 @@ def d13_winnowed_span_pairs(sf_dir: str):
     shared-span verify keeps precision 1.0, and the planted projection
     removes the corpus's genuine duplicated-span pairs that a
     closed-form oracle cannot enumerate (d12 brute-forces those)."""
-    from naer_ray.stages.dedup import winnowed_span_pairs
+    from .stages.dedup import winnowed_span_pairs
 
     ds = _read_wide(sf_dir, "documents", ["doc_id", "text"])
 
@@ -4517,8 +4517,8 @@ def d14_bloom_decontaminate(sf_dir: str):
     confirm join makes the output bit-identical to d06; same planted
     contamination (each 2%-split test doc's text re-enters training
     under doc_id+10M), same oracle."""
-    from naer_ray.stages.dedup import bloom_decontaminate
-    from naer_ray.stages.sample import KNUTH_K
+    from .stages.dedup import bloom_decontaminate
+    from .stages.sample import KNUTH_K
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -4701,7 +4701,7 @@ def e02_adjacent_relations(sf_dir: str):
     via searchsorted, pair counts from one bincount on a*K+b codes —
     then a cardinality-sized bucketed sum (at most K^2 rows per
     batch)."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     ents = np.array(sorted(KG_ENTITIES))
@@ -4781,7 +4781,7 @@ def e03_entity_pmi(sf_dir: str):
     precedent).  No shuffle of corpus-sized data, integer-exact counts."""
     import math
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     n_docs = ds.count()  # parquet metadata count, no scan
@@ -4885,7 +4885,7 @@ def e04_triple_spans(sf_dir: str):
     Arrow split) + per-batch (conv, entity) min/max/count partials +
     one key-hash bucket-run merge (min of mins / max of maxes / sum of
     counts are all associative — no corpus-sized shuffle)."""
-    from naer_ray.stages.dedup import _bucket_series
+    from naer_ray.hashing import _bucket_series
 
     ds = _derive_transcripts(sf_dir)
     ents = np.array(sorted(KG_ENTITIES))
@@ -4983,8 +4983,8 @@ def p03_curation_pipeline(sf_dir: str):
     Output: surviving (doc_id, n_words).  The SQL oracle composes the
     same three relational steps, so a drift in ANY stage (regex
     semantics, filter bound, dedup tie-break) breaks the hash."""
-    from naer_ray.stages.dedup import _fnv64_arr
-    from naer_ray.stages.text import normalize_text
+    from naer_ray.hashing import _fnv64_arr
+    from .stages.text import normalize_text
 
     ds = normalize_text(_read(sf_dir, "documents", ["doc_id", "text"]))
 
@@ -5056,8 +5056,8 @@ def u01_url_stats(sf_dir: str):
     through the bucketed sum and page counts ride along; the final
     per-host distinct counts run over the distinct-url result (each
     distinct url lands in exactly one group row)."""
-    from naer_ray.stages.agg import bucketed_sum
-    from naer_ray.stages.url import parse_normalize_urls
+    from .stages.agg import bucketed_sum
+    from .stages.url import parse_normalize_urls
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "source"])
 
@@ -5121,7 +5121,7 @@ def m05_audio_frames(sf_dir: str):
     energy (sum |s|) and peak — the frame-granular feature table a
     speech pipeline feeds to a model.  The tail frame is partial
     (no padding), exactly as the SQL oracle's j/64 grouping derives."""
-    from naer_ray.stages.multimodal import decode_wav, synth_wav_payload
+    from .stages.multimodal import decode_wav, synth_wav_payload
 
     ds = _read(sf_dir, "documents", ["doc_id"])
 
@@ -5184,7 +5184,7 @@ def g03_link_prediction(sf_dir: str, k: int = 20, n_buckets: int = 64):
     set), and top-k is per-bucket local top-k + one k x n_buckets
     driver merge (q24 pattern).  Deterministic tie-break:
     (count desc, u, v)."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     edges = _copurchase_edges(sf_dir, n_buckets)
 
@@ -5449,7 +5449,7 @@ def g04_bfs_levels(sf_dir: str, rounds: int = 3, node_threshold: int = 50_000_00
     expansion (the g01 precedent)."""
     import ray
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     edges = _copurchase_edges(sf_dir)
     # node set + seeds (node-sized below the gate)
@@ -5539,7 +5539,7 @@ def m06_image_dedup(sf_dir: str):
     oracle is a plain GROUP BY doc_id % 97 — distinct residues are
     provably distinct images (channel-0 pixel 0 differs for any two
     residues < 97), so a decoder or grouping bug changes rows."""
-    from naer_ray.stages.multimodal import image_dedup_groups, synth_ppm_payload
+    from .stages.multimodal import image_dedup_groups, synth_ppm_payload
 
     ds = _read(sf_dir, "documents", ["doc_id"])
 
@@ -5577,7 +5577,7 @@ def m04_audio_features(sf_dir: str):
     parse, endianness, word alignment) breaks the hash match.  The
     audio analogue of m01's PPM image path (builder-brief multimodal
     operator; no reference analogue)."""
-    from naer_ray.stages.multimodal import decode_wav_features, synth_wav_payload
+    from .stages.multimodal import decode_wav_features, synth_wav_payload
 
     return decode_wav_features(_media_rows(sf_dir, "a", synth_wav_payload))
 
@@ -5609,7 +5609,7 @@ def m07_png_features(sf_dir: str):
     re-derives width/height/mean_luma from the generator arithmetic, so
     a decode bug (CRC, filter reconstruction, channel order) breaks the
     hash match."""
-    from naer_ray.stages.multimodal import decode_png_features, synth_png_payload
+    from .stages.multimodal import decode_png_features, synth_png_payload
 
     return decode_png_features(_media_rows(sf_dir, "p", synth_png_payload))
 
@@ -5645,7 +5645,7 @@ def j02_set_similarity_join(sf_dir: str):
     at this threshold, so the DuckDB oracle brute-forces the full
     trigram self-join — every emitted (id_a, id_b, jaccard) double
     must match bit-exactly, planted and genuine alike."""
-    from naer_ray.stages.joins import set_similarity_join
+    from .stages.joins import set_similarity_join
 
     # _read (byte-sized blocks), NOT _read_wide: every kernel in the
     # join is batch-vectorized, and the join runs THREE groupby/union
@@ -5727,7 +5727,7 @@ def j03_setsim_incremental(sf_dir: str):
     import os as _os
     import shutil
 
-    from naer_ray.stages.joins import probe_setsim_index, save_setsim_index
+    from .stages.joins import probe_setsim_index, save_setsim_index
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -5773,7 +5773,7 @@ def m09_bmp_features(sf_dir: str):
     pool; the SQL oracle re-derives width/height/mean_luma from the
     generator arithmetic in logical top-down RGB space, so any
     row-order/channel-order/padding mistake breaks the hash match."""
-    from naer_ray.stages.multimodal import decode_bmp_features, synth_bmp_payload
+    from .stages.multimodal import decode_bmp_features, synth_bmp_payload
 
     return decode_bmp_features(_media_rows(sf_dir, "b", synth_bmp_payload))
 
@@ -5911,7 +5911,7 @@ def m08_jpeg_features(sf_dir: str):
     from the generator arithmetic, so a decode bug (Huffman tables, DC
     prediction, RST handling, byte un-stuffing, IDCT scaling, color
     convert) breaks the hash match."""
-    from naer_ray.stages.multimodal import decode_jpeg_features, synth_jpeg_payload
+    from .stages.multimodal import decode_jpeg_features, synth_jpeg_payload
 
     return decode_jpeg_features(_media_rows(sf_dir, "j", synth_jpeg_payload))
 
@@ -5961,7 +5961,7 @@ def m10_mjpeg_frames(sf_dir: str):
     from the generator arithmetic with a frame unnest, so a container
     bug (chunk sizes, pad bytes, frame-count cross-check) or any JPEG
     decode bug breaks the hash match."""
-    from naer_ray.stages.multimodal import decode_mjpeg_features, synth_mjpeg_avi_payload
+    from .stages.multimodal import decode_mjpeg_features, synth_mjpeg_avi_payload
 
     return decode_mjpeg_features(_media_rows(sf_dir, "v", synth_mjpeg_avi_payload))
 
@@ -6013,7 +6013,7 @@ def s05_global_sort(sf_dir: str):
     ``ROW_NUMBER() OVER (ORDER BY value, event_id)`` must match
     hash-exactly, which verifies the sampling, the boundary
     assignment, the count offsets AND the within-part sort at once."""
-    from naer_ray.stages.order import range_partition_sort
+    from .stages.order import range_partition_sort
 
     ds = _read(sf_dir, "events", ["event_id", "value"])
     return range_partition_sort(ds, "value", "event_id", n_parts=64)
@@ -6037,8 +6037,8 @@ def m11_image_profile_neardup(sf_dir: str):
     (m06) cannot do.  Every pixel is closed-form in doc_id, so the SQL
     oracle re-derives the row sums, the bit packing AND the grouping —
     a decode, signature or shuffle bug all break the hash."""
-    from naer_ray.stages.agg import bucketed_sum
-    from naer_ray.stages.multimodal import decode_ppm, synth_ppm_payload
+    from .stages.agg import bucketed_sum
+    from .stages.multimodal import decode_ppm, synth_ppm_payload
 
     ds = _read(sf_dir, "documents", ["doc_id"]).repartition(32)
 
@@ -6161,7 +6161,7 @@ def _token_feature_buckets(flat, mod: int = _FEAT_NBUCKETS):
     (zero-copy buffer views, no per-token Python).  len==0 entries get
     bucket 0; callers must mask them out.
     """
-    from naer_ray.stages.dedup import _varlen_buffers
+    from naer_ray.hashing import _varlen_buffers
 
     if isinstance(flat, pa.ChunkedArray):
         flat = flat.combine_chunks()
@@ -6375,7 +6375,7 @@ def _postings_fn(n_shards: int):
     """Per-batch (token, doc_id, tf, shard) posting rows — docs are
     row-local so term frequencies need no shuffle; shared by the x01
     batch build and the x04 incremental delta."""
-    from naer_ray.stages.dedup import _fnv64_arr
+    from naer_ray.hashing import _fnv64_arr
 
     def postings(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern(batch["text"], " ")
@@ -6430,7 +6430,7 @@ def _read_index_shards(path: str, q_tokens, n_shards: int):
 
     import ray.data
 
-    from naer_ray.stages.dedup import _fnv64_arr
+    from naer_ray.hashing import _fnv64_arr
 
     q_arr = pa.array(list(q_tokens), pa.string())
     shards = sorted({int(s) for s in _fnv64_arr(q_arr) % np.uint64(n_shards)})
@@ -6658,7 +6658,7 @@ def d15_remove_duplicated_spans(sf_dir: str):
     string_agg of the survivors), so the hash match verifies the
     count pass, the candidate marking, the byte-exact confirm AND the
     interval-union apply at once."""
-    from naer_ray.stages.dedup import remove_duplicated_spans
+    from .stages.dedup import remove_duplicated_spans
 
     ds = _read_wide(sf_dir, "documents", ["doc_id", "text"])
     return remove_duplicated_spans(ds, k=40)
@@ -6845,7 +6845,7 @@ def t15_bigram_lm(sf_dir: str):
     histogram shuffle + broadcast-frequency scoring pass; integer-exact
     per-doc stats (the t11 discipline) so the oracle hashes
     bit-identically — no float log sums."""
-    from naer_ray.stages.text import bigram_lm_score
+    from .stages.text import bigram_lm_score
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return bigram_lm_score(ds)
@@ -6885,8 +6885,8 @@ def d17_url_canonical_dedup(sf_dir: str, n_buckets: int = 64):
     batch — thins the exchange like bucketed_sum's partials), ONE
     key-hash bucket shuffle (vectorized FNV64), per-bucket best-of
     merge.  Output: (url_key, kept_doc_id, n_docs)."""
-    from naer_ray.stages.dedup import _fnv64_arr
-    from naer_ray.stages.url import parse_normalize_urls
+    from naer_ray.hashing import _fnv64_arr
+    from .stages.url import parse_normalize_urls
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "source", "text"])
 
@@ -7063,7 +7063,7 @@ def g05_connected_components(sf_dir: str):
     ``driver_threshold=0``).  The SQL oracle is a recursive-CTE
     reachability closure (min label over all nodes that can reach each
     node) — exact, no iteration-count assumption."""
-    from naer_ray.stages.dedup import connected_components
+    from naer_ray.stages.canon import connected_components
 
     edges = _copurchase_edges(sf_dir)
 
@@ -7109,8 +7109,8 @@ def _neardup_labels(sf_dir: str, threshold: float) -> pd.DataFrame:
     SELF-join (trigram Jaccard >= threshold) -> connected components.
     Returns the (node, label) frame for every doc incident to a
     near-dup edge (dup-set-sized; singletons are absent)."""
-    from naer_ray.stages.dedup import connected_components
-    from naer_ray.stages.joins import set_similarity_self_join
+    from naer_ray.stages.canon import connected_components
+    from .stages.joins import set_similarity_self_join
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     pairs = set_similarity_self_join(ds, threshold=threshold)
@@ -7253,7 +7253,7 @@ def x03_phrase_search(sf_dir: str, phrase: str = "hash vector"):
     pc.equal + one bincount per batch; no per-row Python.  (A standing
     corpus persists positional postings; single-pass is the index-free
     shape, the x02 note.)"""
-    from naer_ray.stages.text import _batch_bigrams, _string_array
+    from .stages.text import _batch_bigrams, _string_array
 
     def count_phrase(batch: pa.Table) -> pa.Table:
         bg, parents, n = _batch_bigrams(_string_array(batch["text"]))
@@ -7299,7 +7299,7 @@ def m12_audio_decimate(sf_dir: str, factor: int = 2):
     re-derives the kept samples (j % factor = 0) from the generator
     arithmetic, so decode, decimation phase and the feature math are
     all checked."""
-    from naer_ray.stages.multimodal import decode_wav, synth_wav_payload
+    from .stages.multimodal import decode_wav, synth_wav_payload
 
     ds = _read(sf_dir, "documents", ["doc_id"])
 
@@ -7531,8 +7531,8 @@ def t16_token_drift(sf_dir: str, k: int = 25):
     ride as two scalar partial sums; the divergence and top-k run on
     the vocabulary-sized result (driver pull bounded by Heaps' law,
     the t11 assumption)."""
-    from naer_ray.stages.agg import bucketed_sum
-    from naer_ray.stages.text import _flat_nonempty, _string_array, _RE2_SPACE_CLASS
+    from .stages.agg import bucketed_sum
+    from .stages.text import _flat_nonempty, _string_array, _RE2_SPACE_CLASS
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -7661,7 +7661,7 @@ def s06_schema_evolution(sf_dir: str):
         t = pa.table({"lang": lang}).group_by("lang").aggregate([("lang", "count")])
         return t.rename_columns(["lang", "n"])
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     out = bucketed_sum(
         ds.map_batches(partial, batch_format="pyarrow"), ["lang"], ["n"]
@@ -7690,7 +7690,7 @@ def m13_image_downsample(sf_dir: str):
     oracle re-derives every output pixel from the generator
     arithmetic and the hash verifies decode, layout (j = y*w + x),
     pooling and crop at once."""
-    from naer_ray.stages.multimodal import decode_ppm, synth_ppm_payload
+    from .stages.multimodal import decode_ppm, synth_ppm_payload
 
     ds = _read(sf_dir, "documents", ["doc_id"])
 
@@ -7770,7 +7770,7 @@ def r04_grouping_sets(sf_dir: str):
     derived from the (statuses x priorities)-sized finest result on
     the driver.  No second scan of orders; money through the
     integer-cents trick."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(
         sf_dir, "orders", ["o_orderstatus", "o_orderpriority", "o_totalprice"]
@@ -7823,7 +7823,7 @@ def r05_unpivot(sf_dir: str):
     O(flags x metrics x batches) partials — never the unpivoted
     row-level long table (4x the fact table at 100 TB).  Measures go
     through the integer-cents trick."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     METRICS = ["l_quantity", "l_extendedprice", "l_discount", "l_tax"]
     ds = _read(sf_dir, "lineitem", ["l_returnflag"] + METRICS)
@@ -7885,7 +7885,7 @@ def q34_exists_filter(sf_dir: str):
     final per-priority aggregate is combiner + tiny shuffle."""
     import ray
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_discount", "l_quantity"])
 
@@ -7948,7 +7948,7 @@ def q35_salted_skew_agg(sf_dir: str):
     in a tiny second round; sums are associative so the result is
     bit-identical to the unsalted plan (the oracle checks exactly
     that).  Event values go through the integer-mills trick."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "events", ["event_type", "value"])
 
@@ -7992,7 +7992,7 @@ def w10_window_topn(sf_dir: str):
     cardinality-sized bucket shuffle; the rank runs on the
     (windows x 5 types)-sized count table, never on events.  At 100 TB
     the count table grows with the time span, not the data volume."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "events", ["ts", "event_type"])
 
@@ -8045,7 +8045,7 @@ def v02_fd_violations(sf_dir: str):
     ``drop_duplicates`` combiner + one bucket shuffle sized by the
     distinct (X, Y) cardinality (langs x sources here), never by rows;
     the violation count runs on that tiny result."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     FDS = [("lang", "source"), ("source", "lang")]
     ds = _read(sf_dir, "documents", ["lang", "source"])
@@ -8190,7 +8190,7 @@ def g06_friends_of_friends(sf_dir: str, n_buckets: int = 64, seed_max: int = 20)
     (seed, part) reduce is a cardinality-sized bucket shuffle."""
     import ray
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
@@ -8276,7 +8276,7 @@ def m14_gray_histogram(sf_dir: str):
     pipeline uses to drop over/under-exposed images.  All-integer, so
     the SQL oracle re-derives every pixel from the generator
     arithmetic and checks decode + luma + binning at once."""
-    from naer_ray.stages.multimodal import decode_ppm, synth_ppm_payload
+    from .stages.multimodal import decode_ppm, synth_ppm_payload
 
     ds = _read(sf_dir, "documents", ["doc_id"])
 
@@ -8334,7 +8334,7 @@ def j05_star_join(sf_dir: str):
     (nation, market segment) through the integer-cents trick."""
     import ray
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
     nmap_ref = ray.put(dict(zip(nation["n_nationkey"], nation["n_name"])))
@@ -8461,7 +8461,7 @@ def s07_resumable_write(sf_dir: str, n_buckets: int = 8):
             f"rerun wrote {second} (expected > 0 then 0)"
         )
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     back = ray.data.read_parquet(f"{root}/lang_counts/")
     out = (
@@ -8516,7 +8516,7 @@ def d20_containment_pairs(sf_dir: str):
     trigrams appear in b — the quote/excerpt duplicates a Jaccard
     near-dup pass structurally misses.  The SQL oracle re-derives the
     full trigram-intersection join brute-force."""
-    from naer_ray.stages.joins import containment_join
+    from .stages.joins import containment_join
 
     # materialize once: the derived corpus feeds the frequency pass,
     # the postings pass and the verify semi-join — without this the
@@ -8564,7 +8564,7 @@ def a09_radius_search(sf_dir: str, num: int = 1, den: int = 4):
     a streaming pass with no shuffle at all."""
     import ray
 
-    from naer_ray.stages.ann import _as_matrix
+    from .stages.ann import _as_matrix
 
     q = _point_read_embeddings(sf_dir, [0, 1, 2])
     qm = np.floor(_as_matrix(q["embedding"]) * 100 + 0.5).astype(np.int64)
@@ -8630,8 +8630,9 @@ def t17_ngram_novelty(sf_dir: str, ngram: int = 3, n_buckets: int = 64):
     second doc-keyed bucketed sum merges per-bucket partials.  Gram
     strings ride the first shuffle; at corpus scale swap the key to
     the FNV64 hash and verify novel counts per collision bucket."""
-    from naer_ray.stages.agg import bucketed_sum
-    from naer_ray.stages.dedup import _fnv64_arr, _word_ngram_strings
+    from .stages.agg import bucketed_sum
+    from naer_ray.hashing import _fnv64_arr
+    from .stages.dedup import _word_ngram_strings
 
     docs = _read_wide(sf_dir, "documents", ["doc_id", "text"])
 
@@ -8702,7 +8703,7 @@ def n03_group_percentiles(sf_dir: str):
     lengths, scores, ages — the common case); unbounded-cardinality
     columns take q31's sketch instead.  percentile_disc rule: smallest
     value whose cumulative count >= ceil(p * n), integer arithmetic."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
     counts = bucketed_sum(ds, ["lang", "n_chars"], [], count_col="c").to_pandas()
@@ -8745,7 +8746,7 @@ def e05_window_cooccurrence(sf_dir: str, window: int = 2, n_buckets: int = 64):
     (mentions per conversation are bounded by turns x K entities);
     pair counts pre-aggregate per bucket and merge through a tiny
     K²-sized bucketed sum."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _derive_transcripts(sf_dir)
     ents_sorted = np.array(sorted(KG_ENTITIES))
@@ -8761,7 +8762,7 @@ def e05_window_cooccurrence(sf_dir: str, window: int = 2, n_buckets: int = 64):
                 "entity": pa.array(ents_sorted[c], pa.string()),
             }
         )
-        from naer_ray.stages.dedup import _fnv64_arr
+        from naer_ray.hashing import _fnv64_arr
 
         b = (_fnv64_arr(t["conv_id"]) % np.uint64(n_buckets)).astype(np.int32)
         return t.append_column("bucket", pa.array(b, pa.int32()))
@@ -8814,7 +8815,7 @@ def i04_incremental_agg(sf_dir: str):
 
     import ray.data
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     state_dir = (
         "/tmp/naer_agg_state/"
@@ -9067,7 +9068,7 @@ def m15_audio_segments(sf_dir: str, threshold: int = 512):
     count, and the longest segment.  All-integer; the SQL oracle
     re-derives every sample from the generator arithmetic and finds
     the runs with the gaps-and-islands window pattern."""
-    from naer_ray.stages.multimodal import decode_wav, synth_wav_payload
+    from .stages.multimodal import decode_wav, synth_wav_payload
 
     ds = _read(sf_dir, "documents", ["doc_id"])
 
@@ -9186,7 +9187,7 @@ def q36_top_percent(sf_dir: str):
     re-scans with the broadcast threshold and aggregates survivors per
     priority.  Ties at the threshold are all included (>=), so the
     result is deterministic with no arbitrary cut."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "orders", ["o_totalprice"])
 
@@ -9250,7 +9251,7 @@ def w12_gap_stats(sf_dir: str, n_buckets: int = 64):
     partials, ONE user-hash bucket shuffle, vectorized per-bucket
     min/max/distinct — the row volume on the exchange is bounded by
     active (user, hour) slots, never raw events."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
@@ -9329,7 +9330,7 @@ def s08_csv_roundtrip(sf_dir: str):
 
     import ray.data
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     stage = (
         "/tmp/naer_csv_roundtrip/"
@@ -9371,7 +9372,7 @@ def g07_copurchase_topk(sf_dir: str, k: int = 20, n_buckets: int = 64):
     single vectorized self-merge; pair weights reduce through one
     cardinality-sized bucketed sum; top-k with the (w DESC, pa, pb)
     deterministic tie-break."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
@@ -9426,7 +9427,7 @@ def x08_more_like_this(sf_dir: str, query_doc: int = 42):
     import pyarrow.dataset as pads
     import ray
 
-    from naer_ray.stages.text import _batch_bigrams, _string_array
+    from .stages.text import _batch_bigrams, _string_array
 
     qt = pads.dataset(f"{sf_dir}/documents.parquet").to_table(
         columns=["doc_id", "text"], filter=pc.field("doc_id") == query_doc
@@ -9513,7 +9514,7 @@ def k02_kmeans_assign_persisted(sf_dir: str):
     import pyarrow.parquet as pq_
     import ray
 
-    from naer_ray.stages.cluster import kmeans_fit, kmeans_reference
+    from .stages.cluster import kmeans_fit, kmeans_reference
 
     k = 8
     path = (
@@ -9528,8 +9529,8 @@ def k02_kmeans_assign_persisted(sf_dir: str):
     np.save(f"{path}/centroids.npy", centroids)
 
     # ---- scoring job: reload, broadcast, one assignment scan ----
-    from naer_ray.stages.ann import _as_matrix
-    from naer_ray.stages.cluster import _assign
+    from .stages.ann import _as_matrix
+    from .stages.cluster import _assign
 
     loaded = np.load(f"{path}/centroids.npy")
     cref = ray.put(loaded)
@@ -9583,8 +9584,8 @@ def j06_bloom_semi_join(sf_dir: str):
     to the plain semi join (false positives die at the exact stage —
     the oracle checks precisely that), only the exchange volume
     changes.  Survivors aggregate per priority in integer cents."""
-    from naer_ray.stages.agg import bucketed_sum
-    from naer_ray.stages.bloom import bloom_flag_membership
+    from .stages.agg import bucketed_sum
+    from .stages.bloom import bloom_flag_membership
 
     orders = _read(
         sf_dir, "orders", ["o_custkey", "o_orderpriority", "o_totalprice"]
@@ -9712,7 +9713,7 @@ def m16_frame_diff(sf_dir: str):
     transitions.  Exact integers (flat DC-only blocks decode to the
     closed-form Y), so the SQL oracle re-derives every per-block
     transition from the generator arithmetic."""
-    from naer_ray.stages.multimodal import decode_mjpeg_avi, synth_mjpeg_avi_payload
+    from .stages.multimodal import decode_mjpeg_avi, synth_mjpeg_avi_payload
 
     ds = _read(sf_dir, "documents", ["doc_id"]).repartition(32)
 
@@ -9773,7 +9774,7 @@ def a10_filtered_vector_search(sf_dir: str, num: int = 1, den: int = 5):
     further shuffles."""
     import ray
 
-    from naer_ray.stages.ann import _as_matrix
+    from .stages.ann import _as_matrix
 
     q = _point_read_embeddings(sf_dir, [0, 1, 2])
     qm = np.floor(_as_matrix(q["embedding"]) * 100 + 0.5).astype(np.int64)
@@ -9874,7 +9875,7 @@ def i05_snapshot_diff(sf_dir: str, n_buckets: int = 64):
     hash — through ONE id-hash bucket-run full-outer compare; counts
     pre-aggregate per bucket and one tiny sum finishes.  Neither
     generation is ever driver-resident."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     base = _read(sf_dir, "documents", ["doc_id", "n_chars"])
 
@@ -9975,7 +9976,7 @@ def b03_vocab_coverage(sf_dir: str, top_k: int = 20):
     vectorized — integer-exact."""
     import ray
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -10098,7 +10099,7 @@ def u02_host_cap(sf_dir: str, cap: int = 3):
     its local bottom-``cap`` per host (combiner), so the exchange
     carries hosts x cap x batches rows and the final merge is
     host-cardinality-sized.  No global sort, no row-level shuffle."""
-    from naer_ray.stages.url import parse_normalize_urls
+    from .stages.url import parse_normalize_urls
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "source"])
 
@@ -10158,7 +10159,7 @@ def v04_skew_report(sf_dir: str):
     tell an engineer whether a key needs the salted reduce (q35).
     One combiner count pass + cardinality-sized shuffle; the shares
     are exact integer floor divisions of identical operands."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "events", ["event_type"])
     counts = bucketed_sum(ds, ["event_type"], [], count_col="n").to_pandas()
@@ -10196,7 +10197,7 @@ def s09_zorder_layout(sf_dir: str):
     through the TeraSort-shaped range partitioner (s05's machinery —
     sampled bounds, ONE exchange, per-part rank offsets).  The key is
     pure integer bit arithmetic, re-derived bit-for-bit in SQL."""
-    from naer_ray.stages.order import range_partition_sort
+    from .stages.order import range_partition_sort
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
 
@@ -10239,7 +10240,7 @@ def v05_column_profile(sf_dir: str):
     per-batch combiner partials for n/min/max/sum; the distinct count
     rides a (col, value)-keyed bucketed reduce whose exchange is
     bounded by per-column VALUE cardinality, never rows."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     COLS = ["l_quantity", "l_extendedprice", "l_discount", "l_tax"]
     ds = _read(sf_dir, "lineitem", COLS)
@@ -10322,7 +10323,7 @@ def w14_transition_matrix(sf_dir: str, n_buckets: int = 64):
     lag is a vectorized shift over the (user, ts, id) lexsort
     (user-boundary masked), partial counts pre-aggregate per bucket
     and a K²-sized bucketed sum finishes."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
@@ -10374,7 +10375,7 @@ def n04_windowed_percentiles(sf_dir: str):
     value) — the exchange is bounded by windows x value-cardinality;
     the rank picks run on the per-window cumulative counts, which
     grow with the time span, never with rows."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "events", ["ts", "value"])
 
@@ -10515,9 +10516,9 @@ def p04_full_curation(sf_dir: str, cap: int = 40):
     corpus and the final reduce is lang-cardinality-sized.  The SQL
     oracle chains the same five relational steps, so drift in any one
     (regex, bound, tie-break, cap rule) breaks the hash."""
-    from naer_ray.stages.agg import bucketed_sum
-    from naer_ray.stages.dedup import _fnv64_arr
-    from naer_ray.stages.text import normalize_text
+    from .stages.agg import bucketed_sum
+    from naer_ray.hashing import _fnv64_arr
+    from .stages.text import normalize_text
 
     ds = normalize_text(
         _read(sf_dir, "documents", ["doc_id", "text", "lang", "source"])
@@ -10618,7 +10619,7 @@ def j07_skew_salted_join(sf_dir: str, n_salt: int = 8):
     q35 is the salted AGGREGATE; this is the salted JOIN."""
     import ray
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ev = _read(sf_dir, "events", ["event_id", "user_id", "value"])
 
@@ -10724,8 +10725,8 @@ def n05_countmin_heavy_hitters(sf_dir: str, threshold: int = 20):
     EXACT (SQL-oracled); the sketch is the pruning device."""
     import ray
 
-    from naer_ray.stages.agg import bucketed_sum
-    from naer_ray.stages.dedup import _fnv64_arr
+    from .stages.agg import bucketed_sum
+    from naer_ray.hashing import _fnv64_arr
 
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
@@ -10827,7 +10828,7 @@ def g08_kcore(sf_dir: str, k: int = 10, max_rounds: int = 8):
     never silently diverge."""
     import ray
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     edges = _copurchase_edges(sf_dir)
     alive = None
@@ -10939,8 +10940,8 @@ def e06_entity_profile(sf_dir: str, n_buckets: int = 64):
     out of a second, entity-keyed exchange as a plain row count (the
     w13 running-distinct trick applied per group).  Nothing
     corpus-sized ever reaches the driver; the output is K rows."""
-    from naer_ray.stages.agg import bucketed_sum
-    from naer_ray.stages.dedup import _fnv64_arr
+    from .stages.agg import bucketed_sum
+    from naer_ray.hashing import _fnv64_arr
 
     ds = _derive_transcripts(sf_dir)
     ents_sorted = np.array(sorted(KG_ENTITIES))
@@ -11051,7 +11052,7 @@ def q37_multi_distinct_agg(sf_dir: str, n_buckets: int = 64):
     into columns on the driver (K×2 rows).  Two exchanges total for
     two distinct aggregates + a count — not three independent
     shuffles of the raw table."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "events", ["event_type", "user_id", "ts"])
 
@@ -11135,8 +11136,8 @@ def w15_interval_coverage(sf_dir: str, span_us: int = 300_000_000,
     user boundaries, islands = cumsum of gap starts, per-island
     coverage from one groupby min/max).  All arithmetic in integer
     epoch-microseconds — bit-exact vs the SQL window construction."""
-    from naer_ray.stages.agg import bucketed_sum
-    from naer_ray.stages.dedup import _fnv64_arr
+    from .stages.agg import bucketed_sum
+    from naer_ray.hashing import _fnv64_arr
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
@@ -11319,7 +11320,7 @@ def i06_time_travel(sf_dir: str, asof: str = "2024-01-03",
     latest row per user is a vectorized lexsort + keep-first (no
     per-user dispatch).  The exchange carries only pre-cutoff rows,
     and integer mills ride instead of float values."""
-    from naer_ray.stages.dedup import _fnv64_arr
+    from naer_ray.hashing import _fnv64_arr
 
     cutoff = np.datetime64(asof, "us").astype("int64")
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type", "value",
@@ -11442,7 +11443,7 @@ def n06_weighted_median(sf_dir: str):
     — the exchange is bounded by value cardinality, never rows — with
     WEIGHT sums instead of counts; the driver takes the order
     statistic on the tiny histogram."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
 
@@ -11498,8 +11499,8 @@ def w16_time_to_convert(sf_dir: str, n_buckets: int = 64):
     five types); ONE user-hash bucket shuffle; per bucket a vectorized
     two-column reduce (min signup ts, min purchase ts above it) — no
     per-user dispatch, integer epoch-us."""
-    from naer_ray.stages.agg import bucketed_sum
-    from naer_ray.stages.dedup import _fnv64_arr
+    from .stages.agg import bucketed_sum
+    from naer_ray.hashing import _fnv64_arr
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
 
@@ -11588,7 +11589,7 @@ def _quantized_dot_ranked(sf_dir: str, topn: int) -> pd.DataFrame:
     emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
     def vec_topk(batch: pa.Table) -> pa.Table:
-        from naer_ray.stages.ann import _as_matrix
+        from .stages.ann import _as_matrix
 
         mat = _as_matrix(batch["embedding"]).astype(np.float64)
         dint = np.floor(mat * 1000.0 + 0.5).astype(np.int64)
@@ -11901,7 +11902,7 @@ def g09_shortest_paths(sf_dir: str, rounds: int = 3,
     plain CTEs inline exponentially)."""
     import ray
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     edges = _copurchase_edges(sf_dir)
 
@@ -12013,7 +12014,7 @@ def n07_group_regression(sf_dir: str):
     partials (split + bincount for y, no per-row Python); the exchange
     through bucketed_sum is bounded by lang cardinality x blocks; the
     driver finishes on a lang-sized table."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "documents", ["lang", "n_chars", "text"])
 
@@ -12089,7 +12090,7 @@ def q38_above_customer_avg(sf_dir: str):
     the fact table."""
     import ray
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
 
@@ -12172,7 +12173,7 @@ def u03_crawl_budget(sf_dir: str, budget: int = 1000):
     Scale shape: one bucketed count whose exchange is bounded by host
     cardinality x blocks; the apportionment itself is host-sized
     driver math (hosts are a bounded dimension)."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "documents", ["doc_id", "source"])
 
@@ -12242,7 +12243,7 @@ def m17_tga_features(sf_dir: str):
     origin / channel-order mistake breaks the hash match.  The synth
     pixels have run plateaus, so BOTH packet kinds (RLE + raw) are
     exercised on every image."""
-    from naer_ray.stages.multimodal import decode_tga_features, synth_tga_payload
+    from .stages.multimodal import decode_tga_features, synth_tga_payload
 
     return decode_tga_features(_media_rows(sf_dir, "t", synth_tga_payload))
 
@@ -12286,7 +12287,7 @@ def w17_sliding_distinct(sf_dir: str, window_us: int = 3_600_000_000,
     #types grouped cummaxes (all C-level), per-user max; output is
     user-sized.  For an unbounded type vocabulary the offset-list
     sweep (w13's shape) applies instead."""
-    from naer_ray.stages.dedup import _fnv64_arr
+    from naer_ray.hashing import _fnv64_arr
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
 
@@ -12382,7 +12383,7 @@ def n08_grouped_mode(sf_dir: str):
     bucketed_sum (exchange bounded by distinct pairs, never rows);
     the argmax then rides a LOW-cardinality groupby over the enum-sized
     type key — the one place per-group dispatch is free."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
 
@@ -12462,7 +12463,7 @@ def e07_entity_density(sf_dir: str, n_buckets: int = 64):
     convs at sf0.1), so the partial/combine split is load-bearing, not
     defensive; the exchange is bounded by convs x batches, never
     turns."""
-    from naer_ray.stages.dedup import _fnv64_arr
+    from naer_ray.hashing import _fnv64_arr
 
     ents_sorted = np.array(sorted(KG_ENTITIES))
     ds = _derive_transcripts(sf_dir)
@@ -12563,8 +12564,8 @@ def w18_session_paths(sf_dir: str, k: int = 10, gap_us: int = 1_800_000_000,
     merge at blocks x k (each path lives in exactly one group after
     the reduce, so the union of local top-ks provably contains the
     global top-k).  Ties break (n DESC, path ASC) on both sides."""
-    from naer_ray.stages.agg import bucketed_sum
-    from naer_ray.stages.dedup import _fnv64_arr
+    from .stages.agg import bucketed_sum
+    from naer_ray.hashing import _fnv64_arr
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
 
@@ -12674,8 +12675,8 @@ def r06_semiadditive_last(sf_dir: str, n_buckets: int = 64):
     run-boundary mask keeps the last row per (user, day) vectorized;
     only day-level integer partials leave the kernel, and the final
     day reduce is a day-bounded bucketed_sum."""
-    from naer_ray.stages.agg import bucketed_sum
-    from naer_ray.stages.dedup import _fnv64_arr
+    from .stages.agg import bucketed_sum
+    from naer_ray.hashing import _fnv64_arr
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "value"])
 
@@ -12772,7 +12773,7 @@ def g10_degree_histogram(sf_dir: str):
     cardinality (nodes, then distinct degrees) — never edges twice:
     per-batch endpoint counts feed a node-keyed bucketed_sum, whose
     per-node degrees feed a degree-keyed bucketed count."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     edges = _copurchase_edges(sf_dir)
 
@@ -12842,7 +12843,7 @@ def j08_band_join(sf_dir: str, band_cents: int = 10, n_buckets: int = 64):
     a vectorized equi-merge + exact integer-cents filter.
     Replication is a constant 3x on one role; nothing is broadcast,
     nothing driver-side."""
-    from naer_ray.stages.dedup import _fnv64_arr
+    from naer_ray.hashing import _fnv64_arr
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment", "c_acctbal"])
 
@@ -12957,7 +12958,7 @@ def a11_embedding_dim_stats(sf_dir: str):
     ds = _read(sf_dir, "embeddings", ["embedding"])
 
     def partial(batch: pa.Table) -> pd.DataFrame:
-        from naer_ray.stages.ann import _as_matrix
+        from .stages.ann import _as_matrix
 
         mat = _as_matrix(batch["embedding"]).astype(np.float64)
         q = np.floor(mat * 1000.0 + 0.5).astype(np.int64)
@@ -13016,7 +13017,7 @@ def w19_decay_score(sf_dir: str, max_age_days: int = 30, n_buckets: int = 64):
 
     Scale shape: one tiny global-max pass (one row per batch), then a
     user-bounded bucketed_sum of shifted integers."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
 
@@ -13087,7 +13088,7 @@ def n09_benford_digits(sf_dir: str):
 
     Scale shape: per-batch bincount partials over a 9-key space —
     the exchange is 9 rows x blocks through one tiny reduce."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "orders", ["o_totalprice"])
 
@@ -13195,7 +13196,7 @@ def v06_order_audit(sf_dir: str, n_buckets: int = 64):
     Scale shape: ONE user-hash bucket shuffle; per bucket a sort +
     shifted compare inside user runs (all vectorized), user-sized
     output."""
-    from naer_ray.stages.dedup import _fnv64_arr
+    from naer_ray.hashing import _fnv64_arr
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"])
 
@@ -13278,7 +13279,7 @@ def k03_cluster_profile(sf_dir: str):
     ds = _read(sf_dir, "embeddings", ["label", "embedding"])
 
     def partial(batch: pa.Table) -> pd.DataFrame:
-        from naer_ray.stages.ann import _as_matrix
+        from .stages.ann import _as_matrix
 
         mat = _as_matrix(batch["embedding"]).astype(np.float64)
         q = np.floor(mat * 1000.0 + 0.5).astype(np.int64)
@@ -13336,7 +13337,7 @@ def w20_calendar_profile(sf_dir: str):
 
     Scale shape: zero shuffle beyond one 168-key bucketed reduce —
     per-batch integer bincounts over dow*24+hour."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "events", ["ts"])
 
@@ -13392,7 +13393,7 @@ def v07_join_cardinality(sf_dir: str, n_buckets: int = 64):
     Scale shape: two key-bounded count reduces (one per side) meet in
     ONE co-partitioned combine keyed by the join key; the output is 1
     row.  At no point does anything event x order shaped exist."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ev = _read(sf_dir, "events", ["user_id"])
     od = _read(sf_dir, "orders", ["o_custkey"])
@@ -13488,7 +13489,7 @@ def n10_ks_drift(sf_dir: str):
     (value)-keyed reduce whose exchange is bounded by distinct values
     x blocks, never rows; the driver takes the max over the tiny
     cumulative table."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
 
@@ -13554,7 +13555,7 @@ def v08_source_vocab_overlap(sf_dir: str, n_buckets: int = 64):
     by vocab x sources; each term's source set then emits its k<=20
     in-order pairs (constant-bounded per term), and a pair-keyed sum
     finishes — never anything docs x docs shaped."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "documents", ["source", "text"])
 
@@ -13610,7 +13611,7 @@ def v08_source_vocab_overlap(sf_dir: str, n_buckets: int = 64):
         return cat.groupby(["src_a", "src_b"], as_index=False)["inter"].sum()
 
     def rebucket(batch: pd.DataFrame) -> pd.DataFrame:
-        from naer_ray.stages.dedup import _fnv64_arr
+        from naer_ray.hashing import _fnv64_arr
 
         if batch.empty:
             batch["bucket"] = pd.Series([], dtype="int32")
@@ -13686,7 +13687,7 @@ def i07_bitemporal_asof(sf_dir: str, valid: str = "2024-01-02",
     row-group pruning path at corpus scale); survivors ride ONE
     user-hash bucket shuffle and a vectorized lexsort keep-first —
     the i06 kernel with a second clock."""
-    from naer_ray.stages.dedup import _fnv64_arr
+    from naer_ray.hashing import _fnv64_arr
 
     v_cut = int(np.datetime64(valid, "us").astype("int64"))
     t_cut = int(np.datetime64(txn, "us").astype("int64"))
@@ -13786,7 +13787,7 @@ def q39_coverage_division(sf_dir: str, num: int = 8, den: int = 10):
     day count (a tiny distinct) and the per-user day counts; the
     final filter closes over the one-int threshold — nothing
     user x day shaped is ever rebuilt."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
@@ -13913,7 +13914,7 @@ def w21_gap_filled_series(sf_dir: str):
     the data volume (a decade of hours is 87k rows regardless of
     corpus size), then zero-filled with one vectorized searchsorted —
     nothing row-shaped ever leaves the reduce."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "events", ["ts"])
     hour_us = 3_600_000_000
@@ -13974,7 +13975,7 @@ def n11_gini(sf_dir: str):
     driver-side closed form over rank BLOCKS: a run of c copies of
     value v occupying ranks (R, R+c] contributes v*c*(2R + c - n) —
     the full ranking is never materialized."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
 
@@ -14044,7 +14045,7 @@ def i08_snapshot_series(sf_dir: str):
     rides a per-user FIRST-SEEN bucket reduce (exchange bounded by
     user cardinality) followed by one searchsorted against the K
     instants — the corpus is read exactly once."""
-    from naer_ray.stages.agg import _key_hash
+    from .stages.agg import _key_hash
 
     snaps_us = np.array(
         [
@@ -14212,7 +14213,7 @@ def w22_attribution(sf_dir: str, window_days: int = 7):
     segmentation (a stale carry from the previous user fails the
     identity test exactly when no click precedes).  No per-user Python
     loop, no row explosion."""
-    from naer_ray.stages.agg import _key_hash
+    from .stages.agg import _key_hash
 
     window_us = window_days * 86_400_000_000
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type", "event_id"])
@@ -14313,7 +14314,7 @@ def n12_mannwhitney(sf_dir: str):
     (exchange bounded by DISTINCT lengths, never rows), then a
     closed-form cumulative pass over the tiny histogram:
     2U = sum_v 2*ca(v)*cb_less(v) + ca(v)*cb(v)."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
 
@@ -14381,7 +14382,7 @@ def s12_compaction_plan(sf_dir: str, target_rows: int = 250):
     Scale shape: ONE hour-bounded bucketed count (never row-shaped),
     then a cumulative pass over the calendar-sized histogram on the
     driver; the plan output is file-count-sized."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "events", ["ts"])
     hour_us = 3_600_000_000
@@ -14460,7 +14461,7 @@ def a12_prefix_rerank(sf_dir: str, prefix_dims: int = 8, c_pool: int = 50,
     corpus read.  Ties at both stages break by vec_id ascending."""
     import ray
 
-    from naer_ray.stages.ann import _as_matrix
+    from .stages.ann import _as_matrix
 
     q = _query_vectors(sf_dir).astype(np.float64)
     q_ref = ray.put(q)
@@ -14544,7 +14545,7 @@ def e08_entity_gap_stats(sf_dir: str, n_buckets: int = 64):
     (exchange bounded by hit volume); per bucket the gap pass is a
     sort + boundary-masked diff, and only 7-entity partials
     (n/sum/max — all associative) reach the driver."""
-    from naer_ray.stages.dedup import _fnv64_arr
+    from naer_ray.hashing import _fnv64_arr
 
     ents_sorted = np.array(sorted(KG_ENTITIES))
     ds = _derive_transcripts(sf_dir)
@@ -14644,7 +14645,7 @@ def q40_segment_activity(sf_dir: str, n_buckets: int = 64):
     join with no broadcast assumption (the dim is customer-sized,
     too big to ship whole at 100 TB) — and only segment-sized
     partials leave each bucket."""
-    from naer_ray.stages.agg import _key_hash, bucketed_sum
+    from .stages.agg import _key_hash, bucketed_sum
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
@@ -14814,7 +14815,7 @@ def i09_deletion_vectors(sf_dir: str):
     membership test per batch — no shuffle, no join, no rewrite."""
     import ray
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
 
@@ -14897,7 +14898,7 @@ def g12_assortativity(sf_dir: str):
     batch and emits 4-integer partials."""
     import ray
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     edges = _copurchase_edges(sf_dir).materialize()
 
@@ -14987,7 +14988,7 @@ def w23_rfm(sf_dir: str):
     driver (users are the bounded dimension; at true scale the same
     ranks come from a distributed sort + per-block offsets, the s05
     machinery)."""
-    from naer_ray.stages.agg import _key_hash
+    from .stages.agg import _key_hash
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
 
@@ -15071,7 +15072,7 @@ def n14_spearman(sf_dir: str):
     (exchange bounded by distinct value PAIRS, never rows); both
     marginal rank maps and the final weighted sum are closed-form
     passes over that histogram on the driver."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "documents", ["n_chars", "text"])
 
@@ -15168,8 +15169,8 @@ def s13_bloom_pruned_read(sf_dir: str, n_files: int = 8):
     import pyarrow.parquet as _pq
     import ray.data
 
-    from naer_ray.stages.agg import bucketed_sum
-    from naer_ray.stages.bloom import BloomFilter
+    from .stages.agg import bucketed_sum
+    from .stages.bloom import BloomFilter
 
     stage = (
         "/tmp/naer_bloom_prune/"
@@ -15290,7 +15291,7 @@ def m18_audio_zcr(sf_dir: str):
     (decode_wav needs no model state, so a task pool suffices — the
     m04 actor pool exists to amortize nothing here); outputs are
     clip-sized rows, no shuffle."""
-    from naer_ray.stages.multimodal import decode_wav, synth_wav_payload
+    from .stages.multimodal import decode_wav, synth_wav_payload
 
     def zcr(batch: pa.Table) -> pa.Table:
         ids, zcs, tvs, ns = [], [], [], []
@@ -15354,7 +15355,7 @@ def g13_local_clustering(sf_dir: str, n_buckets: int = 64):
     g01 gate)."""
     import ray
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     edges = _copurchase_edges(sf_dir, n_buckets)
 
@@ -15542,7 +15543,7 @@ def t19_char_histogram(sf_dir: str):
         nz = np.flatnonzero(cnt)
         return pd.DataFrame({"code": nz.astype(np.int64), "n": cnt[nz]})
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     h = (
         bucketed_sum(
@@ -15581,7 +15582,7 @@ def j10_nearest_event_join(sf_dir: str):
     so the right-scan lands exactly on the first strictly-later
     click); the winner is a vectorized compare.  No per-user loop, no
     composite-key overflow arithmetic."""
-    from naer_ray.stages.agg import _key_hash
+    from .stages.agg import _key_hash
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type", "event_id"])
 
@@ -15703,7 +15704,7 @@ def m19_distinct_colors(sf_dir: str):
     Scale shape: stateless per-payload decode; distinct colors come
     from ONE np.unique over the packed 24-bit keys per image —
     image-sized rows out, no shuffle."""
-    from naer_ray.stages.multimodal import decode_ppm, synth_ppm_payload
+    from .stages.multimodal import decode_ppm, synth_ppm_payload
 
     def palette(batch: pa.Table) -> pa.Table:
         ids, npx, ncol = [], [], []
@@ -15763,7 +15764,7 @@ def w24_survival_table(sf_dir: str):
     purchase-after-signup ts — both min-reduces) ride ONE user-hash
     bucket shuffle; the corpus max ts is a tiny scalar pass; the
     day-keyed histogram is user-bounded."""
-    from naer_ray.stages.agg import _key_hash
+    from .stages.agg import _key_hash
 
     day_us = 86_400_000_000
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
@@ -15924,7 +15925,7 @@ def e09_entity_burstiness(sf_dir: str, n_buckets: int = 64):
     conv-hash bucket shuffle; buckets emit per-entity
     (sum/count/max — all associative over complete conversations)
     and the driver folds 7 rows."""
-    from naer_ray.stages.dedup import _fnv64_arr
+    from naer_ray.hashing import _fnv64_arr
 
     ents_sorted = np.array(sorted(KG_ENTITIES))
     ds = _derive_transcripts(sf_dir)
@@ -16013,7 +16014,7 @@ def s14_partition_overwrite(sf_dir: str, days=(3, 7)):
     import pyarrow.parquet as _pq
     import ray.data
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     day_us = 86_400_000_000
     stage = (
@@ -16109,8 +16110,8 @@ def a13_maxsim_multivector(sf_dir: str, group: int = 4, k: int = 5):
     the driver."""
     import ray
 
-    from naer_ray.stages.agg import _key_hash
-    from naer_ray.stages.ann import _as_matrix
+    from .stages.agg import _key_hash
+    from .stages.ann import _as_matrix
 
     def quantize(mat: np.ndarray) -> np.ndarray:
         norms = np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
@@ -16213,7 +16214,7 @@ def x12_tiered_search(sf_dir: str, phrase: str = "hash vector", k: int = 10):
     (term tfs); each doc lives in exactly one batch row, so per-batch
     local top-k pools make the driver merge block-bounded — zero
     shuffles."""
-    from naer_ray.stages.text import _batch_bigrams, _string_array
+    from .stages.text import _batch_bigrams, _string_array
 
     terms = np.array(sorted(phrase.split(" ")))
 
@@ -16306,7 +16307,7 @@ def r07_share_of_total(sf_dir: str):
     Scale shape: one (month, priority)-bounded bucketed sum; the
     window total is a groupby-transform over the month×priority-sized
     result on the driver."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "orders", ["o_orderdate", "o_orderpriority",
                                   "o_totalprice"])
@@ -16370,7 +16371,7 @@ def n15_chi2_contingency(sf_dir: str):
     partial counts (exchange bounded by distinct cell pairs, never
     rows); marginals and deviations are closed-form passes over that
     cell table on the driver."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "documents", ["lang", "source"])
 
@@ -16551,7 +16552,7 @@ def w25_peak_concurrency(sf_dir: str, window_min: int = 30):
     exchange by distinct boundary instants; the driver's sort+cumsum
     folds that boundary-sized table (scale path: range-partition the
     boundaries and carry per-partition totals left-to-right)."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     win_us = np.int64(window_min * 60 * 1_000_000)
     ds = _read(sf_dir, "events", ["ts"])
@@ -16616,7 +16617,7 @@ def q41_temporal_anti_join(sf_dir: str, grace_days: int = 30):
     orders and those partials co-partition through ONE orderkey-hash
     bucket exchange; each bucket kernel merges locally and emits
     priority-sized partial counts the driver sums."""
-    from naer_ray.stages.agg import _key_hash, bucketed_sum
+    from .stages.agg import _key_hash, bucketed_sum
 
     grace_us = np.int64(grace_days) * 86_400_000_000
     n_buckets = 64
@@ -16725,7 +16726,7 @@ def x13_min_should_match(
     token-code bincount yields the (doc x term) tf matrix, matched =
     row-wise nonzero count; per-batch local top-k pools bound the
     driver merge — zero shuffles."""
-    from naer_ray.stages.text import _string_array
+    from .stages.text import _string_array
 
     tarr = np.array(sorted(terms))
 
@@ -16809,7 +16810,7 @@ def i10_partition_evolution(sf_dir: str):
     import pyarrow.parquet as _pq
     import ray.data
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     stage = (
         "/tmp/naer_part_evolution/"
@@ -16985,7 +16986,7 @@ def i11_write_audit_publish(sf_dir: str):
 
     import pyarrow.parquet as _pq
 
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     root = (
         "/tmp/naer_wap/"
@@ -17063,7 +17064,7 @@ def p06_token_budget_trim(
     vectorized utf8_length over the flattened split, per-row head/tail
     sums are two prefix-array lookups — no shuffle, rows out are only
     the over-budget docs."""
-    from naer_ray.stages.text import _string_array
+    from .stages.text import _string_array
 
     def scan(batch: pa.Table) -> pd.DataFrame:
         txt = _string_array(batch["text"])
@@ -17404,7 +17405,7 @@ def q42_grouped_concat(sf_dir: str):
     Scale shape: the distinct (nation, segment) reduce bounds the
     exchange by dimension cardinality; the join-to-string fold runs on
     that dimension-sized table on the driver."""
-    from naer_ray.stages.agg import bucketed_sum
+    from .stages.agg import bucketed_sum
 
     ds = _read(sf_dir, "customer", ["c_nationkey", "c_mktsegment"])
 

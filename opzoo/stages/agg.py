@@ -31,7 +31,7 @@ def _key_hash(g: pd.DataFrame, keys: list[str]) -> pd.Series:
     never results."""
     import pyarrow as pa
 
-    from .dedup import _fnv64_arr
+    from naer_ray.hashing import _fnv64_arr
 
     comb = g[keys[0]].astype(str)
     for k in keys[1:]:

@@ -606,7 +606,7 @@ def pq_topk_indexed(path: str, queries: np.ndarray, k: int = 10):
 
     def local(batch: pa.Table) -> pd.DataFrame:
         tb = ray.get(tables_ref)
-        from .dedup import _varlen_buffers
+        from naer_ray.hashing import _varlen_buffers
 
         col = batch["codes"].combine_chunks()
         n = len(col)
@@ -626,7 +626,7 @@ def pq_topk_indexed(path: str, queries: np.ndarray, k: int = 10):
 
     import glob as _glob
 
-    from ..sources.transcripts import stripped_read_schema
+    from naer_ray.sources.transcripts import stripped_read_schema
 
     files = sorted(_glob.glob(os.path.join(path, "data", "*.parquet")))
     # stripped schema: Ray-written parquet carries pandas metadata whose

@@ -23,7 +23,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..hashing import hash_u32
+from naer_ray.hashing import hash_u32
 from .sketch import _fmix64
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)

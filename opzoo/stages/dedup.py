@@ -26,8 +26,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..hashing import _bucket_series, _fnv64_arr, _varlen_buffers, hash_u32  # noqa: F401
-from .canon import _grouped_runs, connected_components  # noqa: F401
+from naer_ray.hashing import _bucket_series, _fnv64_arr, _varlen_buffers, hash_u32
+from naer_ray.stages.canon import _grouped_runs, connected_components
 
 _MERSENNE = (1 << 61) - 1
 

@@ -41,7 +41,7 @@ import pyarrow as pa
 def _bucket_of(series: pd.Series, n_buckets: int) -> np.ndarray:
     if pd.api.types.is_integer_dtype(series):
         return (series.to_numpy().astype(np.int64) % n_buckets).astype(np.int32)
-    from .dedup import _bucket_series
+    from naer_ray.hashing import _bucket_series
 
     return _bucket_series(series, n_buckets)
 
@@ -222,7 +222,8 @@ def _shingle_hashes_per_row(batch: pa.Table, text_col: str, ngram: int):
     the batch set-similarity join AND the persisted index build/probe —
     the index/probe pair must tokenize identically or the frozen-order
     contract breaks, so there is exactly one copy of this kernel."""
-    from .dedup import _fnv64_arr, _word_ngram_strings
+    from naer_ray.hashing import _fnv64_arr
+    from .dedup import _word_ngram_strings
 
     grams, parents = _word_ngram_strings(batch, text_col, ngram)
     h = _fnv64_arr(grams)

@@ -27,8 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..hashing import hash_u32
-from .dedup import _bucket_series
+from naer_ray.hashing import _bucket_series, hash_u32
 
 MEDIA_SCHEMA = pa.schema(
     [

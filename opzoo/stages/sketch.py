@@ -12,7 +12,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..hashing import hash_u32
+from naer_ray.hashing import hash_u32
 
 
 def _fmix64(h: np.ndarray) -> np.ndarray:

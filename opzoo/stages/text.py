@@ -26,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..hashing import hash_u32
+from naer_ray.hashing import hash_u32
 
 # minimal seed stopword profiles (public common-word lists, truncated)
 _LANG_PROFILES: dict[str, set[str]] = {

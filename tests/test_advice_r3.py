@@ -13,7 +13,7 @@ class TestBpeEncodeTrailingEmpty:
         word from its token count."""
         import ray.data
 
-        from naer_ray.stages.text import _bpe_apply_merge, bpe_encode_counts
+        from opzoo.stages.text import _bpe_apply_merge, bpe_encode_counts
 
         merges = [("t", "h"), ("th", "e")]
         # single batch, last entries empty/null
@@ -52,7 +52,7 @@ class TestWavEmptyDataChunk:
         chunk used to crash WavAudioDecoder on mean_abs division."""
         import ray.data
 
-        from naer_ray.stages.multimodal import WavAudioDecoder, decode_wav
+        from opzoo.stages.multimodal import WavAudioDecoder, decode_wav
 
         fmt = (
             b"fmt " + (16).to_bytes(4, "little")
@@ -177,7 +177,7 @@ class TestQ03SizeGate:
 
 class TestPngDecode:
     def test_roundtrip_matches_generator(self):
-        from naer_ray.stages.multimodal import decode_png, synth_png_payload
+        from opzoo.stages.multimodal import decode_png, synth_png_payload
 
         for i in (0, 1, 7, 55, 123, 4999):
             w, h, pix = decode_png(synth_png_payload(i))
@@ -195,7 +195,7 @@ class TestPngDecode:
         import struct
         import zlib
 
-        from naer_ray.stages.multimodal import PNG_SIG, _paeth
+        from opzoo.stages.multimodal import PNG_SIG, _paeth
 
         h, stride = rgb.shape
         w = stride // 3
@@ -233,7 +233,7 @@ class TestPngDecode:
                 + chunk(b"IEND", b""))
 
     def test_average_and_paeth_filters(self):
-        from naer_ray.stages.multimodal import decode_png
+        from opzoo.stages.multimodal import decode_png
 
         rng = np.random.RandomState(11)
         rgb = rng.randint(0, 256, (6, 5 * 3)).astype(np.uint8)
@@ -244,7 +244,7 @@ class TestPngDecode:
             assert (pix.reshape(6, 15) == rgb).all()
 
     def test_crc_and_format_rejection(self):
-        from naer_ray.stages.multimodal import decode_png, synth_png_payload
+        from opzoo.stages.multimodal import decode_png, synth_png_payload
 
         with pytest.raises(ValueError, match="not a PNG"):
             decode_png(b"GIF89a....")
@@ -256,7 +256,7 @@ class TestPngDecode:
         import struct
         import zlib
 
-        from naer_ray.stages.multimodal import PNG_SIG
+        from opzoo.stages.multimodal import PNG_SIG
 
         ihdr = struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0)
         chunk = (struct.pack(">I", len(ihdr)) + b"IHDR" + ihdr

@@ -20,7 +20,7 @@ def _skewed_ds(ray_session, n=50_000):
 
 
 def test_bucketed_sum_matches_pandas(ray_session):
-    from naer_ray.stages.agg import bucketed_sum
+    from opzoo.stages.agg import bucketed_sum
 
     ds, expected = _skewed_ds(ray_session)
     got = (
@@ -33,7 +33,7 @@ def test_bucketed_sum_matches_pandas(ray_session):
 
 def test_salted_sum_identical_result(ray_session):
     """Salting changes only the shuffle distribution, never the result."""
-    from naer_ray.stages.agg import bucketed_sum
+    from opzoo.stages.agg import bucketed_sum
 
     ds, expected = _skewed_ds(ray_session)
     got = (

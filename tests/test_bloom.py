@@ -7,7 +7,7 @@ import pytest
 
 class TestBloomFilter:
     def test_no_false_negatives(self):
-        from naer_ray.stages.bloom import BloomFilter
+        from opzoo.stages.bloom import BloomFilter
 
         rng = np.random.RandomState(3)
         keys = rng.randint(0, 1 << 40, 20_000).astype(np.int64)
@@ -16,7 +16,7 @@ class TestBloomFilter:
 
     def test_fpp_within_bound(self):
         """Observed false-positive rate stays within 2x the target."""
-        from naer_ray.stages.bloom import BloomFilter
+        from opzoo.stages.bloom import BloomFilter
 
         rng = np.random.RandomState(4)
         keys = rng.randint(0, 1 << 40, 50_000).astype(np.int64)
@@ -26,7 +26,7 @@ class TestBloomFilter:
         assert fpp <= 0.02, fpp
 
     def test_merge_equals_single_build(self):
-        from naer_ray.stages.bloom import BloomFilter
+        from opzoo.stages.bloom import BloomFilter
 
         rng = np.random.RandomState(5)
         a_keys = rng.randint(0, 1 << 30, 5_000).astype(np.int64)
@@ -40,7 +40,7 @@ class TestBloomFilter:
         assert (whole.words == merged.words).all()
 
     def test_bytes_roundtrip_and_string_keys(self):
-        from naer_ray.stages.bloom import BloomFilter
+        from opzoo.stages.bloom import BloomFilter
 
         bf = BloomFilter.sized(100).add_many(["alpha", "beta", "gamma"])
         rt = BloomFilter.from_bytes(bf.to_bytes(), bf.k)
@@ -54,7 +54,7 @@ def test_bloom_flag_membership_exact(ray_session):
     them). Uses a tiny filter to force a high fpp on purpose."""
     import ray.data
 
-    from naer_ray.stages.bloom import bloom_flag_membership
+    from opzoo.stages.bloom import bloom_flag_membership
 
     rng = np.random.RandomState(11)
     left = pd.DataFrame(
@@ -91,7 +91,7 @@ def test_bloom_prunes_negatives_before_shuffle(ray_session):
     without sending them through the verify shuffle."""
     import ray.data
 
-    from naer_ray.stages.bloom import BloomFilter, build_bloom
+    from opzoo.stages.bloom import BloomFilter, build_bloom
 
     keys = pd.DataFrame({"rk": np.arange(10_000, dtype=np.int64)})
     bf = build_bloom(ray.data.from_pandas(keys), "rk", n_expected=10_000, fpp=0.01)

@@ -29,7 +29,7 @@ def _emb_ds(ray, ids, mat, blocks=4):
 def test_kmeans_matches_reference_across_layouts(ray_session):
     import ray
 
-    from naer_ray.stages.cluster import kmeans_fit, kmeans_reference
+    from opzoo.stages.cluster import kmeans_fit, kmeans_reference
 
     rng = np.random.default_rng(7)
     centers = rng.normal(size=(4, 16)) * 10
@@ -49,7 +49,7 @@ def test_kmeans_matches_reference_across_layouts(ray_session):
 def test_kmeans_empty_cluster_keeps_centroid(ray_session):
     import ray
 
-    from naer_ray.stages.cluster import kmeans_fit
+    from opzoo.stages.cluster import kmeans_fit
 
     # 3 tight points, k=2: one seed may win everything; fit must not
     # divide by zero and must still label every point
@@ -65,7 +65,7 @@ def test_kmeans_empty_cluster_keeps_centroid(ray_session):
 def test_kmeans_validates_args(ray_session):
     import ray
 
-    from naer_ray.stages.cluster import kmeans_fit
+    from opzoo.stages.cluster import kmeans_fit
 
     ds = _emb_ds(ray, np.array([1]), np.zeros((1, 4), np.float32), 1)
     with pytest.raises(ValueError):
@@ -77,7 +77,7 @@ def test_kmeans_validates_args(ray_session):
 def test_tfidf_top_terms_hand_corpus(ray_session):
     import ray.data
 
-    from naer_ray.stages.text import tfidf_top_terms
+    from opzoo.stages.text import tfidf_top_terms
 
     docs = [
         {"doc_id": 0, "text": "apple banana apple"},
@@ -105,7 +105,7 @@ def test_tfidf_top_terms_hand_corpus(ray_session):
 def test_tfidf_tie_break_term_asc(ray_session):
     import ray.data
 
-    from naer_ray.stages.text import tfidf_top_terms
+    from opzoo.stages.text import tfidf_top_terms
 
     # both terms identical tf/df -> identical score; term ASC wins
     docs = [
@@ -124,7 +124,7 @@ def test_tfidf_tie_break_term_asc(ray_session):
 def test_normalize_text_kernels(ray_session):
     import ray.data
 
-    from naer_ray.stages.text import normalize_text
+    from opzoo.stages.text import normalize_text
 
     docs = [
         {"doc_id": 0, "text": "  Hello   WORLD  "},
@@ -144,7 +144,7 @@ def test_normalize_text_kernels(ray_session):
 
 class TestBpeLearn:
     def test_reference_sennrich_example(self):
-        from naer_ray.stages.text import bpe_reference
+        from opzoo.stages.text import bpe_reference
 
         merges = bpe_reference(
             {"low": 5, "lower": 2, "newest": 6, "widest": 3}, 4
@@ -152,14 +152,14 @@ class TestBpeLearn:
         assert merges == [("e", "s"), ("es", "t"), ("l", "o"), ("lo", "w")]
 
     def test_tie_break_lexicographic(self):
-        from naer_ray.stages.text import bpe_reference
+        from opzoo.stages.text import bpe_reference
 
         # 'ab' and 'cd' both appear twice: lexicographically smaller wins
         merges = bpe_reference({"ab": 2, "cd": 2}, 1)
         assert merges == [("a", "b")]
 
     def test_overlap_merge_left_to_right(self):
-        from naer_ray.stages.text import _bpe_apply_merge, bpe_reference
+        from opzoo.stages.text import _bpe_apply_merge, bpe_reference
 
         assert _bpe_apply_merge(("a", "a", "a", "a", "a"), "a", "a") == (
             "aa", "aa", "a",
@@ -171,7 +171,7 @@ class TestBpeLearn:
     def test_distributed_matches_reference(self, ray_session):
         import ray.data
 
-        from naer_ray.stages.text import bpe_learn, bpe_reference
+        from opzoo.stages.text import bpe_learn, bpe_reference
 
         texts = [
             "the cat sat on the mat",
@@ -194,7 +194,7 @@ class TestBpeLearn:
     def test_exhausts_pairs_early(self, ray_session):
         import ray.data
 
-        from naer_ray.stages.text import bpe_learn
+        from opzoo.stages.text import bpe_learn
 
         # single two-char word: only 1 merge possible even if 5 asked
         ds = ray.data.from_items([{"text": "ab ab ab"}])
@@ -209,7 +209,7 @@ class TestBpeEncode:
     def test_counts_match_reference_walk(self, ray_session):
         import ray.data
 
-        from naer_ray.stages.text import _bpe_apply_merge, bpe_encode_counts
+        from opzoo.stages.text import _bpe_apply_merge, bpe_encode_counts
 
         merges = [("t", "h"), ("th", "e"), ("a", "t")]
         texts = ["the cat  sat", "", "   ", "at the theatre", "zzz"]
@@ -240,7 +240,7 @@ class TestBpeEncode:
     def test_empty_merge_list_counts_chars(self, ray_session):
         import ray.data
 
-        from naer_ray.stages.text import bpe_encode_counts
+        from opzoo.stages.text import bpe_encode_counts
 
         ds = ray.data.from_items([{"doc_id": 0, "text": "ab cde"}])
         got = bpe_encode_counts(ds, []).to_pandas()

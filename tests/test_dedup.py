@@ -22,14 +22,14 @@ def docs_ds(ray_session):
 
 
 def test_exact_dedup(docs_ds):
-    from naer_ray.stages.dedup import exact_dedup
+    from opzoo.stages.dedup import exact_dedup
 
     kept = exact_dedup(docs_ds, "doc_id", "text").to_pandas()
     assert sorted(kept["doc_id"]) == [0, 2, 3, 4, 5]  # doc 1 collapsed into 0
 
 
 def test_minhash_lsh_clusters(docs_ds):
-    from naer_ray.stages.dedup import minhash_lsh_clusters
+    from opzoo.stages.dedup import minhash_lsh_clusters
 
     labels = minhash_lsh_clusters(
         docs_ds, "doc_id", "text", threshold=0.5
@@ -42,7 +42,7 @@ def test_minhash_lsh_clusters(docs_ds):
 
 
 def test_simhash_pairs(docs_ds):
-    from naer_ray.stages.dedup import simhash_pairs
+    from opzoo.stages.dedup import simhash_pairs
 
     pairs = simhash_pairs(docs_ds, "doc_id", "text", max_hamming=8).to_pandas()
     got = {tuple(sorted((a, b))) for a, b in zip(pairs["id_a"], pairs["id_b"])}
@@ -52,7 +52,7 @@ def test_simhash_pairs(docs_ds):
 
 
 def test_ngram_jaccard():
-    from naer_ray.stages.dedup import ngram_jaccard
+    from opzoo.stages.dedup import ngram_jaccard
 
     assert ngram_jaccard("a b c d", "a b c d") == 1.0
     assert ngram_jaccard("a b c d", "x y z w") == 0.0
@@ -65,7 +65,7 @@ def test_ngram_jaccard_pairs_strategies_agree(docs_ds, ray_session):
     the copartition path needs its own equivalence coverage)."""
     import ray.data
 
-    from naer_ray.stages.dedup import ngram_jaccard_pairs
+    from opzoo.stages.dedup import ngram_jaccard_pairs
 
     pairs = ray.data.from_items(
         [
@@ -97,7 +97,7 @@ def test_ngram_jaccard_pairs_strategies_agree(docs_ds, ray_session):
 def test_embedding_neardup(ray_session):
     import ray.data
 
-    from naer_ray.stages.dedup import embedding_neardup_pairs
+    from opzoo.stages.dedup import embedding_neardup_pairs
 
     rng = np.random.RandomState(0)
     v = rng.standard_normal(32)
@@ -125,7 +125,7 @@ def test_embedding_neardup_multi_table(ray_session):
     layout, so single-table results are provably a subset."""
     import ray.data
 
-    from naer_ray.stages.dedup import embedding_neardup_pairs
+    from opzoo.stages.dedup import embedding_neardup_pairs
 
     rng = np.random.RandomState(7)
     rows = []
@@ -161,8 +161,8 @@ def test_simhash64_batch_parity():
     import numpy as np
     import pyarrow as pa
 
-    from naer_ray.stages.dedup import simhash64, simhash64_batch
-    from naer_ray.stages.text import _string_array
+    from opzoo.stages.dedup import simhash64, simhash64_batch
+    from opzoo.stages.text import _string_array
 
     rng = np.random.RandomState(9)
     words = ["data", "row", "key", "the", "alpha", "beta", "Zebra", "x1", "99", "-"]
@@ -177,7 +177,7 @@ class TestDuplicatedSpanPairs:
     def _run(self, docs, k=16):
         import ray.data
 
-        from naer_ray.stages.dedup import duplicated_span_pairs
+        from opzoo.stages.dedup import duplicated_span_pairs
 
         ds = ray.data.from_items(
             [{"doc_id": i, "text": t} for i, t in docs]
@@ -214,7 +214,7 @@ class TestDuplicatedSpanPairs:
         }
 
     def test_exact_predicate(self):
-        from naer_ray.stages.dedup import _has_shared_span
+        from opzoo.stages.dedup import _has_shared_span
 
         assert _has_shared_span("xx ABCDEFGHIJKLMNOP yy", "ABCDEFGHIJKLMNOP", 16)
         assert not _has_shared_span("ABCDEFGHIJKLMNO", "ABCDEFGHIJKLMNO", 16)
@@ -225,7 +225,7 @@ class TestWinnowedSpanPairs:
     def _run(self, docs, k, window):
         import ray.data
 
-        from naer_ray.stages.dedup import winnowed_span_pairs
+        from opzoo.stages.dedup import winnowed_span_pairs
 
         ds = ray.data.from_items(
             [{"doc_id": i, "text": t} for i, t in docs]
@@ -257,7 +257,7 @@ class TestWinnowedSpanPairs:
 
     def test_thinning_factor(self):
         # winnowing keeps ~1/window of the gram stream
-        from naer_ray.stages.dedup import _span_hash_seq
+        from opzoo.stages.dedup import _span_hash_seq
 
         rng = np.random.RandomState(3)
         text = "".join(chr(97 + c) for c in rng.randint(0, 26, 4000))
@@ -273,7 +273,7 @@ class TestBloomDecontaminate:
     def _flags(self, ray_session, **kw):
         import ray.data
 
-        from naer_ray.stages.dedup import bloom_decontaminate
+        from opzoo.stages.dedup import bloom_decontaminate
 
         test = ray.data.from_items(
             [{"doc_id": 100, "text": "alpha beta gamma delta epsilon zeta"}]
@@ -297,7 +297,7 @@ class TestBloomDecontaminate:
         # an all-ones prefilter makes EVERY gram a Bloom positive
         # (deterministically); the exact confirm join must still kill
         # every false positive
-        from naer_ray.stages.bloom import BloomFilter
+        from opzoo.stages.bloom import BloomFilter
 
         sat = BloomFilter(64, 1)
         sat.words[:] = ~np.uint64(0)
@@ -314,7 +314,7 @@ class TestNonAsciiRobustness:
     def test_span_pairs_on_unicode(self, ray_session):
         import ray.data
 
-        from naer_ray.stages.dedup import duplicated_span_pairs
+        from opzoo.stages.dedup import duplicated_span_pairs
 
         span = "déjà-vu naïve café ← ünïcode 🎉 shared run of text"
         docs = [
@@ -330,7 +330,7 @@ class TestNonAsciiRobustness:
     def test_winnowed_pairs_on_unicode(self, ray_session):
         import ray.data
 
-        from naer_ray.stages.dedup import winnowed_span_pairs
+        from opzoo.stages.dedup import winnowed_span_pairs
 
         span = "共有されたテキストの長い部分 🌊 emoji too, must be found"
         docs = [
@@ -345,7 +345,7 @@ class TestNonAsciiRobustness:
     def test_minhash_on_unicode(self, ray_session):
         import ray.data
 
-        from naer_ray.stages.dedup import minhash_bands, minhash_candidate_pairs
+        from opzoo.stages.dedup import minhash_bands, minhash_candidate_pairs
 
         base = "многоязычный текст с юникодом 🚀 повторяется дважды здесь"
         ds = ray.data.from_items(
@@ -363,7 +363,7 @@ class TestNonAsciiRobustness:
     def test_sliding_min_u64_matches_naive(self):
         import numpy as np
 
-        from naer_ray.stages.dedup import _sliding_min_u64
+        from opzoo.stages.dedup import _sliding_min_u64
 
         rng = np.random.RandomState(7)
         for n in [1, 5, 8, 9, 57, 1000]:

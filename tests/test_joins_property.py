@@ -35,7 +35,7 @@ def _random_frames(seed: int):
 def test_asof_join_matches_local_pandas(ray_session, seed):
     import ray.data
 
-    from naer_ray.stages.joins import asof_join
+    from opzoo.stages.joins import asof_join
 
     left, right = _random_frames(seed)
     got = (
@@ -70,7 +70,7 @@ def test_asof_join_matches_local_pandas(ray_session, seed):
 def test_range_join_matches_local_pandas(ray_session, seed):
     import ray.data
 
-    from naer_ray.stages.joins import range_join
+    from opzoo.stages.joins import range_join
 
     left, right = _random_frames(seed)
     lo, hi = pd.Timedelta(0), pd.Timedelta(seconds=2000)
@@ -98,7 +98,7 @@ def test_ngram_jaccard_pairs_matches_driver_path(ray_session):
     import pyarrow as pa
     import ray.data
 
-    from naer_ray.stages.dedup import ngram_jaccard_pairs, verify_pairs_exact
+    from opzoo.stages.dedup import ngram_jaccard_pairs, verify_pairs_exact
 
     texts = {
         i: " ".join(
@@ -137,7 +137,7 @@ def test_asof_join_with_null_int_column(ray_session):
     kernel); nulls round-trip as pandas nullable Int64."""
     import ray.data
 
-    from naer_ray.stages.joins import asof_join
+    from opzoo.stages.joins import asof_join
 
     left = pd.DataFrame(
         {
@@ -177,7 +177,7 @@ class TestSetSimilarityJoin:
     def test_planted_and_near_pairs(self, ray_session):
         import ray.data
 
-        from naer_ray.stages.joins import set_similarity_join
+        from opzoo.stages.joins import set_similarity_join
 
         R = ray.data.from_items(
             [
@@ -203,7 +203,7 @@ class TestSetSimilarityJoin:
     def test_partition_invariance(self, ray_session):
         import ray.data
 
-        from naer_ray.stages.joins import set_similarity_join
+        from opzoo.stages.joins import set_similarity_join
 
         rows = [
             {"doc_id": i, "text": " ".join(f"w{(i * 7 + k) % 13}" for k in range(10))}
@@ -230,7 +230,7 @@ class TestSetSimIncremental:
         whose trigrams were all unseen at index time)."""
         import ray.data
 
-        from naer_ray.stages.joins import (
+        from opzoo.stages.joins import (
             probe_setsim_index,
             save_setsim_index,
             set_similarity_join,
@@ -279,7 +279,7 @@ class TestSetSimVerifyStrategies:
         import pandas as pd
         import ray.data
 
-        from naer_ray.stages.joins import set_similarity_join
+        from opzoo.stages.joins import set_similarity_join
 
         R_rows, S_rows = self._corpus()
         R, S = ray.data.from_items(R_rows), ray.data.from_items(S_rows)
@@ -297,7 +297,7 @@ class TestSetSimVerifyStrategies:
         import pandas as pd
         import ray.data
 
-        from naer_ray.stages.joins import (
+        from opzoo.stages.joins import (
             probe_setsim_index,
             save_setsim_index,
             set_similarity_join,
@@ -323,7 +323,7 @@ class TestSetSimVerifyStrategies:
         (mirror of the broadcast-arm test below)."""
         import ray.data
 
-        from naer_ray.stages.joins import set_similarity_join
+        from opzoo.stages.joins import set_similarity_join
 
         shared = "alpha beta gamma delta epsilon zeta eta theta iota"
         R = ray.data.from_items([{"doc_id": 2, "text": shared}])
@@ -344,7 +344,7 @@ class TestSetSimEdgeCases:
         (side, id), so S's id-2 text must not shadow R's id-2 text."""
         import ray.data
 
-        from naer_ray.stages.joins import set_similarity_join
+        from opzoo.stages.joins import set_similarity_join
 
         shared = "alpha beta gamma delta epsilon zeta eta theta iota"
         R = ray.data.from_items([{"doc_id": 2, "text": shared}])
@@ -365,7 +365,7 @@ class TestSetSimEdgeCases:
         predicate runs in the verify)."""
         import ray.data
 
-        from naer_ray.stages.joins import set_similarity_join
+        from opzoo.stages.joins import set_similarity_join
 
         words = [f"u{i:03d}" for i in range(79)]
         b_text = " ".join(words)          # 77 distinct trigrams
@@ -390,7 +390,7 @@ def test_containment_join_matches_brute_force(ray_session, seed, tmp_path):
     import pyarrow.parquet as pq
     import ray.data
 
-    from naer_ray.stages.joins import _setsim_gram_set, containment_join
+    from opzoo.stages.joins import _setsim_gram_set, containment_join
 
     rng = np.random.RandomState(seed)
     vocab = [f"w{i}" for i in range(12)]  # small vocab -> real overlaps

@@ -9,7 +9,7 @@ this comes from the large-scale-pipeline brief (VERDICT r3 item 7).
 import numpy as np
 import pytest
 
-from naer_ray.stages.multimodal import (
+from opzoo.stages.multimodal import (
     _JPEG_ZZ,
     decode_jpeg,
     encode_baseline_jpeg,
@@ -171,7 +171,7 @@ class TestMjpegAvi:
         generator arithmetic bit-exactly (the m10 oracle's claim)."""
         import numpy as np
 
-        from naer_ray.stages.multimodal import (
+        from opzoo.stages.multimodal import (
             decode_mjpeg_avi,
             synth_mjpeg_avi_payload,
         )
@@ -194,7 +194,7 @@ class TestMjpegAvi:
 
         import pytest
 
-        from naer_ray.stages.multimodal import (
+        from opzoo.stages.multimodal import (
             decode_mjpeg_avi,
             synth_mjpeg_avi_payload,
         )

@@ -51,7 +51,7 @@ SF = "/root/testdata/sf0.001"
 def test_asof_join_invariant_to_bucket_count(ray_session):
     import ray.data
 
-    from naer_ray.stages.joins import asof_join
+    from opzoo.stages.joins import asof_join
 
     frames = []
     for n_buckets in (4, 64):
@@ -73,7 +73,7 @@ def test_asof_join_invariant_to_bucket_count(ray_session):
 def test_range_join_invariant_to_bucket_count(ray_session):
     import ray.data
 
-    from naer_ray.stages.joins import range_join
+    from opzoo.stages.joins import range_join
 
     frames = []
     for n_buckets in (4, 64):
@@ -109,7 +109,7 @@ def test_range_join_invariant_to_bucket_count(ray_session):
 def test_winnowed_span_pairs_invariant_to_buckets_and_blocks(ray_session):
     import ray.data
 
-    from naer_ray.stages.dedup import winnowed_span_pairs
+    from opzoo.stages.dedup import winnowed_span_pairs
 
     frames = []
     for n_buckets, n_blocks in ((8, 3), (64, 17)):
@@ -127,7 +127,7 @@ def test_winnowed_span_pairs_invariant_to_buckets_and_blocks(ray_session):
 def test_bloom_decontaminate_invariant_to_buckets_and_blocks(ray_session):
     import ray.data
 
-    from naer_ray.stages.dedup import bloom_decontaminate
+    from opzoo.stages.dedup import bloom_decontaminate
 
     frames = []
     for n_buckets, n_blocks in ((4, 2), (64, 13)):
@@ -145,7 +145,7 @@ def test_range_partition_sort_invariant_and_exact(ray_session):
     import numpy as np
     import ray.data
 
-    from naer_ray.stages.order import range_partition_sort
+    from opzoo.stages.order import range_partition_sort
 
     frames = []
     for n_parts, n_blocks, mod in ((4, 2, 17), (64, 13, 101)):
@@ -169,7 +169,7 @@ def test_range_partition_sort_invariant_and_exact(ray_session):
 def test_range_partition_sort_descending(ray_session):
     import ray.data
 
-    from naer_ray.stages.order import range_partition_sort
+    from opzoo.stages.order import range_partition_sort
 
     ds = ray.data.read_parquet(
         f"{SF}/events.parquet", columns=["event_id", "value"]
@@ -190,7 +190,7 @@ def test_range_partition_sort_descending(ray_session):
 def test_remove_duplicated_spans_strategy_equivalence(ray_session):
     import ray.data
 
-    from naer_ray.stages.dedup import remove_duplicated_spans
+    from opzoo.stages.dedup import remove_duplicated_spans
 
     frames = []
     for strategy, n_blocks in (("broadcast", 3), ("copartition", 11)):

@@ -26,7 +26,7 @@ def _docs(texts, ids=None):
 
 class TestPiiRedact:
     def test_email_then_phone_no_double_fire(self, ray_session):
-        from naer_ray.stages.text import pii_redact
+        from opzoo.stages.text import pii_redact
 
         out = (
             pii_redact(
@@ -60,7 +60,7 @@ class TestPiiRedact:
 
 class TestGopherRules:
     def test_empty_and_short_docs(self, ray_session):
-        from naer_ray.stages.text import gopher_rules
+        from opzoo.stages.text import gopher_rules
 
         good = " ".join(["the cat sat on a mat for fun"] * 10)  # 80 words
         out = (
@@ -84,7 +84,7 @@ class TestGopherRules:
         assert out.loc[3, "stop_frac"] == pytest.approx(30 / 80)
 
     def test_mean_word_len_band(self, ray_session):
-        from naer_ray.stages.text import gopher_rules
+        from opzoo.stages.text import gopher_rules
 
         # 60 long tokens: word count OK, mean length 24 > 10 -> reject
         long_doc = " ".join(["antidisestablishmentarian"] * 60)
@@ -94,7 +94,7 @@ class TestGopherRules:
 
 class TestChunkPlan:
     def test_boundaries(self, ray_session):
-        from naer_ray.stages.text import chunk_plan
+        from opzoo.stages.text import chunk_plan
 
         def doc(n):
             return " ".join(["w"] * n)
@@ -126,7 +126,7 @@ class TestChunkPlan:
         )
 
     def test_bad_stride_raises(self, ray_session):
-        from naer_ray.stages.text import chunk_plan
+        from opzoo.stages.text import chunk_plan
 
         with pytest.raises(ValueError):
             chunk_plan(_docs(["x"]), budget=128, stride=129)
@@ -136,7 +136,7 @@ class TestChunkPlan:
 
 class TestDecontaminate:
     def test_flags_only_overlapping_docs(self, ray_session):
-        from naer_ray.stages.dedup import decontaminate
+        from opzoo.stages.dedup import decontaminate
 
         shared = "alpha bravo charlie delta echo foxtrot golf hotel"  # 8 words
         test = _docs([f"prefix words {shared} suffix words"], ids=[100])
@@ -158,7 +158,7 @@ class TestDecontaminate:
         assert out["contaminated"].tolist() == [True, False, False, True]
 
     def test_shingle_cap_raises(self, ray_session):
-        from naer_ray.stages.dedup import decontaminate
+        from opzoo.stages.dedup import decontaminate
 
         test = _docs(["one two three four five six seven eight nine ten"])
         with pytest.raises(ValueError, match="max_test_shingles"):
@@ -169,7 +169,7 @@ class TestKeepBestDedup:
     def test_priority_then_id_tiebreak(self, ray_session):
         import ray.data
 
-        from naer_ray.stages.dedup import keep_best_dedup
+        from opzoo.stages.dedup import keep_best_dedup
 
         df = pd.DataFrame(
             {
@@ -196,7 +196,7 @@ class TestRollupSum:
     def test_levels_match_manual_totals(self, ray_session):
         import ray.data
 
-        from naer_ray.stages.agg import rollup_sum
+        from opzoo.stages.agg import rollup_sum
 
         df = pd.DataFrame(
             {
@@ -220,7 +220,7 @@ class TestRollupSum:
 
 class TestC4LineRules:
     def test_each_rule_fires(self, ray_session):
-        from naer_ray.stages.text import c4_line_rules
+        from opzoo.stages.text import c4_line_rules
 
         doc = "\n".join(
             [
@@ -242,7 +242,7 @@ class TestC4LineRules:
         assert not df.loc[1, "keep"]
 
     def test_empty_doc(self, ray_session):
-        from naer_ray.stages.text import c4_line_rules
+        from opzoo.stages.text import c4_line_rules
 
         df = c4_line_rules(_docs([""])).to_pandas()
         assert df.loc[0, "clean_text"] == ""
@@ -252,7 +252,7 @@ class TestC4LineRules:
 
 class TestLineDedup:
     def test_first_doc_wins_shared_lines(self, ray_session):
-        from naer_ray.stages.dedup import line_dedup
+        from opzoo.stages.dedup import line_dedup
 
         footer = "shared footer"
         docs = _docs(
@@ -278,7 +278,7 @@ class TestLineDedup:
         assert out.loc[2, "clean_text"] == "e three"
 
     def test_within_doc_duplicates_collapse(self, ray_session):
-        from naer_ray.stages.dedup import line_dedup
+        from opzoo.stages.dedup import line_dedup
 
         out = line_dedup(_docs(["x y\nx y\nz w"])).to_pandas()
         assert out.loc[0, "clean_text"] == "x y\nz w"
@@ -287,7 +287,7 @@ class TestLineDedup:
 
 class TestMisraGries:
     def test_summary_guarantee(self):
-        from naer_ray.stages.sketch import MisraGries
+        from opzoo.stages.sketch import MisraGries
 
         rng = np.random.RandomState(3)
         items = [f"t{i}" for i in np.repeat(np.arange(200), rng.randint(1, 40, 200))]
@@ -308,7 +308,7 @@ class TestMisraGries:
                 assert t in mg.counts
 
     def test_topk_exact_under_capacity_pressure(self, ray_session):
-        from naer_ray.stages.sketch import frequent_tokens_topk
+        from opzoo.stages.sketch import frequent_tokens_topk
 
         # 300 distinct tokens, zipf-ish; capacity 64 << vocab
         texts = []
@@ -330,7 +330,7 @@ class TestMisraGries:
         )
 
     def test_guard_raises_when_not_provable(self, ray_session):
-        from naer_ray.stages.sketch import frequent_tokens_topk
+        from opzoo.stages.sketch import frequent_tokens_topk
 
         # uniform counts: nothing exceeds N/(m+1) at tiny capacity
         docs = _docs([" ".join(f"u{i:04d}" for i in range(500))] * 2)
@@ -340,7 +340,7 @@ class TestMisraGries:
 
 class TestRepNgrams:
     def test_edge_and_repeat_docs(self, ray_session):
-        from naer_ray.stages.text import rep_ngrams
+        from opzoo.stages.text import rep_ngrams
 
         out = (
             rep_ngrams(_docs([
@@ -366,7 +366,7 @@ class TestRepNgrams:
         assert out.loc[4, "dup5_frac"] == 0.0
 
     def test_tiebreak_is_lexicographic(self, ray_session):
-        from naer_ray.stages.text import rep_ngrams
+        from opzoo.stages.text import rep_ngrams
 
         # grams 'b a' and 'a b' both occur twice ("a b a b a"):
         # a-b (x2), b-a (x2) -> top is 'a b' (lex smaller), frac 2*2/5
@@ -377,7 +377,7 @@ class TestRepNgrams:
 class TestCubeSum:
     def test_levels_match_manual_totals(self, ray_session):
         import ray.data
-        from naer_ray.stages.agg import cube_sum
+        from opzoo.stages.agg import cube_sum
 
         t = pa.table(
             {
@@ -494,7 +494,7 @@ class TestGlobalShuffle:
 class TestGroupedHll:
     def test_small_groups_exactish(self, ray_session):
         import ray.data
-        from naer_ray.stages.sketch import grouped_approx_distinct
+        from opzoo.stages.sketch import grouped_approx_distinct
 
         t = pa.table(
             {
@@ -801,7 +801,7 @@ class TestEditDistancePairs:
     def _pairs(self, strings, ray_session):
         import ray.data
 
-        from naer_ray.stages.dedup import edit_distance_pairs
+        from opzoo.stages.dedup import edit_distance_pairs
 
         ds = ray.data.from_arrow(
             pa.table({"s": pa.array(strings, pa.string())})
@@ -908,7 +908,7 @@ class TestIncrementalDedupIndex:
     """save_minhash_index / minhash_probe_index (stages/dedup.py)."""
 
     def test_probe_finds_near_dup_and_skips_novel(self, ray_session, tmp_path):
-        from naer_ray.stages.dedup import minhash_probe_index, save_minhash_index
+        from opzoo.stages.dedup import minhash_probe_index, save_minhash_index
 
         base = [
             "the quick brown fox jumps over the lazy dog again and again",
@@ -934,7 +934,7 @@ class TestIncrementalDedupIndex:
     def test_meta_roundtrip_and_empty_probe(self, ray_session, tmp_path):
         import json
 
-        from naer_ray.stages.dedup import minhash_probe_index, save_minhash_index
+        from opzoo.stages.dedup import minhash_probe_index, save_minhash_index
 
         save_minhash_index(
             _docs(["some indexed document text here"]), str(tmp_path / "idx"),
@@ -953,7 +953,7 @@ class TestIncrementalDedupIndex:
     def test_probe_old_vs_old_never_pairs(self, ray_session, tmp_path):
         """Two identical indexed docs must NOT pair with each other —
         only new-vs-old pairs come back."""
-        from naer_ray.stages.dedup import minhash_probe_index, save_minhash_index
+        from opzoo.stages.dedup import minhash_probe_index, save_minhash_index
 
         txt = "identical corpus document text repeated in the index twice over"
         save_minhash_index(_docs([txt, txt], ids=[1, 2]), str(tmp_path / "idx"))
@@ -967,7 +967,7 @@ class TestIncrementalDedupIndex:
 
 class TestUrlNormalize:
     def test_components_and_canonical_form(self):
-        from naer_ray.stages.url import parse_normalize_urls
+        from opzoo.stages.url import parse_normalize_urls
 
         t = parse_normalize_urls(
             pa.array(
@@ -996,13 +996,13 @@ class TestUrlNormalize:
         ]
 
     def test_malformed_yields_null(self):
-        from naer_ray.stages.url import parse_normalize_urls
+        from opzoo.stages.url import parse_normalize_urls
 
         t = parse_normalize_urls(pa.array(["not a url", "://nohost"]))
         assert t["url_norm"].null_count == 2
 
     def test_single_label_host_domain_is_host(self):
-        from naer_ray.stages.url import parse_normalize_urls
+        from opzoo.stages.url import parse_normalize_urls
 
         t = parse_normalize_urls(pa.array(["https://localhost:8443/x"]))
         assert t["domain"][0].as_py() == "localhost"

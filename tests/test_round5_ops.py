@@ -82,7 +82,7 @@ def test_x01_probe_reads_only_query_token_shards(ray_session, monkeypatch):
     import ray.data as rd
 
     from opzoo import queries as q
-    from naer_ray.stages.dedup import _fnv64_arr
+    from naer_ray.hashing import _fnv64_arr
 
     seen: list[str] = []
     orig = rd.read_parquet

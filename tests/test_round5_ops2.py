@@ -12,7 +12,7 @@ SF = "/root/testdata/sf0.001"
 
 
 def test_batch_bigrams_boundaries():
-    from naer_ray.stages.text import _batch_bigrams, _string_array
+    from opzoo.stages.text import _batch_bigrams, _string_array
 
     txt = _string_array(
         pa.chunked_array(
@@ -28,7 +28,7 @@ def test_batch_bigrams_boundaries():
 
 
 def test_batch_bigrams_never_crosses_docs():
-    from naer_ray.stages.text import _batch_bigrams, _string_array
+    from opzoo.stages.text import _batch_bigrams, _string_array
 
     bg, parents, _ = _batch_bigrams(
         _string_array(pa.array(["end", "start next"], pa.string()))
@@ -41,7 +41,7 @@ def test_batch_bigrams_never_crosses_docs():
 def test_bigram_lm_drops_sub2_token_docs(ray_session):
     import ray.data
 
-    from naer_ray.stages.text import bigram_lm_score
+    from opzoo.stages.text import bigram_lm_score
 
     ds = ray.data.from_items(
         [
@@ -145,7 +145,7 @@ def test_g05_distributed_path_matches_fast_path(ray_session):
         _copurchase_edges,
         g05_connected_components,
     )
-    from naer_ray.stages.dedup import connected_components
+    from naer_ray.stages.canon import connected_components
 
     fast = g05_connected_components(SF)
     edges = _copurchase_edges(SF)
@@ -225,7 +225,7 @@ def test_setsim_self_join_equals_filtered_cross(ray_session):
     verify strategies of the self form agree (forced, the j02 gate)."""
     import ray.data
 
-    from naer_ray.stages.joins import (
+    from opzoo.stages.joins import (
         set_similarity_join,
         set_similarity_self_join,
     )
@@ -253,7 +253,7 @@ def test_setsim_self_join_equals_filtered_cross(ray_session):
 
 def test_setsim_self_candidates_triangle():
     """Upper triangle only: no self-pairs, no mirrors, a < b always."""
-    from naer_ray.stages.joins import _setsim_self_candidates
+    from opzoo.stages.joins import _setsim_self_candidates
 
     tok = np.array([7, 7, 7, 9, 9], np.uint64)
     ids = np.array([3, 1, 2, 1, 3], np.int64)

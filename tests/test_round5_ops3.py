@@ -44,7 +44,7 @@ def test_unpivot_metric_coverage(ray_session):
 
 def test_salted_equals_unsalted(ray_session):
     """The salt only changes shuffle distribution, never the result."""
-    from naer_ray.stages.agg import bucketed_sum
+    from opzoo.stages.agg import bucketed_sum
     from opzoo.queries import _read
 
     ds = _read(SF, "events", ["event_type"])
@@ -202,7 +202,7 @@ def test_containment_join_hand_built(ray_session, tmp_path):
     import pyarrow.parquet as pq
     import ray.data
 
-    from naer_ray.stages.joins import containment_join
+    from opzoo.stages.joins import containment_join
 
     docs = [
         (1, "a b c d e f g h i j"),   # 8 trigrams
@@ -434,7 +434,7 @@ def test_audio_segments_run_length_semantics(ray_session):
     n_active, and max_seg = 0 iff no segments; re-derive one doc's
     runs directly from the decoder."""
     from opzoo.queries import m15_audio_segments
-    from naer_ray.stages.multimodal import decode_wav, synth_wav_payload
+    from opzoo.stages.multimodal import decode_wav, synth_wav_payload
 
     out = m15_audio_segments(SF).to_pandas().set_index("doc_id")
     assert ((out["n_segments"] == 0) == (out["max_seg"] == 0)).all()

@@ -37,7 +37,7 @@ def test_countmin_never_underestimates(ray_session):
     the sketch's min-row estimate >= the exact count — so no true
     heavy hitter can be pruned."""
     from opzoo.queries import _CM_DEPTH, _cm_rows
-    from naer_ray.stages.dedup import _fnv64_arr
+    from naer_ray.hashing import _fnv64_arr
     import pyarrow as pa
 
     ev = pq.read_table(f"{SF}/events.parquet").to_pandas()
@@ -244,7 +244,7 @@ def test_distinct_pairs_driver_and_distributed_arms_agree(ray_session):
     import pyarrow as pa
     import ray.data
 
-    from naer_ray.stages.joins import _distinct_pairs
+    from opzoo.stages.joins import _distinct_pairs
 
     rng = np.random.RandomState(7)
     a = rng.randint(0, 50, 5000).astype("int64")
@@ -270,7 +270,7 @@ def test_remove_spans_driver_and_distributed_confirm_agree(ray_session):
     must produce identical cleaned text."""
     import ray.data
 
-    from naer_ray.stages.dedup import remove_duplicated_spans
+    from opzoo.stages.dedup import remove_duplicated_spans
 
     docs = pd.DataFrame(
         {

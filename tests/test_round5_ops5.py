@@ -73,7 +73,7 @@ def test_tga_codec_roundtrip_and_packets():
     contains BOTH packet kinds; type-2 uncompressed also decodes."""
     import numpy as np
 
-    from naer_ray.stages.multimodal import decode_tga, synth_tga_payload
+    from opzoo.stages.multimodal import decode_tga, synth_tga_payload
 
     for doc_id in (0, 1, 7, 96, 499):
         p = synth_tga_payload(doc_id)

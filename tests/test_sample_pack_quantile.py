@@ -21,7 +21,7 @@ def _docs_ds(ray, rows, blocks=1):
 def test_hash_sample_partition_invariant(ray_session):
     import ray
 
-    from naer_ray.stages.sample import hash_sample
+    from opzoo.stages.sample import hash_sample
 
     rows = [{"doc_id": i, "x": i * 2} for i in range(1000)]
     a = hash_sample(_docs_ds(ray, rows, 1), "doc_id", 10).to_pandas()
@@ -36,7 +36,7 @@ def test_hash_sample_partition_invariant(ray_session):
 def test_hash_sample_salt_shifts_selection(ray_session):
     import ray
 
-    from naer_ray.stages.sample import hash_sample
+    from opzoo.stages.sample import hash_sample
 
     rows = [{"doc_id": i} for i in range(2000)]
     base = set(hash_sample(_docs_ds(ray, rows), "doc_id", 5).to_pandas()["doc_id"])
@@ -50,7 +50,7 @@ def test_hash_sample_salt_shifts_selection(ray_session):
 def test_hash_sample_rate_bounds(ray_session):
     import ray
 
-    from naer_ray.stages.sample import hash_sample
+    from opzoo.stages.sample import hash_sample
 
     rows = [{"doc_id": i} for i in range(100)]
     assert hash_sample(_docs_ds(ray, rows), "doc_id", 0).count() == 0
@@ -76,7 +76,7 @@ def _pack_reference(ids, weights, budget):
 def test_pack_plan_matches_reference(ray_session, bucket_width):
     import ray
 
-    from naer_ray.stages.pack import pack_plan
+    from opzoo.stages.pack import pack_plan
 
     rng = np.random.default_rng(7)
     ids = rng.permutation(500)  # rows arrive unsorted across blocks
@@ -96,7 +96,7 @@ def test_pack_plan_matches_reference(ray_session, bucket_width):
 def test_pack_plan_doc_larger_than_budget(ray_session):
     import ray
 
-    from naer_ray.stages.pack import pack_plan
+    from opzoo.stages.pack import pack_plan
 
     rows = [
         {"doc_id": 0, "w": 10},
@@ -112,7 +112,7 @@ def test_pack_plan_doc_larger_than_budget(ray_session):
 def test_grouped_quantiles_order_statistic(ray_session):
     import ray
 
-    from naer_ray.stages.quantile import grouped_discrete_quantiles
+    from opzoo.stages.quantile import grouped_discrete_quantiles
 
     # group "a": values 1..10 -> p25 = smallest v with cum >= ceil(2.5)=3
     rows = [{"g": "a", "v": v} for v in range(1, 11)] + [
@@ -128,7 +128,7 @@ def test_grouped_quantiles_order_statistic(ray_session):
 def test_bottom_k_partition_invariant_and_exact(ray_session):
     import ray
 
-    from naer_ray.stages.sample import bottom_k_sample, hash_rank_of
+    from opzoo.stages.sample import bottom_k_sample, hash_rank_of
 
     rows = [{"doc_id": i, "x": i * 3} for i in range(2000)]
     a = bottom_k_sample(_docs_ds(ray, rows, 1), "doc_id", 50).to_pandas()
@@ -144,7 +144,7 @@ def test_bottom_k_partition_invariant_and_exact(ray_session):
 def test_bottom_k_smaller_than_k(ray_session):
     import ray
 
-    from naer_ray.stages.sample import bottom_k_sample
+    from opzoo.stages.sample import bottom_k_sample
 
     rows = [{"doc_id": i} for i in range(7)]
     out = bottom_k_sample(_docs_ds(ray, rows), "doc_id", 100).to_pandas()
@@ -154,7 +154,7 @@ def test_bottom_k_smaller_than_k(ray_session):
 def test_weighted_mixture_rates(ray_session):
     import ray
 
-    from naer_ray.stages.sample import hash_bucket_of, weighted_mixture_sample
+    from opzoo.stages.sample import hash_bucket_of, weighted_mixture_sample
 
     rows = [
         {"doc_id": i, "src": ["a", "b", "c"][i % 3]} for i in range(3000)
@@ -177,7 +177,7 @@ def test_weighted_mixture_rates(ray_session):
 def test_weighted_mixture_bad_rate(ray_session):
     import ray
 
-    from naer_ray.stages.sample import weighted_mixture_sample
+    from opzoo.stages.sample import weighted_mixture_sample
 
     with pytest.raises(ValueError):
         weighted_mixture_sample(
@@ -188,7 +188,7 @@ def test_weighted_mixture_bad_rate(ray_session):
 def test_stratified_bottom_k_partition_invariant(ray_session):
     import ray
 
-    from naer_ray.stages.sample import hash_rank_of, stratified_bottom_k
+    from opzoo.stages.sample import hash_rank_of, stratified_bottom_k
 
     rows = [
         {"doc_id": i, "grp": ["x", "y", "z"][i % 3]} for i in range(900)
@@ -211,7 +211,7 @@ def test_stratified_bottom_k_partition_invariant(ray_session):
 def test_group_zscore_constant_group_null(ray_session):
     import ray
 
-    from naer_ray.stages.agg import group_zscore
+    from opzoo.stages.agg import group_zscore
 
     rows = [{"doc_id": i, "g": "c", "v": 7} for i in range(5)] + [
         {"doc_id": 10 + i, "g": "d", "v": i} for i in range(5)

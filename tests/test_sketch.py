@@ -5,7 +5,7 @@ import pytest
 
 
 def test_hll_accuracy_and_merge():
-    from naer_ray.stages.sketch import HyperLogLog
+    from opzoo.stages.sketch import HyperLogLog
 
     a = HyperLogLog(12).add_many([f"u{i}" for i in range(10_000)])
     assert abs(a.estimate() - 10_000) / 10_000 < 0.08
@@ -15,7 +15,7 @@ def test_hll_accuracy_and_merge():
 
 
 def test_hll_small_range_exactish():
-    from naer_ray.stages.sketch import HyperLogLog
+    from opzoo.stages.sketch import HyperLogLog
 
     h = HyperLogLog(12).add_many(["a", "b", "c", "a", "b"])
     assert round(h.estimate()) == 3
@@ -24,7 +24,7 @@ def test_hll_small_range_exactish():
 def test_distributed_approx_distinct(ray_session):
     import ray.data
 
-    from naer_ray.stages.sketch import approx_distinct
+    from opzoo.stages.sketch import approx_distinct
 
     ds = ray.data.from_items([{"k": f"key{i % 2000}"} for i in range(20_000)])
     est = approx_distinct(ds, "k")
@@ -33,7 +33,7 @@ def test_distributed_approx_distinct(ray_session):
 
 def test_quantile_sketch_merge_matches_whole():
     import numpy as np
-    from naer_ray.stages.sketch import QuantileSketch
+    from opzoo.stages.sketch import QuantileSketch
 
     rng = np.random.RandomState(7)
     v = rng.lognormal(3.0, 1.0, 200_000)
@@ -51,7 +51,7 @@ def test_quantile_sketch_merge_matches_whole():
 
 def test_quantile_sketch_roundtrip_and_empty():
     import numpy as np
-    from naer_ray.stages.sketch import QuantileSketch
+    from opzoo.stages.sketch import QuantileSketch
 
     sk = QuantileSketch.from_array(np.arange(100.0), 16)
     rt = QuantileSketch.from_bytes(sk.to_bytes(), 16)
@@ -63,7 +63,7 @@ def test_quantile_gate_distributed(ray_session):
     import numpy as np
     import pyarrow as pa
     import ray.data
-    from naer_ray.stages.sketch import quantile_sketch_gate
+    from opzoo.stages.sketch import quantile_sketch_gate
 
     rng = np.random.RandomState(11)
     ds = ray.data.from_arrow(

@@ -6,7 +6,7 @@ import pytest
 
 class TestTextScalars:
     def test_detect_language(self):
-        from naer_ray.stages.text import detect_language
+        from opzoo.stages.text import detect_language
 
         assert detect_language("the cat is in the house and it is happy")[0] == "en"
         assert detect_language("der Hund ist in dem Haus und die Katze auch")[0] == "de"
@@ -14,7 +14,7 @@ class TestTextScalars:
         assert detect_language("")[0] == "unknown"
 
     def test_fingerprint_deterministic(self):
-        from naer_ray.stages.text import winnow_fingerprint
+        from opzoo.stages.text import winnow_fingerprint
 
         a = winnow_fingerprint("some document text for fingerprinting purposes")
         b = winnow_fingerprint("some document text for fingerprinting purposes")
@@ -25,7 +25,7 @@ class TestTextScalars:
 def test_text_stages_over_documents(ray_session):
     import ray.data
 
-    from naer_ray.stages.text import fingerprints, lang_id, quality_score, token_counts
+    from opzoo.stages.text import fingerprints, lang_id, quality_score, token_counts
 
     ds = ray.data.read_parquet(
         "/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text"]
@@ -59,7 +59,7 @@ class TestAnn:
     def test_brute_force_matches_numpy(self, emb_ds, queries):
         import pyarrow.parquet as pq
 
-        from naer_ray.stages.ann import brute_force_topk
+        from opzoo.stages.ann import brute_force_topk
 
         got = brute_force_topk(emb_ds, queries, k=5)
         t = pq.read_table("/root/testdata/sf0.001/embeddings.parquet")
@@ -74,7 +74,7 @@ class TestAnn:
             assert have == expect
 
     def test_lsh_finds_self(self, emb_ds, queries):
-        from naer_ray.stages.ann import lsh_topk
+        from opzoo.stages.ann import lsh_topk
 
         got = lsh_topk(emb_ds, queries, k=3)
         for qi in range(3):
@@ -82,7 +82,7 @@ class TestAnn:
             assert top["sim"] == pytest.approx(1.0, abs=1e-9)  # finds itself
 
     def test_ivf_finds_self(self, emb_ds, queries):
-        from naer_ray.stages.ann import ivf_topk
+        from opzoo.stages.ann import ivf_topk
 
         got = ivf_topk(emb_ds, queries, k=3)
         for qi in range(3):
@@ -93,7 +93,7 @@ class TestAnn:
     def test_persisted_pq_index_matches_per_call(self, emb_ds, queries, tmp_path):
         """save_pq_index + pq_topk_indexed == per-call pq_topk: the
         persisted probe scans only the m-byte code table."""
-        from naer_ray.stages.ann import pq_topk, pq_topk_indexed, save_pq_index
+        from opzoo.stages.ann import pq_topk, pq_topk_indexed, save_pq_index
 
         path = str(tmp_path / "pq_index")
         save_pq_index(emb_ds, path)
@@ -104,7 +104,7 @@ class TestAnn:
     def test_pq_finds_self_and_is_partition_invariant(self, emb_ds, queries):
         """PQ codes of a query row ADC-score best against themselves,
         and the result is identical under a different block layout."""
-        from naer_ray.stages.ann import pq_topk
+        from opzoo.stages.ann import pq_topk
 
         got = pq_topk(emb_ds, queries, k=3)
         for qi in range(3):
@@ -116,7 +116,7 @@ class TestAnn:
 
     def test_persisted_index_matches_rebuild(self, emb_ds, queries, tmp_path):
         """save_lsh_index + lsh_topk_indexed == per-call lsh_topk."""
-        from naer_ray.stages.ann import lsh_topk, lsh_topk_indexed, save_lsh_index
+        from opzoo.stages.ann import lsh_topk, lsh_topk_indexed, save_lsh_index
 
         path = str(tmp_path / "lsh_index")
         save_lsh_index(emb_ds, path)
@@ -128,7 +128,7 @@ class TestAnn:
 
     def test_persisted_ivf_index_matches_rebuild(self, emb_ds, queries, tmp_path):
         """save_ivf_index + ivf_topk_indexed == per-call ivf_topk."""
-        from naer_ray.stages.ann import ivf_topk, ivf_topk_indexed, save_ivf_index
+        from opzoo.stages.ann import ivf_topk, ivf_topk_indexed, save_ivf_index
 
         path = str(tmp_path / "ivf_index")
         save_ivf_index(emb_ds, path)
@@ -142,7 +142,7 @@ class TestAnn:
     def test_quantized_topk_matches_int_reference(self, emb_ds, queries):
         import pyarrow.parquet as pq
 
-        from naer_ray.stages.ann import quantized_topk
+        from opzoo.stages.ann import quantized_topk
 
         got = quantized_topk(emb_ds, queries, k=5)
         t = pq.read_table("/root/testdata/sf0.001/embeddings.parquet")
@@ -165,7 +165,7 @@ class TestMultimodal:
     def test_decode_features_fake(self, ray_session):
         import ray.data
 
-        from naer_ray.stages.multimodal import (
+        from opzoo.stages.multimodal import (
             FEATURE_SCHEMA,
             decode_features,
             synth_media_table,
@@ -185,7 +185,7 @@ class TestMultimodal:
     def test_real_decode_raises(self, ray_session):
         import ray.data
 
-        from naer_ray.stages.multimodal import decode_features, synth_media_table
+        from opzoo.stages.multimodal import decode_features, synth_media_table
 
         ds = ray.data.from_arrow(synth_media_table(4))
         with pytest.raises(Exception):
@@ -196,7 +196,7 @@ class TestMultimodalPlans:
     def test_resize_plan(self, ray_session):
         import ray.data
 
-        from naer_ray.stages.multimodal import resize_plan, synth_media_table
+        from opzoo.stages.multimodal import resize_plan, synth_media_table
 
         ds = ray.data.from_arrow(synth_media_table(48))
         out = resize_plan(ds, max_side=224).to_pandas()
@@ -213,7 +213,7 @@ class TestMultimodalPlans:
     def test_frame_sample_plan(self, ray_session):
         import ray.data
 
-        from naer_ray.stages.multimodal import frame_sample_plan, synth_media_table
+        from opzoo.stages.multimodal import frame_sample_plan, synth_media_table
 
         ds = ray.data.from_arrow(synth_media_table(48))
         out = frame_sample_plan(ds, fps=1.0, max_frames=16).to_pandas()
@@ -262,12 +262,12 @@ class TestVectorizedTextParity:
     def _arr(self):
         import pyarrow as pa
 
-        from naer_ray.stages.text import _string_array
+        from opzoo.stages.text import _string_array
 
         return _string_array(pa.array(self._texts(), pa.string()))
 
     def test_token_counts_parity(self):
-        from naer_ray.stages.text import _token_counts_vec, bpe_token_count
+        from opzoo.stages.text import _token_counts_vec, bpe_token_count
 
         ws, bpe = _token_counts_vec(self._arr())
         for i, t in enumerate(self._texts()):
@@ -275,14 +275,14 @@ class TestVectorizedTextParity:
             assert bpe[i] == bpe_token_count(t), repr(t)
 
     def test_quality_parity(self):
-        from naer_ray.stages.text import _quality_vec, quality_one
+        from opzoo.stages.text import _quality_vec, quality_one
 
         q = _quality_vec(self._arr())
         for i, t in enumerate(self._texts()):
             assert q[i] == quality_one(t), repr(t)
 
     def test_lang_id_parity(self):
-        from naer_ray.stages.text import _detect_language_vec, detect_language
+        from opzoo.stages.text import _detect_language_vec, detect_language
 
         langs, confs = _detect_language_vec(self._arr())
         for i, t in enumerate(self._texts()):
@@ -296,7 +296,7 @@ class TestPpmDecode:
         the closed-form dimensions and exact rational mean luma."""
         import numpy as np
 
-        from naer_ray.stages.multimodal import decode_ppm, synth_ppm_payload
+        from opzoo.stages.multimodal import decode_ppm, synth_ppm_payload
 
         for d in [0, 1, 17, 123456]:
             w, h, pix = decode_ppm(synth_ppm_payload(d))
@@ -309,7 +309,7 @@ class TestPpmDecode:
             assert (pix == exp).all()
 
     def test_header_whitespace_variants(self):
-        from naer_ray.stages.multimodal import decode_ppm
+        from opzoo.stages.multimodal import decode_ppm
 
         pix = bytes(range(2 * 1 * 3))
         for header in (b"P6\n2 1\n255\n", b"P6 2 1 255 ", b"P6\n2\n1\n255\t"):
@@ -320,7 +320,7 @@ class TestPpmDecode:
     def test_rejects_non_ppm(self):
         import pytest as _pytest
 
-        from naer_ray.stages.multimodal import decode_ppm
+        from opzoo.stages.multimodal import decode_ppm
 
         with _pytest.raises(ValueError):
             decode_ppm(b"\x89PNG....")
@@ -330,7 +330,7 @@ class TestPpmDecode:
 
 class TestMmrGreedy:
     def test_diversifies_over_near_duplicate(self):
-        from naer_ray.stages.ann import mmr_greedy
+        from opzoo.stages.ann import mmr_greedy
 
         # a and b are near-identical high-norm vectors; c is diverse with
         # slightly lower relevance.  Plain top-2 = [1, 2]; MMR must pick
@@ -342,7 +342,7 @@ class TestMmrGreedy:
         assert mmr_greedy(ids, mat, rel, 2) == [1, 3]
 
     def test_negative_similarity_rewards_selection(self):
-        from naer_ray.stages.ann import mmr_greedy
+        from opzoo.stages.ann import mmr_greedy
 
         # anti-correlated second item: max_sim < 0 must INCREASE its
         # score (zero-initialized max_sim would clamp it)
@@ -352,7 +352,7 @@ class TestMmrGreedy:
         assert mmr_greedy(ids, mat, rel, 2) == [5, 6]
 
     def test_k_larger_than_candidates(self):
-        from naer_ray.stages.ann import mmr_greedy
+        from opzoo.stages.ann import mmr_greedy
 
         ids = np.array([7], dtype=np.int64)
         mat = np.array([[1, 1]], dtype=np.int64)
@@ -366,7 +366,7 @@ class TestImageDedup:
         stage hashes DECODED content)."""
         import ray.data
 
-        from naer_ray.stages.multimodal import image_dedup_groups
+        from opzoo.stages.multimodal import image_dedup_groups
 
         pix = bytes(range(4 * 1 * 3))
         a = b"P6\n4 1\n255\n" + pix
@@ -394,7 +394,7 @@ class TestWavDecode:
     def test_roundtrip_matches_generator(self):
         import numpy as np
 
-        from naer_ray.stages.multimodal import decode_wav, synth_wav_payload
+        from opzoo.stages.multimodal import decode_wav, synth_wav_payload
 
         for i in (0, 1, 7, 123, 4999):
             rate, s = decode_wav(synth_wav_payload(i))
@@ -407,7 +407,7 @@ class TestWavDecode:
     def test_chunk_walk_skips_unknown_and_pads_odd(self):
         import numpy as np
 
-        from naer_ray.stages.multimodal import decode_wav
+        from opzoo.stages.multimodal import decode_wav
 
         samples = np.array([-3, 5, 0, 32767, -32768], dtype=np.int16)
         fmt = (
@@ -429,7 +429,7 @@ class TestWavDecode:
     def test_rejects_bad_payloads(self):
         import pytest as _pytest
 
-        from naer_ray.stages.multimodal import decode_wav, synth_wav_payload
+        from opzoo.stages.multimodal import decode_wav, synth_wav_payload
 
         with _pytest.raises(ValueError):
             decode_wav(b"OggS....")
@@ -443,7 +443,7 @@ class TestBmpDecode:
     def test_roundtrip_matches_generator(self):
         import numpy as np
 
-        from naer_ray.stages.multimodal import decode_bmp, synth_bmp_payload
+        from opzoo.stages.multimodal import decode_bmp, synth_bmp_payload
 
         for d in (0, 3, 41, 512, 12345):
             w, h, pix = decode_bmp(synth_bmp_payload(d))
@@ -459,7 +459,7 @@ class TestBmpDecode:
 
         import pytest
 
-        from naer_ray.stages.multimodal import decode_bmp, synth_bmp_payload
+        from opzoo.stages.multimodal import decode_bmp, synth_bmp_payload
 
         with pytest.raises(ValueError):
             decode_bmp(b"NOTBMP" + b"\x00" * 64)
