@@ -7,7 +7,7 @@ Prints ONE JSON line:
    "turns": T, "turns_per_sec": T/s}
 
 Headline = the full KG-construction pipeline (read shuffled transcript
-parquet -> validate -> MentionDetector actor pool -> conv groupby ->
+parquet -> validate -> mention-detect tasks -> conv groupby ->
 assemble -> triples -> write parquet) over the generated NAER bench
 corpus matching $GRAFT_SF_DIR's scale factor.
 

@@ -5,7 +5,7 @@ Lazy Dataset composition::
     read_parquet(transcripts, columns=3)            # prune at the read
       -> validate (vectorized regex, quarantine)    # S3
       -> mention detection map_batches              # per-turn, NO shuffle
-         (elastic tasks w/ per-process matcher cache; actor pool optional)
+         (elastic tasks w/ per-process matcher cache)
       -> groupby(conv-hash bucket).map_groups       # shuffle 1 (mention rows only)
       -> triples Dataset                            # occursIn/mentionedIn/hasType/...
 
@@ -25,15 +25,11 @@ import ray
 import ray.data
 
 from .. import schema
+from ..hashing import hash_u32
 from ..sources.gazetteer import load_dictionary_rows
 from ..sources.transcripts import read_transcripts, validate_transcripts
 from ..stages.answers import answers_as_rows, parse_answer_group
-from ..stages.extract import (
-    MentionDetector,
-    make_conversation_assembler,
-    make_mention_detector,
-)
-from ..hashing import hash_u32
+from ..stages.extract import make_conversation_assembler, make_mention_detector
 
 
 def build_triples(
@@ -44,12 +40,10 @@ def build_triples(
     answers_path: str | None = None,
     validate: str | None = "quarantine",
     batch_size: int | None = None,
-    concurrency=None,
     dict_ref=None,
     transcripts_ds: "ray.data.Dataset | None" = None,
     dict_rows: list[dict] | None = None,
     n_buckets: int | None = None,
-    detector: str = "tasks",
     include_alias_edges: bool = False,
     chat_fn_factory=None,
     prompt_text: str | None = None,
@@ -130,26 +124,12 @@ def build_triples(
     ds = transcripts_ds if transcripts_ds is not None else read_transcripts(transcripts_path)
     if validate:
         ds = validate_transcripts(ds, mode=validate)
-    if detector == "actors":
-        if concurrency is None:
-            # size the pool to the cluster: min 2 actors (pipeline
-            # overlap), cap at cluster CPUs (a fixed (2, 16) cap left
-            # half a 32-core node idle)
-            cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-            concurrency = (2, max(2, cpus))
-        mentions = ds.map_batches(
-            MentionDetector,
-            fn_constructor_args=(dict_ref, n_buckets),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-        )
-    else:  # "tasks": elastic stateless stage, matcher cached per worker process
-        mentions = ds.map_batches(
-            make_mention_detector(dict_ref, n_buckets),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
+    # elastic stateless tasks; the matcher is cached per worker process
+    mentions = ds.map_batches(
+        make_mention_detector(dict_ref, n_buckets),
+        batch_format="pyarrow",
+        batch_size=batch_size,
+    )
     triples = mentions.groupby("bucket").map_groups(
         make_conversation_assembler(dict_ref), batch_format="pyarrow"
     )

@@ -46,18 +46,6 @@ LLM_ANSWERS = pa.schema(  # recorded extractor answers (mock-LLM parity path)
     ]
 )
 
-MENTIONS = pa.schema(  # extractor output (one row per detected mention)
-    [
-        ("conv_id", pa.string()),
-        ("turn_idx", pa.int32()),
-        ("entity_id", pa.string()),
-        ("name", pa.string()),
-        ("type", pa.string()),
-        ("surface", pa.string()),
-        ("ref_type", pa.string()),
-    ]
-)
-
 TRIPLES = pa.schema(
     [
         ("subj", pa.string()),
@@ -77,5 +65,3 @@ NODES = pa.schema(
         ("type", pa.string()),
     ]
 )
-
-PREDICATES = ("mentionedIn", "occursIn", "hasType", "hasAlternativeName", "hasInterface")

@@ -5,11 +5,11 @@ Two-stage, shuffle-minimizing design:
 * :class:`MentionDetector` — per-turn DIRECT mention detection against
   the broadcast gazetteer.  Order-independent, so it runs as a plain
   ``map_batches`` stage with NO shuffle; only turns that contain a
-  mention or an anaphora cue survive, shrinking the subsequent
-  conv_id shuffle from "all turns" to "mention rows" (at 10^12-turn
-  scale this is the difference between shuffling the corpus and
-  shuffling a small fraction of it).
-* :func:`assemble_conversation` — per-conversation ``map_groups``
+  mention or an anaphora cue survive into the conv_id shuffle.  That
+  is not a small fraction of the turns (1.27 mention rows per turn on
+  the synthetic bench corpus), but the rows are narrow: the text is
+  dropped and entities travel as integer codes.
+* :func:`make_conversation_assembler` — conv-hash bucket ``map_groups``
   kernel: resolves anaphora (INDIRECT occurrences, reference doc
   example NamedEntityReferenceType.java:15-19), dedups occurrences
   (NamedEntity's SortedSet semantics, NamedEntity.java:147-149) and
@@ -32,17 +32,10 @@ import pyarrow.compute as _pc
 
 from .. import schema
 from ..hashing import hash_u32
-from ..sources.gazetteer import matcher_from_ref, tokenize
+from ..sources.gazetteer import matcher_from_ref
 
 #: anaphora cue: the turn opens with a pronoun reference ("It is very big.")
 _PRONOUN_RE = re.compile(r"^(?:It|This|They)\b")
-
-#: per-process text -> (pos_array, eid_code_array) memo, shared across
-#: batches; valid only for one matcher (dictionary) — owner tracked
-#: alongside.  Entry layout: pronoun marker (pos=-1, code=-1) first,
-#: then hits in match order.
-_TEXT_MATCH_CACHE: dict[str, tuple] = {}
-_TEXT_CACHE_OWNER: list = [None]
 
 MENTION_SCHEMA = pa.schema(
     [
@@ -60,62 +53,20 @@ MENTION_SCHEMA = pa.schema(
 
 
 class MentionDetector:
-    """Actor-pool ``map_batches`` stage: turns -> mention/pronoun-cue rows.
+    """Turns -> mention/pronoun-cue rows for one batch.
 
-    The gazetteer index is built once per worker process from the
-    broadcast ObjectRef (``__init__`` does the ray.get + index build;
-    ``__call__`` only scans batches).  Emits a conv-hash ``bucket``
-    column so the downstream shuffle groups by a few dozen buckets
-    rather than one group per conversation (Ray's per-group dispatch
-    overhead dominates with millions of tiny groups; the assembler
-    iterates conversations inside each bucket instead).
+    The gazetteer index comes from the per-process matcher cache
+    (``matcher_from_ref``), so constructing a detector per batch is
+    cheap.  Emits a conv-hash ``bucket`` column so the downstream
+    shuffle groups by a few dozen buckets rather than one group per
+    conversation (Ray's per-group dispatch overhead dominates with
+    millions of tiny groups; the assembler iterates conversations inside
+    each bucket instead).
     """
 
     def __init__(self, dict_ref, n_buckets: int = 64):
         self.matcher = matcher_from_ref(dict_ref)
         self.n_buckets = n_buckets
-        self._hash = hash_u32
-        self._bucket_cache: dict[str, int] = {}
-        # matching is a pure function of (dictionary, turn text), and real
-        # corpora repeat turns heavily (bench corpus: 84% duplicates) —
-        # memoize (is_pronoun_cue, hits) per distinct text.  Module-level
-        # so the cache survives across batches in a worker PROCESS (the
-        # task variant constructs a fresh detector per batch); cleared
-        # whenever the worker switches dictionaries.
-        if _TEXT_CACHE_OWNER[0] is not self.matcher:
-            _TEXT_MATCH_CACHE.clear()
-            _TEXT_CACHE_OWNER[0] = self.matcher
-        self._text_cache = _TEXT_MATCH_CACHE
-
-    def _bucket(self, conv_id: str) -> int:
-        b = self._bucket_cache.get(conv_id)
-        if b is None:
-            b = self._hash(conv_id) % self.n_buckets
-            if len(self._bucket_cache) > 100_000:
-                self._bucket_cache.clear()
-            self._bucket_cache[conv_id] = b
-        return b
-
-    def _text_entry(self, text: str):
-        """(pos_array, eidcode_array) for one text — pronoun marker
-        (pos=-1, code=-1) first, then hits in match order (the exact
-        emission order of the original row loop)."""
-        cache = self._text_cache
-        entry = cache.get(text)
-        if entry is None:
-            eid_index = self.matcher.eid_index
-            is_pron = _PRONOUN_RE.match(text.lstrip()) is not None
-            hits = self.matcher.match_tokens(tokenize(text))
-            pos = [-1] if is_pron else []
-            code = [-1] if is_pron else []
-            for p, eid in hits:
-                pos.append(p)
-                code.append(eid_index[eid])
-            entry = (np.array(pos, np.int32), np.array(code, np.int32))
-            if len(cache) > 500_000:
-                cache.clear()
-            cache[text] = entry
-        return entry
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         tcol = batch["text"]
@@ -148,7 +99,7 @@ class MentionDetector:
                 schema=MENTION_SCHEMA,
             )
         # merge the pronoun marker (pos=-1, code=-1) ahead of each text's
-        # hits — the exact per-text entry layout of the original walk
+        # hits, then the hits in match order
         total = int(counts.sum())
         flat_pos = np.empty(total, np.int32)
         flat_code = np.empty(total, np.int32)
@@ -172,7 +123,8 @@ class MentionDetector:
         conv_col = batch["conv_id"].combine_chunks()
         cenc = conv_col.dictionary_encode()
         ubuckets = np.array(
-            [self._bucket(c) for c in cenc.dictionary.to_pylist()], np.int32
+            [hash_u32(c) % self.n_buckets for c in cenc.dictionary.to_pylist()],
+            np.int32,
         )
         bucket_col = ubuckets[cenc.indices.to_numpy()][row_idx]
 
@@ -192,14 +144,11 @@ class MentionDetector:
 
 
 def make_mention_detector(dict_ref, n_buckets: int = 64):
-    """Plain-task variant of :class:`MentionDetector`.
+    """``map_batches`` kernel running :class:`MentionDetector` per batch.
 
     The matcher index is cached per worker process (matcher_from_ref),
     so stateless tasks get actor-pool-like amortization with fully
-    elastic scheduling — no pool ramp-up, which dominates short jobs
-    and hurts scaling efficiency.  Prefer the actor-pool class when the
-    dictionary is huge enough that even one rebuild per process
-    matters.
+    elastic scheduling — no pool ramp-up, which dominates short jobs.
     """
 
     def detect(batch: pa.Table) -> pa.Table:
@@ -212,154 +161,19 @@ def triples_table(rows: list[dict]) -> pa.Table:
     return pa.Table.from_pylist(rows, schema=schema.TRIPLES)
 
 
-class TripleColumns:
-    """Columnar triple-row builder (avoids millions of per-row dicts)."""
-
-    __slots__ = ("subj", "pred", "obj", "conv_id", "turn_idx", "ref_type")
-
-    def __init__(self):
-        self.subj: list[str] = []
-        self.pred: list[str] = []
-        self.obj: list[str] = []
-        self.conv_id: list[str] = []
-        self.turn_idx: list[int | None] = []
-        self.ref_type: list[str | None] = []
-
-    def add(self, subj, pred, obj, conv_id, turn_idx=None, ref_type=None) -> None:
-        self.subj.append(subj)
-        self.pred.append(pred)
-        self.obj.append(obj)
-        self.conv_id.append(conv_id)
-        self.turn_idx.append(turn_idx)
-        self.ref_type.append(ref_type)
-
-    def table(self) -> pa.Table:
-        return pa.table(
-            {
-                "subj": pa.array(self.subj, pa.string()),
-                "pred": pa.array(self.pred, pa.string()),
-                "obj": pa.array(self.obj, pa.string()),
-                "conv_id": pa.array(self.conv_id, pa.string()),
-                "turn_idx": pa.array(self.turn_idx, pa.int32()),
-                "ref_type": pa.array(self.ref_type, pa.string()),
-            },
-            schema=schema.TRIPLES,
-        )
-
-
-def _triple(subj, pred, obj, conv_id, turn_idx=None, ref_type=None) -> dict:
-    return {
-        "subj": subj,
-        "pred": pred,
-        "obj": obj,
-        "conv_id": conv_id,
-        "turn_idx": turn_idx,
-        "ref_type": ref_type,
-    }
-
-
-_REF_RANK = {"DIRECT": 0, "INDIRECT": 1}
-
-
-def _assemble_one(
-    conv_id: str,
-    rows_iter,  # iterable of (turn_idx, entity_id, is_pronoun), sorted
-    matcher,
-    out: "TripleColumns",
-) -> None:
-    """Assemble one conversation's mention rows into triples (appends)."""
-    by_id = matcher.by_id
-    occurrences: dict[str, set[tuple[int, str]]] = {}
-    order: list[str] = []
-    last_direct: str | None = None
-    prev_turn: int | None = None
-    pending_direct: str | None = None  # last DIRECT match of the current turn
-
-    for turn_idx, eid, is_pron in rows_iter:
-        if prev_turn is not None and turn_idx != prev_turn and pending_direct is not None:
-            last_direct = pending_direct
-            pending_direct = None
-        prev_turn = turn_idx
-        if is_pron:
-            # anaphora: attribute to the most recent DIRECT entity of EARLIER turns
-            if last_direct is not None:
-                occurrences.setdefault(last_direct, set()).add((turn_idx, "INDIRECT"))
-                if last_direct not in order:
-                    order.append(last_direct)
-            continue
-        if eid not in occurrences:
-            occurrences[eid] = set()
-            order.append(eid)
-        occurrences[eid].add((turn_idx, "DIRECT"))
-        pending_direct = eid
-
-    add = out.add
-    for eid in order:
-        row = by_id.get(eid)
-        if row is None:
-            continue
-        name, etype = row["canonical_name"], row["type"]
-        add(name, "hasType", etype, conv_id)
-        add(name, "mentionedIn", conv_id, conv_id)
-        # dictionary alias edges are ENTITY-scoped, not conversation-scoped:
-        # emitted once globally by alias_interface_edges() — repeating them
-        # per conversation multiplied triple volume ~40% for zero information
-        for turn, ref in sorted(occurrences[eid], key=lambda o: (o[0], _REF_RANK[o[1]])):
-            add(name, "occursIn", f"{conv_id}#{turn}", conv_id, turn, ref)
-        for _iid, iface_name in sorted(
-            matcher.interfaces_of.get(eid, []), key=lambda t: t[1]
-        ):
-            add(name, "hasInterface", iface_name, conv_id)
-
-
-def make_conversation_assembler(dict_ref, impl: str = "vector"):
+def make_conversation_assembler(dict_ref):
     """Bucket-group ``map_groups`` kernel: each group holds MANY
     conversations (one conv-hash bucket); the kernel sorts by
     (conv_id, turn_idx, pos) and processes conversation runs — Ray-level
-    group dispatch stays O(buckets).
-
-    impl="vector" (default) is the numpy kernel (~4x the row-loop
-    throughput; assemble was ~40% of pipeline CPU); impl="python" is
-    the original per-conversation walk, kept as the semantics
-    reference — tests assert table-identical output on every corpus.
-    """
-
-    def assemble_python(group: pa.Table) -> pa.Table:
-        matcher = matcher_from_ref(dict_ref)
-        group = group.sort_by(
-            [("conv_id", "ascending"), ("turn_idx", "ascending"),
-             ("pos", "ascending"), ("eid_code", "ascending")]
-        )
-        conv_ids = group["conv_id"].to_pylist()
-        turn_idxs = group["turn_idx"].to_pylist()
-        eids = matcher.eids
-        entity_ids = [
-            eids[c] if 0 <= c < len(eids) else ("" if c < 0 else f"__ghost_{c}__")
-            for c in group["eid_code"].to_pylist()
-        ]
-        pronouns = group["is_pronoun"].to_pylist()
-
-        out = TripleColumns()
-        i, n = 0, len(conv_ids)
-        while i < n:
-            j = i
-            conv_id = conv_ids[i]
-            while j < n and conv_ids[j] == conv_id:
-                j += 1
-            _assemble_one(
-                conv_id,
-                zip(turn_idxs[i:j], entity_ids[i:j], pronouns[i:j]),
-                matcher,
-                out,
-            )
-            i = j
-        return out.table()
+    group dispatch stays O(buckets).  The numpy kernel
+    :func:`_assemble_vectorized` is checked table-identical against a
+    per-conversation Python walk in tests/test_assemble_vector.py."""
 
     def assemble_vector(group: pa.Table) -> pa.Table:
         matcher = matcher_from_ref(dict_ref)
         return _assemble_vectorized(group, matcher)
 
-    return assemble_vector if impl == "vector" else assemble_python
+    return assemble_vector
 
 
 _EMPTY_TRIPLES = None
@@ -368,7 +182,9 @@ _EMPTY_TRIPLES = None
 def _empty_triples() -> pa.Table:
     global _EMPTY_TRIPLES
     if _EMPTY_TRIPLES is None:
-        _EMPTY_TRIPLES = TripleColumns().table()
+        _EMPTY_TRIPLES = pa.table(
+            {f.name: pa.array([], f.type) for f in schema.TRIPLES}, schema=schema.TRIPLES
+        )
     return _EMPTY_TRIPLES
 
 
@@ -397,13 +213,15 @@ def _matcher_lookup_arrays(matcher):
 
 
 def _assemble_vectorized(group: pa.Table, matcher) -> pa.Table:
-    """Numpy twin of :func:`_assemble_one` over a whole bucket.
+    """Numpy twin of the per-conversation walk (``_assemble_one`` in
+    tests/test_assemble_vector.py, the semantics oracle) over a whole
+    bucket.
 
     Anaphora resolution without the row loop: rows sorted by
     (conv, turn, pos); per (conv, turn) group take the LAST direct
     row's index (``np.maximum.reduceat``), running-max it across turn
     groups shifted by one turn (``pending_direct`` promotes only at a
-    turn boundary — extract.py:227-230), and validate the candidate
+    turn boundary), and validate the candidate
     belongs to the same conversation (row indices grow monotonically,
     so a leaked index from an earlier conversation fails the
     conv-equality check exactly when the reference walk would have had

@@ -1,8 +1,9 @@
 """Vectorized assembler must be TABLE-IDENTICAL to the Python walk.
 
 The numpy kernel (stages/extract._assemble_vectorized) re-implements
-_assemble_one's anaphora resolution, occurrence-set dedup and emission
-ordering; these tests compare both kernels byte-for-byte on the real
+the per-conversation walk below (``_assemble_one``: anaphora resolution,
+occurrence-set dedup and emission ordering), which stays here as the
+semantics oracle; these tests compare both byte-for-byte on the real
 fixture corpus and on adversarial random mention tables (pronoun-only
 turns, pronoun-first conversations, duplicate mentions, entities
 missing from the dictionary)."""
@@ -13,7 +14,8 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from naer_ray.sources.gazetteer import load_dictionary_rows
+from naer_ray import schema
+from naer_ray.sources.gazetteer import load_dictionary_rows, matcher_from_ref
 from naer_ray.stages.extract import (
     MENTION_SCHEMA,
     MentionDetector,
@@ -21,10 +23,132 @@ from naer_ray.stages.extract import (
 )
 
 
+class TripleColumns:
+    """Columnar triple-row builder for the Python walk."""
+
+    __slots__ = ("subj", "pred", "obj", "conv_id", "turn_idx", "ref_type")
+
+    def __init__(self):
+        self.subj: list[str] = []
+        self.pred: list[str] = []
+        self.obj: list[str] = []
+        self.conv_id: list[str] = []
+        self.turn_idx: list[int | None] = []
+        self.ref_type: list[str | None] = []
+
+    def add(self, subj, pred, obj, conv_id, turn_idx=None, ref_type=None) -> None:
+        self.subj.append(subj)
+        self.pred.append(pred)
+        self.obj.append(obj)
+        self.conv_id.append(conv_id)
+        self.turn_idx.append(turn_idx)
+        self.ref_type.append(ref_type)
+
+    def table(self) -> pa.Table:
+        return pa.table(
+            {
+                "subj": pa.array(self.subj, pa.string()),
+                "pred": pa.array(self.pred, pa.string()),
+                "obj": pa.array(self.obj, pa.string()),
+                "conv_id": pa.array(self.conv_id, pa.string()),
+                "turn_idx": pa.array(self.turn_idx, pa.int32()),
+                "ref_type": pa.array(self.ref_type, pa.string()),
+            },
+            schema=schema.TRIPLES,
+        )
+
+
+_REF_RANK = {"DIRECT": 0, "INDIRECT": 1}
+
+
+def _assemble_one(
+    conv_id: str,
+    rows_iter,  # iterable of (turn_idx, entity_id, is_pronoun), sorted
+    matcher,
+    out: "TripleColumns",
+) -> None:
+    """Assemble one conversation's mention rows into triples (appends)."""
+    by_id = matcher.by_id
+    occurrences: dict[str, set[tuple[int, str]]] = {}
+    order: list[str] = []
+    last_direct: str | None = None
+    prev_turn: int | None = None
+    pending_direct: str | None = None  # last DIRECT match of the current turn
+
+    for turn_idx, eid, is_pron in rows_iter:
+        if prev_turn is not None and turn_idx != prev_turn and pending_direct is not None:
+            last_direct = pending_direct
+            pending_direct = None
+        prev_turn = turn_idx
+        if is_pron:
+            # anaphora: attribute to the most recent DIRECT entity of EARLIER turns
+            if last_direct is not None:
+                occurrences.setdefault(last_direct, set()).add((turn_idx, "INDIRECT"))
+                if last_direct not in order:
+                    order.append(last_direct)
+            continue
+        if eid not in occurrences:
+            occurrences[eid] = set()
+            order.append(eid)
+        occurrences[eid].add((turn_idx, "DIRECT"))
+        pending_direct = eid
+
+    add = out.add
+    for eid in order:
+        row = by_id.get(eid)
+        if row is None:
+            continue
+        name, etype = row["canonical_name"], row["type"]
+        add(name, "hasType", etype, conv_id)
+        add(name, "mentionedIn", conv_id, conv_id)
+        # dictionary alias edges are ENTITY-scoped, not conversation-scoped:
+        # emitted once globally by alias_interface_edges() — repeating them
+        # per conversation multiplied triple volume ~40% for zero information
+        for turn, ref in sorted(occurrences[eid], key=lambda o: (o[0], _REF_RANK[o[1]])):
+            add(name, "occursIn", f"{conv_id}#{turn}", conv_id, turn, ref)
+        for _iid, iface_name in sorted(
+            matcher.interfaces_of.get(eid, []), key=lambda t: t[1]
+        ):
+            add(name, "hasInterface", iface_name, conv_id)
+
+
+def _assemble_python(dict_ref, group: pa.Table) -> pa.Table:
+    """Per-conversation walk over one bucket: the assembler semantics oracle."""
+    matcher = matcher_from_ref(dict_ref)
+    group = group.sort_by(
+        [("conv_id", "ascending"), ("turn_idx", "ascending"),
+         ("pos", "ascending"), ("eid_code", "ascending")]
+    )
+    conv_ids = group["conv_id"].to_pylist()
+    turn_idxs = group["turn_idx"].to_pylist()
+    eids = matcher.eids
+    entity_ids = [
+        eids[c] if 0 <= c < len(eids) else ("" if c < 0 else f"__ghost_{c}__")
+        for c in group["eid_code"].to_pylist()
+    ]
+    pronouns = group["is_pronoun"].to_pylist()
+
+    out = TripleColumns()
+    i, n = 0, len(conv_ids)
+    while i < n:
+        j = i
+        conv_id = conv_ids[i]
+        while j < n and conv_ids[j] == conv_id:
+            j += 1
+        _assemble_one(
+            conv_id,
+            zip(turn_idxs[i:j], entity_ids[i:j], pronouns[i:j]),
+            matcher,
+            out,
+        )
+        i = j
+    return out.table()
+
+
 def _assemblers(dict_ref):
     return (
-        make_conversation_assembler(dict_ref, impl="python"),
-        make_conversation_assembler(dict_ref, impl="vector"),
+        lambda group: _assemble_python(dict_ref, group),
+        make_conversation_assembler(dict_ref),
     )
 
 

@@ -133,30 +133,3 @@ def test_determinism_rerun(ref_paths):
     a, b = run(), run()
     pd.testing.assert_frame_equal(a, b)
 
-
-def test_actor_pool_detector_matches_tasks(ray_session, ref_corpus):
-    """detector='actors' (MentionDetector actor pool, auto-sized
-    concurrency) must produce exactly the tasks-path triples."""
-    import os
-
-    import pyarrow as pa
-    import ray
-
-    from naer_ray.pipelines.kg import build_triples
-
-    kwargs = dict(
-        dictionary_path=os.path.join(ref_corpus, "entity_dictionary.parquet"),
-    )
-    path = os.path.join(ref_corpus, "transcripts")
-
-    def table(detector):
-        ds = build_triples(path, detector=detector, n_buckets=8, **kwargs)
-        t = pa.concat_tables([ray.get(r) for r in ds.to_arrow_refs()])
-        return t.to_pandas().sort_values(
-            ["conv_id", "subj", "pred", "obj"], na_position="last"
-        ).reset_index(drop=True)
-
-    a = table("tasks")
-    b = table("actors")
-    assert a.equals(b)
-    assert len(a) > 0
