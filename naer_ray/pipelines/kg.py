@@ -359,6 +359,7 @@ def run_kg_job(
     from ..state.checkpoint import (
         Manifest,
         bucket_dir,
+        content_sha256,
         finalize_bucket,
         make_bucket_writer,
         sweep_orphan_tmpdirs,
@@ -368,12 +369,15 @@ def run_kg_job(
 
     manifest = Manifest(out_root)
     # refuse a resume whose inputs differ from the manifest's recorded
-    # lineage (ADVICE r2: a changed extractor/input would otherwise skip
-    # every done bucket and re-emit the previous run's triples)
+    # lineage: a changed extractor/input would otherwise skip every done
+    # bucket and re-emit the previous run's triples, and a changed bucket
+    # count re-plans conversations into buckets already marked done
     manifest.record_job_lineage(
         {
             "transcripts": transcripts_path,
             "dictionary": dictionary_path,
+            "dictionary_sha256": content_sha256(dictionary_path),
+            "n_buckets": n_buckets,
             "extractor": extractor,
             "answers": answers_path,
             "answer_format": answer_format,

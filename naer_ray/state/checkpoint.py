@@ -16,10 +16,33 @@ buckets are never marked complete.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
 import tempfile
+
+
+def content_sha256(path: str | None) -> str | None:
+    """sha256 of a file's bytes, or of every file under a directory
+    (relative path + bytes, in sorted order); None for no path."""
+    if path is None:
+        return None
+    h = hashlib.sha256()
+    if os.path.isdir(path):
+        files = sorted(
+            os.path.relpath(os.path.join(d, f), path)
+            for d, _dirs, names in os.walk(path)
+            for f in names
+        )
+        for rel in files:
+            h.update(rel.encode() + b"\0")
+            with open(os.path.join(path, rel), "rb") as f:
+                h.update(f.read())
+    else:
+        with open(path, "rb") as f:
+            h.update(f.read())
+    return h.hexdigest()
 
 
 class Manifest:

@@ -129,6 +129,40 @@ def test_resume_refuses_changed_lineage(ray_session, ref_corpus, tmp_path):
     assert counters["buckets_computed"] == 2
 
 
+def test_resume_refuses_changed_bucket_count(ray_session, ref_corpus, tmp_path):
+    """A resume at a different bucket count re-plans conversations into
+    buckets already marked done (at 4 -> 8 buckets the ref tier wrote 958
+    triples instead of 620): it must raise instead."""
+    import pytest
+
+    from naer_ray.pipelines.kg import run_kg_job
+
+    out = str(tmp_path / "kg")
+    t = os.path.join(ref_corpus, "transcripts")
+    d = os.path.join(ref_corpus, "entity_dictionary.parquet")
+    run_kg_job(t, d, out, n_buckets=4)
+    with pytest.raises(ValueError, match="n_buckets"):
+        run_kg_job(t, d, out, n_buckets=8)
+
+
+def test_resume_refuses_changed_dictionary_content(ray_session, ref_corpus, tmp_path):
+    """Same dictionary path, different content: the resume must raise."""
+    import pyarrow.parquet as pq
+    import pytest
+
+    from naer_ray.pipelines.kg import run_kg_job
+
+    out = str(tmp_path / "kg")
+    t = os.path.join(ref_corpus, "transcripts")
+    d = str(tmp_path / "dictionary.parquet")
+    table = pq.read_table(os.path.join(ref_corpus, "entity_dictionary.parquet"))
+    pq.write_table(table, d)
+    run_kg_job(t, d, out, n_buckets=2)
+    pq.write_table(table.slice(1), d)
+    with pytest.raises(ValueError, match="dictionary_sha256"):
+        run_kg_job(t, d, out, n_buckets=2)
+
+
 def test_orphan_tmpdir_sweep(ray_session, ref_corpus, tmp_path):
     """ADVICE r2: stale '.bucket-*' temp dirs from a dead driver are
     swept at job start instead of accumulating forever."""
