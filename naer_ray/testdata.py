@@ -332,36 +332,36 @@ def generate_corpus(
     answer_rows: list[tuple[str, str, str]] = []
     expected: list[dict] = []
 
-    if include_reference:
-        for proj in load_reference_projects():
-            conv_id = f"ref:{proj['name']}"
-            for i, line in enumerate(proj["lines"], 1):
-                conv_rows.append((conv_id, i, line))
-            for name, sent in proj["gold"]:
-                ann_rows.append((conv_id, name, sent, "DIRECT"))
-            for eid, name in proj["gazetteer"]:
-                dict_rows.append(
-                    {
-                        "entity_id": f"{proj['name']}/{eid}",
-                        "canonical_name": name,
-                        "type": "COMPONENT",
-                        "aliases": [a for a in alias_variants(name) if len(a) >= 3],
-                        "interface_of": None,
-                    }
-                )
-            # alternate answer formats so both parser paths (M5 JSON /
-            # M6 structured-text) are exercised end-to-end
-            use_json = len(answer_rows) % 2 == 1
-            sad = refsem.Sad(proj["lines"], validate=False)
-            if use_json:
-                answer = make_mock_answer_json(proj, rng)
-                answer_rows.append((conv_id, "json", answer))
-                entities = refsem.parse_json_answer(refsem.slice_json(answer), sad)
-            else:
-                answer = make_mock_answer(proj, rng)
-                answer_rows.append((conv_id, "structured-text", answer))
-                entities = refsem.parse_structured_text(answer, sad)
-            expected.extend(refsem.entities_to_triples(entities, conv_id))
+    ref_projects = load_reference_projects() if include_reference else []
+    for proj in ref_projects:
+        conv_id = f"ref:{proj['name']}"
+        for i, line in enumerate(proj["lines"], 1):
+            conv_rows.append((conv_id, i, line))
+        for name, sent in proj["gold"]:
+            ann_rows.append((conv_id, name, sent, "DIRECT"))
+        for eid, name in proj["gazetteer"]:
+            dict_rows.append(
+                {
+                    "entity_id": f"{proj['name']}/{eid}",
+                    "canonical_name": name,
+                    "type": "COMPONENT",
+                    "aliases": [a for a in alias_variants(name) if len(a) >= 3],
+                    "interface_of": None,
+                }
+            )
+        # alternate answer formats so both parser paths (M5 JSON /
+        # M6 structured-text) are exercised end-to-end
+        use_json = len(answer_rows) % 2 == 1
+        sad = refsem.Sad(proj["lines"], validate=False)
+        if use_json:
+            answer = make_mock_answer_json(proj, rng)
+            answer_rows.append((conv_id, "json", answer))
+            entities = refsem.parse_json_answer(refsem.slice_json(answer), sad)
+        else:
+            answer = make_mock_answer(proj, rng)
+            answer_rows.append((conv_id, "structured-text", answer))
+            entities = refsem.parse_structured_text(answer, sad)
+        expected.extend(refsem.entities_to_triples(entities, conv_id))
 
     synth_dict = synth_dictionary(n_synth_entities)
     dict_rows.extend(synth_dict)
@@ -463,6 +463,9 @@ def generate_corpus(
         "mean_turns": mean_turns,
         "n_synth_entities": n_synth_entities,
         "include_reference": include_reference,
+        # 0 with include_reference=True means the reference tree was
+        # absent: the corpus then holds synthetic conversations only
+        "n_reference_projects": len(ref_projects),
         "n_expected_triples": len(expected),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
@@ -483,7 +486,7 @@ _TIERS = {
     "bench-sf1.0": (240000, 100, 300, True, 128),
 }
 
-_TIER_VERSION = 4  # bump to invalidate cached corpora when generation changes
+_TIER_VERSION = 5  # bump to invalidate cached corpora when generation changes
 
 
 def corpus_dir(tier: str, root: str = "/tmp/naer_corpus") -> str:

@@ -133,3 +133,19 @@ def test_determinism_rerun(ref_paths):
     a, b = run(), run()
     pd.testing.assert_frame_equal(a, b)
 
+
+def test_corpus_manifest_reports_reference_projects(ref_corpus):
+    """The corpus manifest says how many reference projects it holds, so
+    a corpus built without the reference tree is visibly synthetic-only."""
+    import json
+
+    import pyarrow.parquet as pq
+
+    from naer_ray.testdata import load_reference_projects
+
+    with open(os.path.join(ref_corpus, "manifest.json")) as f:
+        manifest = json.load(f)
+    assert manifest["n_reference_projects"] == len(load_reference_projects())
+    convs = pq.read_table(os.path.join(ref_corpus, "transcripts"), columns=["conv_id"])
+    ref_convs = {c for c in convs["conv_id"].to_pylist() if c.startswith("ref:")}
+    assert len(ref_convs) == manifest["n_reference_projects"]

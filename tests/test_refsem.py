@@ -45,6 +45,8 @@ class TestJaccard:
         from naer_ray.testdata import load_reference_projects
 
         projects = load_reference_projects()
+        if not projects:
+            pytest.skip("reference tree not present")
         assert len(projects) == 5
         for proj in projects:
             resolver = LineResolver(proj["lines"])
