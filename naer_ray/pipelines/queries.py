@@ -1,4 +1,4 @@
-"""Driver-contract query suite for the KG pipeline: Ray Data
+"""The KG query suite that ``__ray_entry__`` serves: Ray Data
 implementation + DuckDB oracle SQL.
 
 Each entry in :data:`REGISTRY` is ``name -> (ray_fn, sql | None)`` where
@@ -6,12 +6,12 @@ Each entry in :data:`REGISTRY` is ``name -> (ray_fn, sql | None)`` where
 and ``sql`` is the ANSI-SQL equivalent DuckDB runs over the same
 parquet tables (views: region nation customer supplier part orders
 lineitem events documents embeddings).  Column names match exactly on
-both sides (the driver hashes values after sorting columns by name).
+both sides (the comparison hashes values after sorting columns by name).
 
 The KG-shaped queries derive a transcripts-shaped table from
 ``documents`` (10-word chunks as turns) so the reference pipeline's
 mention/occurrence semantics are oracle-checked end-to-end on the
-driver's own tables; c01/c02 check canonicalization, q27/q28 the LLM
+benchmark's own tables; c01/c02 check canonicalization, q27/q28 the LLM
 extractor path and ``kg_parity_eval`` the recorded-answer parity gate.
 """
 
@@ -298,7 +298,7 @@ def c02_fuzzy_canonical_labels(sf_dir: str):
     (c01 disables fuzzy): planted typo pairs (name, name-minus-last-char)
     must cluster, label = the lexicographic min (= the typo).  Exercises
     pool explode -> blocking -> blocked JW edges -> union-find as one
-    distributed DAG (stages/canon.py:175-208)."""
+    distributed DAG (stages/canon.py)."""
     import ray.data
 
     from ..stages.canon import canonical_labels
@@ -343,7 +343,7 @@ def _llm_fake_chat(system: str, prompt: str) -> str:
 
 
 def q27_llm_extract(sf_dir: str):
-    """ST1-ST4 pipeline path under the driver oracle: the LLM-extractor
+    """ST1-ST4 pipeline path under the SQL oracle: the LLM-extractor
     stage (pipelines/kg.llm_extract_triples — prompt assembly, chat
     call, JSON slice+parse, repair loop, per-conv dead-letter) runs
     over the derived transcripts with the deterministic fake backend.
@@ -433,7 +433,7 @@ def _llm_two_part_chat(system: str, prompt: str) -> str:
 
 
 def q28_llm_two_part(sf_dir: str):
-    """ST3 end-to-end under the driver oracle: the TwoPartPrompt chain
+    """ST3 end-to-end under the SQL oracle: the TwoPartPrompt chain
     (free-form call -> "Last answer:" splice -> JSON-ify call -> slice
     -> parse) runs distributed over the derived transcripts with a
     deterministic stateless backend; conv-grain hasType oracle as q27."""
@@ -498,7 +498,7 @@ def kg_parity_eval(sf_dir: str):
     ok, _bad = split_errors(triples)
     m = eval_vs_expected(ok, os.path.join(c, "expected_triples.parquet"))
     # P/R/F1 only: the gate is exactly 1.0 regardless of corpus tier, so
-    # the driver can hash-check it against a literal oracle row (raw
+    # the SQL oracle can check it against a literal row (raw
     # tp counts vary with the fixture tier and stay in pytest)
     return pd.DataFrame(
         [{k: float(m[k]) for k in ("precision", "recall", "f1")}]

@@ -346,14 +346,13 @@ def connected_components(
         ).sort_values("node").reset_index(drop=True)
         return ray.data.from_pandas(labels)
 
-    # ---- distributed rounds, Arrow-native end to end (round-4 judge
-    # item 3): one shared schema S = (node, other?, label?, is_old,
-    # changed, bucket) for labels AND adjacency, so each round is
-    # exactly two groupby exchanges with ZERO padding passes and no
-    # pandas boxing at block boundaries (the d01 LSH lesson).  The
-    # per-bucket join is pc.index_in (label nodes are unique per
-    # bucket), the per-bucket min is Arrow hash aggregation, and all
-    # bucket keys come from the vectorized hash kernels.
+    # ---- distributed rounds, Arrow-native end to end: one shared
+    # schema S = (node, other?, label?, is_old, changed, bucket) for
+    # labels AND adjacency, so each round is exactly two groupby
+    # exchanges with ZERO padding passes and no pandas boxing at block
+    # boundaries.  The per-bucket join is pc.index_in (label nodes are
+    # unique per bucket), the per-bucket min is Arrow hash aggregation,
+    # and all bucket keys come from the vectorized hash kernels.
     edges = pairs.select_columns(["id_a", "id_b"])
 
     def _bucket_arr(arr) -> pa.Array:

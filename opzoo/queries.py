@@ -8,9 +8,9 @@ pyarrow Table and ``sql`` is the DuckDB query over the same parquet
 tables (views: region nation customer supplier part orders lineitem
 events documents embeddings).  Column names match exactly on both sides.
 
-``naer_ray`` never imports this package; the KG entries of the driver
-contract live in :mod:`naer_ray.pipelines.queries`.  ``tests/`` checks
-every entry here against its oracle.
+``naer_ray`` never imports this package; the KG entries that
+``__ray_entry__`` serves live in :mod:`naer_ray.pipelines.queries`.
+``tests/`` checks every entry here against its oracle.
 
 Exact-parity discipline:
 * money/double sums go through the integer-cents trick —
@@ -1039,7 +1039,7 @@ def _ann_recall_vs_exact(sf_dir: str, method: str, k: int = 5, min_hits: int = 4
 
     The ANN paths are fully deterministic (seeded planes / seeded
     centroids / id-keyed sample), so recall_ok is a stable value the
-    SQL oracle can assert as literal TRUE per query — a driver-checked
+    SQL oracle can assert as literal TRUE per query — an oracle-checked
     recall@k >= 0.8 bound rather than a rows-only smoke check."""
     from opzoo.stages.ann import (
         brute_force_topk,
@@ -1106,13 +1106,13 @@ def _ann_recall_vs_exact(sf_dir: str, method: str, k: int = 5, min_hits: int = 4
 
 def a01_lsh_topk(sf_dir: str):
     """Hyperplane-LSH ANN: recall@5 vs exact top-5 per query (>=4/5),
-    driver-oracle-checked against literal TRUE rows."""
+    oracle-checked against literal TRUE rows."""
     return _ann_recall_vs_exact(sf_dir, "lsh")
 
 
 def a02_ivf_topk(sf_dir: str):
     """IVF ANN: recall@5 vs exact top-5 per query (>=4/5),
-    driver-oracle-checked against literal TRUE rows."""
+    oracle-checked against literal TRUE rows."""
     return _ann_recall_vs_exact(sf_dir, "ivf")
 
 
@@ -1126,7 +1126,7 @@ def a07_pq_topk(sf_dir: str):
     """Product-quantization ANN (stages/ann.pq_topk — Jégou et al.
     2011): m-byte PQ codes + asymmetric-distance scan, recall@5 vs
     exact top-5 per query (>= 4/5) on the planted near-colinear
-    companions, driver-oracle-checked against literal TRUE rows (the
+    companions, oracle-checked against literal TRUE rows (the
     a01/a02 gate)."""
     return _ann_recall_vs_exact(sf_dir, "pq")
 
@@ -1225,7 +1225,7 @@ SELECT CAST(range + 1 AS BIGINT) AS rank, TRUE AS mmr_match FROM range(10)
 def a05_quantized_topk(sf_dir: str):
     """int8-quantized ANN (stages/ann.quantized_topk): recall@5 vs the
     exact float path (>=4/5 on the planted near-colinear neighbors),
-    driver-oracle-checked against literal TRUE rows — the a01/a02 gate
+    oracle-checked against literal TRUE rows — the a01/a02 gate
     over the 4x-smaller-scan quantization scale path."""
     return _ann_recall_vs_exact(sf_dir, "quant")
 
@@ -1657,7 +1657,7 @@ SELECT c_mktsegment, o_orderkey, o_totalprice FROM ranked WHERE rn <= 3
 
 def q22_hll_distinct(sf_dir: str):
     """Approximate distinct users via mergeable HLL sketches, with a
-    driver-checked accuracy gate: the deterministic estimate must land
+    oracle-checked accuracy gate: the deterministic estimate must land
     within 5% of the exact distinct count (computed distributively),
     asserted against a literal TRUE oracle row."""
     from .stages.sketch import approx_distinct
@@ -2610,7 +2610,7 @@ def q30_set_ops(sf_dir: str):
 
     # bucket-run max-reduce: Ray's native groupby on the 15k-key custkey
     # column dispatched per key (60s at sf0.1); one bucket groupby + a
-    # vectorized per-bucket pandas max is the CLAUDE.md bucket-run rule
+    # vectorized per-bucket pandas max is the repo's bucket-run rule
     return (
         ds.map_batches(partial, batch_format="pandas", batch_size=65536)
         .map_batches(bucketize, batch_format="pyarrow", batch_size=65536)
@@ -4328,7 +4328,7 @@ def q33_full_outer_join(sf_dir: str, n_buckets: int = 64):
                 "custkey": m["custkey"].astype("int64"),
                 "order_cnt": m["order_cnt"].astype("float64"),
                 # None (not float NaN) so the object column stringifies
-                # like DuckDB's NULL under the driver's compare
+                # like DuckDB's NULL under the oracle compare
                 "c_mktsegment": seg.where(seg.notna(), None),
             }
         )
@@ -5575,8 +5575,8 @@ def m04_audio_features(sf_dir: str):
     alone; the SQL oracle re-derives n_samples/sum_abs/peak/mean from
     the generator arithmetic — so a decoder bug (chunk offset, fmt
     parse, endianness, word alignment) breaks the hash match.  The
-    audio analogue of m01's PPM image path (builder-brief multimodal
-    operator; no reference analogue)."""
+    audio analogue of m01's PPM image path (a multimodal operator with
+    no reference analogue)."""
     from .stages.multimodal import decode_wav_features, synth_wav_payload
 
     return decode_wav_features(_media_rows(sf_dir, "a", synth_wav_payload))
@@ -7054,7 +7054,7 @@ def g05_connected_components(sf_dir: str):
     """Standalone connected-components over the shared co-purchase
     graph (stages/dedup.connected_components — the distributed
     min-label propagation d04/d10/c01 ride internally, surfaced as a
-    first-class graph query with its own driver oracle): per node, the
+    first-class graph query with its own SQL oracle): per node, the
     component label = min node id of its component.
 
     Ray shape: the shared ``_copurchase_edges`` derivation, then CC's
@@ -10929,8 +10929,8 @@ def e06_entity_profile(sf_dir: str, n_buckets: int = 64):
     """KG node-feature table: per entity, the turn-level mention count,
     the number of DISTINCT conversations it appears in, and its
     first/last turn index — the node-attribute companion to the edge
-    tables e03 (PMI) and e05 (window co-occurrence); a KG builder
-    attaches exactly these salience features to each node.
+    tables e03 (PMI) and e05 (window co-occurrence); a KG construction
+    job attaches exactly these salience features to each node.
 
     Scale shape: mentions derive vectorized per batch
     (``_entity_presence``, deduped to turn level with one np.unique);

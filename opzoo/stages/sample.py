@@ -103,7 +103,7 @@ def stratified_bottom_k(ds, id_col: str, group_col: str, k: int, salt: int = 0):
     Grouped analogue of :func:`bottom_k_sample`: each batch keeps its
     local per-group bottom-k (one lexsort + grouped head), so the final
     merge sees at most k x n_groups x n_blocks rows — reduced on the
-    driver like the grouped-top-k pattern (pipelines/queries.q24); swap
+    driver like the grouped-top-k pattern (opzoo/queries.q24); swap
     for a ``groupby(group)`` merge when k x n_groups outgrows driver
     memory.
     """

@@ -1,7 +1,7 @@
 """Stream-shaped processing with incremental per-partition state.
 
 Ray Data has no event-time windows; for batch-expressible windows the
-bucket-run ``groupby.map_groups`` pattern wins (pipelines/queries
+bucket-run ``groupby.map_groups`` pattern wins (opzoo/queries
 q07/q08/q20).  This module covers the remaining case from SURVEY.md
 §2.9: state that must persist ACROSS arrival chunks in event-time
 order, with bounded memory.

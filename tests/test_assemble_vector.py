@@ -24,7 +24,7 @@ from naer_ray.stages.extract import (
 
 
 class TripleColumns:
-    """Columnar triple-row builder for the Python walk."""
+    """Columnar triple-row accumulator for the Python walk."""
 
     __slots__ = ("subj", "pred", "obj", "conv_id", "turn_idx", "ref_type")
 

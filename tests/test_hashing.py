@@ -31,12 +31,6 @@ def test_hash_u32_known_vectors():
     assert [hash_u32(f"syn:{i:06d}") % 16 for i in range(8)] == [13, 10, 7, 4, 1, 14, 11, 8]
 
 
-def test_testdata_reexports_the_same_hash():
-    from naer_ray import testdata
-
-    assert testdata.hash_u32 is hash_u32
-
-
 def test_fnv64_arr_matches_scalar():
     vals = ["", "a", "alpha beta", "x" * 200, "gamma"]
     got = _fnv64_arr(pa.array(vals, pa.string()))

@@ -2,9 +2,9 @@
 
 This mirrors the driver's correctness harness: run the Ray query and
 the oracle SQL on the same parquet tables, normalize (sort columns by
-name, sort rows), compare exactly.  It covers the KG registry of the
-driver contract (``naer_ray.pipelines.queries``) and the general
-operator registry (``opzoo.queries``).
+name, sort rows), compare exactly.  It covers the KG registry that
+``__ray_entry__`` serves (``naer_ray.pipelines.queries``) and the
+general operator registry (``opzoo.queries``).
 """
 
 import duckdb
@@ -54,7 +54,7 @@ def _registry() -> dict:
     return {n: (fn, sql) for n, (fn, sql) in {**KG, **ZOO}.items() if sql is not None}
 
 
-def test_driver_contract_is_the_kg_registry():
+def test_ray_entry_serves_the_kg_registry():
     import __ray_entry__
 
     assert set(__ray_entry__.queries()) == KG_QUERIES
