@@ -1,20 +1,27 @@
 """The flagship KG-construction pipeline (SURVEY.md §3.4).
 
-Lazy Dataset composition::
+Every extractor has one shape: rows that carry a ``bucket`` column,
+``hash_u32(conv_id) % n_buckets`` computed once by :func:`add_bucket`,
+plus a per-bucket kernel that turns one bucket's rows into triples::
 
-    read_parquet(transcripts, columns=3)            # prune at the read
-      -> validate (vectorized regex, quarantine)    # S3
-      -> mention detection map_batches              # per-turn, NO shuffle
-         (elastic tasks w/ per-process matcher cache)
-      -> groupby(conv-hash bucket).map_groups       # shuffle 1 (mention rows only)
-      -> triples Dataset                            # occursIn/mentionedIn/hasType/...
+    gazetteer  read_parquet(transcripts, columns=3)   # prune at the read
+                 -> validate (vectorized regex, quarantine)
+                 -> add_bucket
+                 -> mention detection map_batches     # per turn, NO shuffle
+               kernel: per-bucket anaphora + triple assembly
+    answers    transcripts ∪ recorded answers -> add_bucket
+               kernel: parse_answer_group (reference parse/resolve/type)
+    llm        transcripts -> validate -> add_bucket
+               kernel: chat + parse per conversation
 
-plus the recorded-answer parity path (stages/answers.py) which runs the
-reference's parse->resolve->type semantics per conversation.
+    rows.groupby("bucket").map_groups(kernel)         # the one exchange
 
-``run_kg_job`` is the checkpointed job wrapper: bucket by conv hash,
-skip completed buckets on resume, write partitioned Parquet atomically
-with per-bucket lineage + counters (state/checkpoint.py).
+``build_triples`` returns that triples Dataset.  ``run_kg_job`` is the
+checkpointed job: finished buckets are dropped right after
+``add_bucket`` (before any extraction), and each bucket's kernel runs
+inside ``make_bucket_writer``, so the worker that assembled a bucket
+sorts and writes it atomically; the driver records per-bucket lineage
+and counters (state/checkpoint.py).
 """
 
 from __future__ import annotations
@@ -29,10 +36,27 @@ from ..hashing import hash_u32
 from ..sources.gazetteer import load_dictionary_rows
 from ..sources.transcripts import read_transcripts, validate_transcripts
 from ..stages.answers import answers_as_rows, parse_answer_group
-from ..stages.extract import make_conversation_assembler, make_mention_detector
+from ..stages.extract import (
+    _empty_triples,
+    make_conversation_assembler,
+    make_mention_detector,
+)
+
+#: the columns the answers and llm extractors read
+_ROLE_COLUMNS = ["conv_id", "turn_idx", "role", "text"]
 
 
 def build_triples(
+    transcripts_path: str | None, dictionary_path: str | None = None, **options
+) -> ray.data.Dataset:
+    """Lazy triples Dataset for any extractor backend: the rows of
+    :func:`bucketed_extraction` (which documents ``options``), grouped by
+    bucket, each bucket through the extractor's kernel — one exchange."""
+    rows, kernel = bucketed_extraction(transcripts_path, dictionary_path, **options)
+    return rows.groupby("bucket").map_groups(kernel, batch_format="pyarrow")
+
+
+def bucketed_extraction(
     transcripts_path: str | None,
     dictionary_path: str | None = None,
     *,
@@ -44,32 +68,53 @@ def build_triples(
     transcripts_ds: "ray.data.Dataset | None" = None,
     dict_rows: list[dict] | None = None,
     n_buckets: int | None = None,
-    include_alias_edges: bool = False,
     chat_fn_factory=None,
     prompt_text: str | None = None,
     answer_format: str = "structured-text",
-) -> ray.data.Dataset:
-    """Lazy triples Dataset for either extractor backend.
+    skip_buckets=(),
+):
+    """``(rows, kernel)`` of one extractor: a lazy Dataset whose rows carry
+    the job-bucket column, and the kernel that turns one bucket's rows
+    (without that column) into triples.  Rows of ``skip_buckets`` are
+    dropped right after bucketing, so they cost no extraction.
 
     extractor="gazetteer": broadcast-dictionary mention detection (the
-    production path; dictionary_path or a pre-``ray.put`` dict_ref
-    required).  extractor="answers": recorded structured-text/JSON
-    answers parsed with exact reference semantics (parity path;
-    answers_path required).
+    production path; dictionary_path, dict_rows or a pre-``ray.put``
+    dict_ref required).  extractor="answers": recorded structured-text/
+    JSON answers parsed with exact reference semantics (parity path;
+    answers_path required).  extractor="llm": chat-model recognition per
+    conversation (chat_fn_factory required; see
+    :func:`llm_extract_triples`).
 
     batch_size=None (default) processes whole read blocks — the read is
     already sized to ~64 MB blocks (sources.transcripts.auto_num_blocks),
     so re-slicing into small batches only adds overhead.
 
-    n_buckets=None sizes the conv-hash shuffle to the cluster
-    (auto_n_buckets): with only ~2 buckets/core the largest bucket
-    straggles the assemble stage (measured 0-477k rows across 64
-    buckets at 12M turns — a 5.9s tail vs 2.6s mean task); ~8/core
-    smooths the tail (64->256 buckets: -13% wall at 32 CPUs, -15% at
-    8), and on a multi-node cluster buckets keep pace with cores.
+    n_buckets=None sizes the exchange to the cluster (auto_n_buckets):
+    with only ~2 buckets/core the largest bucket straggles its kernel
+    (measured 0-477k rows across 64 buckets at 12M turns — a 5.9s tail
+    vs 2.6s mean task); ~8/core smooths the tail.  ``run_kg_job``
+    passes its own bucket count, so its bucket files are its groups.
     """
     if n_buckets is None:
         n_buckets = auto_n_buckets()
+
+    def bucketed(ds: ray.data.Dataset) -> ray.data.Dataset:
+        ds = add_bucket(ds, n_buckets)
+        if not skip_buckets:
+            return ds
+        skip = pa.array(sorted(skip_buckets), pa.int32())
+        return ds.map_batches(
+            lambda t: t.filter(pc.invert(pc.is_in(t["bucket"], value_set=skip))),
+            batch_format="pyarrow",
+        )
+
+    def transcripts(columns=None) -> ray.data.Dataset:
+        ds = transcripts_ds
+        if ds is None:
+            ds = read_transcripts(transcripts_path, columns=columns)
+        return validate_transcripts(ds, mode=validate) if validate else ds
+
     if extractor == "answers":
         if answers_path is None:
             raise ValueError("answers_path required for extractor='answers'")
@@ -79,38 +124,22 @@ def build_triples(
         if transcripts_ds is not None:
 
             def _with_role(t: pa.Table) -> pa.Table:
-                cols = {
-                    "conv_id": t["conv_id"],
-                    "turn_idx": t["turn_idx"],
-                    "role": t["role"]
-                    if "role" in t.column_names
-                    else pa.nulls(t.num_rows, pa.string()),
-                    "text": t["text"],
-                }
-                return pa.table(cols)
+                if "role" not in t.column_names:
+                    t = t.append_column("role", pa.nulls(t.num_rows, pa.string()))
+                return t.select(_ROLE_COLUMNS)
 
             tds = transcripts_ds.map_batches(_with_role, batch_format="pyarrow")
         else:
-            tds = read_transcripts(
-                transcripts_path, columns=["conv_id", "turn_idx", "role", "text"]
-            )
-        ds = add_bucket(tds.union(answers_as_rows(answers_path)), n_buckets)
-        return ds.groupby("bucket").map_groups(
-            parse_answer_group, batch_format="pyarrow"
-        )
+            tds = read_transcripts(transcripts_path, columns=_ROLE_COLUMNS)
+        return bucketed(tds.union(answers_as_rows(answers_path))), parse_answer_group
 
     if extractor == "llm":
         if chat_fn_factory is None:
             raise ValueError("chat_fn_factory required for extractor='llm'")
-        return llm_extract_triples(
-            transcripts_path,
-            chat_fn_factory,
-            prompt_text=prompt_text,
-            answer_format=answer_format,
-            n_buckets=n_buckets,
-            transcripts_ds=transcripts_ds,
-            validate=validate,
+        kernel = make_llm_bucket_extractor(
+            chat_fn_factory, prompt_text=prompt_text, answer_format=answer_format
         )
+        return bucketed(transcripts(_ROLE_COLUMNS)), kernel
 
     if extractor != "gazetteer":
         raise ValueError(f"unknown extractor {extractor!r}")
@@ -121,21 +150,13 @@ def build_triples(
             dict_ref = ray.put(load_dictionary_rows(dictionary_path))
         else:
             raise ValueError("dictionary_path, dict_rows or dict_ref required")
-    ds = transcripts_ds if transcripts_ds is not None else read_transcripts(transcripts_path)
-    if validate:
-        ds = validate_transcripts(ds, mode=validate)
     # elastic stateless tasks; the matcher is cached per worker process
-    mentions = ds.map_batches(
-        make_mention_detector(dict_ref, n_buckets),
+    mentions = bucketed(transcripts()).map_batches(
+        make_mention_detector(dict_ref),
         batch_format="pyarrow",
         batch_size=batch_size,
     )
-    triples = mentions.groupby("bucket").map_groups(
-        make_conversation_assembler(dict_ref), batch_format="pyarrow"
-    )
-    if include_alias_edges:
-        triples = triples.union(alias_interface_edges(triples, dict_ref))
-    return triples
+    return mentions, make_conversation_assembler(dict_ref)
 
 
 def llm_extract_triples(
@@ -152,27 +173,44 @@ def llm_extract_triples(
 ) -> ray.data.Dataset:
     """LLM-recognizer pipeline path (reference main flow: SAD ->
     chat-model recognizer -> entities, NamedEntityRecognizer.java:57-81)
-    as a Ray stage.
+    as a Ray stage, with the prompt options ``build_triples`` does not
+    take (``possible_entities``, ``prompt_template``)."""
+    ds = transcripts_ds
+    if ds is None:
+        ds = read_transcripts(transcripts_path, columns=_ROLE_COLUMNS)
+    if validate:
+        ds = validate_transcripts(ds, mode=validate)
+    rows = add_bucket(ds, n_buckets or auto_n_buckets())
+    kernel = make_llm_bucket_extractor(
+        chat_fn_factory,
+        prompt_text=prompt_text,
+        answer_format=answer_format,
+        possible_entities=possible_entities,
+        prompt_template=prompt_template,
+    )
+    return rows.groupby("bucket").map_groups(kernel, batch_format="pyarrow")
 
-    Unlike the gazetteer path (which shuffles only mention rows), LLM
-    extraction needs every turn's text per conversation, so full rows
-    enter the conv-hash bucket shuffle — inherent to the operator, and
-    the reason the gazetteer path is the default at scale.  Each bucket
-    kernel builds the chat backend ONCE via ``chat_fn_factory()``
-    (e.g. ``lambda: ChatModelFactory.with_provider(...).build()``) and
-    walks its conversations; parse failures repair-retry once and then
-    dead-letter per conversation (stages/llm.LLMExtractor.extract).
+
+def make_llm_bucket_extractor(
+    chat_fn_factory,
+    *,
+    prompt_text: str | None = None,
+    answer_format: str = "structured-text",
+    possible_entities: dict[str, list[str]] | None = None,
+    prompt_template=None,
+):
+    """Per-bucket kernel of the llm extractor.
+
+    LLM extraction needs every turn's text per conversation, so full
+    rows enter the exchange — inherent to the operator, and the reason
+    the gazetteer path is the default at scale.  Each bucket builds the
+    chat backend ONCE via ``chat_fn_factory()`` (e.g. ``lambda:
+    ChatModelFactory.with_provider(...).build()``) and walks its
+    conversations; parse failures repair-retry once and then dead-letter
+    per conversation (stages/llm.LLMExtractor.extract).
     """
     from ..stages.llm import LLMExtractor, Prompt
 
-    if n_buckets is None:
-        n_buckets = auto_n_buckets()
-    ds = transcripts_ds if transcripts_ds is not None else read_transcripts(
-        transcripts_path, columns=["conv_id", "turn_idx", "role", "text"]
-    )
-    if validate:
-        ds = validate_transcripts(ds, mode=validate)
-    ds = add_bucket(ds, n_buckets)
     base_prompt = prompt_text or "Identify all COMPONENT entities in the text."
 
     def extract_bucket(group: pa.Table) -> pa.Table:
@@ -199,55 +237,10 @@ def llm_extract_triples(
             outs.append(ex.extract(conv[i], lines))
             i = j
         if not outs:
-            from ..stages.extract import _empty_triples
-
             return _empty_triples()
         return pa.concat_tables(outs)
 
-    return ds.groupby("bucket").map_groups(extract_bucket, batch_format="pyarrow")
-
-
-def alias_interface_edges(triples: ray.data.Dataset, dict_ref) -> ray.data.Dataset:
-    """Entity-scoped (subj, hasAlternativeName, alias) edges for every
-    entity observed anywhere in the corpus — distinct subjects (small)
-    joined against the broadcast dictionary, emitted once globally
-    (conv_id = "")."""
-    from .. import schema as _schema
-    from ..sources.gazetteer import matcher_from_ref
-
-    def partial_subjects(batch: pa.Table) -> pa.Table:
-        sel = batch.filter(pc.equal(batch["pred"], "hasType"))
-        subj = sorted(set(sel["subj"].to_pylist()))
-        return pa.table({"subj": pa.array(subj, pa.string())})
-
-    subjects = (
-        triples.map_batches(partial_subjects, batch_format="pyarrow")
-        .groupby("subj")
-        .map_groups(lambda g: g.slice(0, 1), batch_format="pyarrow")
-    )
-
-    def expand(batch: pa.Table) -> pa.Table:
-        matcher = matcher_from_ref(dict_ref)
-        by_name: dict[str, list[str]] = {}
-        for row in matcher.by_id.values():
-            if row.get("aliases"):
-                by_name.setdefault(row["canonical_name"], []).extend(row["aliases"])
-        rows = []
-        for subj in batch["subj"].to_pylist():
-            for alias in sorted(set(by_name.get(subj, []))):
-                rows.append(
-                    {
-                        "subj": subj,
-                        "pred": "hasAlternativeName",
-                        "obj": alias,
-                        "conv_id": "",
-                        "turn_idx": None,
-                        "ref_type": None,
-                    }
-                )
-        return pa.Table.from_pylist(rows, schema=_schema.TRIPLES)
-
-    return subjects.map_batches(expand, batch_format="pyarrow")
+    return extract_bucket
 
 
 def split_errors(triples: ray.data.Dataset):
@@ -271,15 +264,16 @@ def auto_n_buckets() -> int:
     return int(min(4096, max(64, 8 * int(cpus))))
 
 
-def add_bucket(ds: ray.data.Dataset, n_buckets: int, col: str = "conv_id") -> ray.data.Dataset:
-    """Deterministic conv-hash bucket column (FNV-1a, stable across
-    processes).  Hashed per DISTINCT value via dictionary encoding —
-    conv ids repeat ~100x per block, so the python hash runs on the
-    dictionary, not the rows."""
+def add_bucket(ds: ray.data.Dataset, n_buckets: int) -> ray.data.Dataset:
+    """Job-bucket column ``hash_u32(conv_id) % n_buckets`` (FNV-1a, stable
+    across processes) — the one place conv ids are hashed into buckets.
+    Hashed per DISTINCT value via dictionary encoding — conv ids repeat
+    ~100x per block, so the python hash runs on the dictionary, not the
+    rows."""
     import numpy as np
 
     def bucketize(batch: pa.Table) -> pa.Table:
-        enc = batch[col].combine_chunks().dictionary_encode()
+        enc = batch["conv_id"].combine_chunks().dictionary_encode()
         ub = np.array(
             [hash_u32(v) % n_buckets for v in enc.dictionary.to_pylist()],
             np.int32,
@@ -345,21 +339,26 @@ def run_kg_job(
 ) -> dict:
     """Checkpointed KG job: triples + nodes + dead-letter, resumable per bucket.
 
-    Stage "triples": each conv-hash bucket is written atomically
-    (temp-dir rename) and recorded in MANIFEST.json with row counts and
-    lineage; on resume, completed buckets are filtered out BEFORE
-    extraction so their compute is skipped entirely.  Stage "nodes"
-    derives the node table from the written edge partitions.
+    Stage "triples": one exchange keyed by the job bucket.  Each bucket's
+    extraction kernel runs inside the writer, which writes the bucket
+    atomically (temp-dir rename); the driver records it in MANIFEST.json
+    with row counts and lineage.  On resume, completed buckets are
+    dropped right after bucketing, BEFORE extraction, so their compute
+    is skipped entirely; ``resume=False`` forgets every stage of an
+    earlier run first.  Stage "nodes" derives the node table from the
+    written edge partitions.
 
     At 100 TB scale the same layout holds: buckets are key ranges of
     conv hash, each an independent re-runnable unit.
     """
     import os
+    import shutil
 
     from ..state.checkpoint import (
         Manifest,
         bucket_dir,
         content_sha256,
+        files_fingerprint,
         finalize_bucket,
         make_bucket_writer,
         sweep_orphan_tmpdirs,
@@ -375,11 +374,13 @@ def run_kg_job(
     manifest.record_job_lineage(
         {
             "transcripts": transcripts_path,
+            "transcripts_files": files_fingerprint(transcripts_path),
             "dictionary": dictionary_path,
             "dictionary_sha256": content_sha256(dictionary_path),
             "n_buckets": n_buckets,
             "extractor": extractor,
             "answers": answers_path,
+            "answers_files": files_fingerprint(answers_path),
             "answer_format": answer_format,
             "input_format": input_format,
         },
@@ -394,8 +395,14 @@ def run_kg_job(
 
             return read_transcripts_jsonl(transcripts_path)
         return read_transcripts(transcripts_path)
+    if not resume:
+        manifest.reset()
+        # outputs written beside the manifest's stages
+        shutil.rmtree(os.path.join(out_root, "canonical_labels"), ignore_errors=True)
+        if os.path.exists(os.path.join(out_root, "metrics.json")):
+            os.remove(os.path.join(out_root, "metrics.json"))
     sweep_orphan_tmpdirs(out_root)
-    done = manifest.done_buckets("triples") if resume else set()
+    done = manifest.done_buckets("triples")
     todo = [b for b in range(n_buckets) if b not in done]
     counters = {"buckets_skipped": len(done), "buckets_computed": len(todo)}
 
@@ -419,29 +426,7 @@ def run_kg_job(
             manifest.mark_bucket("quarantine", 0, rows, lineage={"rule": "S3 [.!?]$"})
             counters["quarantined_rows"] = rows
 
-        # Resume pushdown: filter the done buckets out of the TRANSCRIPTS
-        # (one hash pass over turns) so extraction compute — mention
-        # detection, or every LLM chat call — is skipped for completed
-        # buckets, honoring the "filtered out BEFORE extraction" contract.
-        # The answers path keeps the post-extraction filter only (its
-        # extraction is a cheap parse and it reads its own inputs).
-        src_ds = _read_src() if input_format != "parquet" else None
-        if done and extractor in ("gazetteer", "llm"):
-            done_list = list(done)
-            src_ds = (
-                add_bucket(_read_src(), n_buckets)
-                .map_batches(
-                    lambda t: t.filter(
-                        pc.invert(
-                            pc.is_in(t["bucket"], value_set=pa.array(done_list))
-                        )
-                    ),
-                    batch_format="pyarrow",
-                )
-                .drop_columns(["bucket"])
-            )
-
-        triples = build_triples(
+        bucket_rows, kernel = bucketed_extraction(
             transcripts_path,
             dictionary_path,
             extractor=extractor,
@@ -449,24 +434,17 @@ def run_kg_job(
             chat_fn_factory=chat_fn_factory,
             prompt_text=prompt_text,
             answer_format=answer_format,
-            transcripts_ds=src_ds,
+            transcripts_ds=_read_src() if input_format != "parquet" else None,
+            n_buckets=n_buckets,
+            skip_buckets=done,
         )
-        triples = add_bucket(triples, n_buckets)
-        if done:
-            done_arr = list(done)
-            triples = triples.map_batches(
-                lambda t: t.filter(
-                    pc.invert(pc.is_in(t["bucket"], value_set=pa.array(done_arr)))
-                ),
-                batch_format="pyarrow",
-            )
-        # Distributed per-bucket writes: one conv-hash-bucket shuffle, then
-        # each bucket group is written to a temp dir by the worker holding
-        # it.  The driver only handles (bucket, rows, errors, tmp) summary
-        # rows — rename + manifest mark, never triple data (at 100 TB the
-        # edge table is TBs; the round-1 ray.get+concat path OOMs).
-        writes = triples.groupby("bucket").map_groups(
-            make_bucket_writer(out_root, "triples"), batch_format="pyarrow"
+        # The one exchange: each bucket group is extracted and written to
+        # a temp dir by the worker holding it.  The driver only handles
+        # (bucket, rows, errors, tmp) summary rows — rename + manifest
+        # mark, never triple data (at 100 TB the edge table is TBs; the
+        # round-1 ray.get+concat path OOMs).
+        writes = bucket_rows.groupby("bucket").map_groups(
+            make_bucket_writer(out_root, "triples", kernel), batch_format="pyarrow"
         )
         summary = writes.to_pandas().sort_values("bucket")
         for row in summary.itertuples():
@@ -482,8 +460,8 @@ def run_kg_job(
                     "errors": int(row.errors),
                 },
             )
-        # buckets with zero mention rows never reach the writer kernel —
-        # mark them with an empty partition so resume doesn't re-plan them
+        # buckets with no rows never reach the writer kernel — mark them
+        # with an empty partition so resume doesn't re-plan them
         for b in set(todo) - {int(r.bucket) for r in summary.itertuples()}:
             rows = write_bucket_atomic(
                 pa.Table.from_pylist([], schema=schema.TRIPLES), out_root, "triples", b

@@ -3,14 +3,15 @@
 Two-stage, shuffle-minimizing design:
 
 * :class:`MentionDetector` — per-turn DIRECT mention detection against
-  the broadcast gazetteer.  Order-independent, so it runs as a plain
-  ``map_batches`` stage with NO shuffle; only turns that contain a
-  mention or an anaphora cue survive into the conv_id shuffle.  That
-  is not a small fraction of the turns (1.27 mention rows per turn on
-  the synthetic bench corpus), but the rows are narrow: the text is
+  the broadcast gazetteer over turns that already carry their job
+  bucket.  Order-independent, so it runs as a plain ``map_batches``
+  stage with NO shuffle; only turns that contain a mention or an
+  anaphora cue survive into the job-bucket exchange.  That is not a
+  small fraction of the turns (1.27 mention rows per turn on the
+  synthetic bench corpus), but the rows are narrow: the text is
   dropped and entities travel as integer codes.
-* :func:`make_conversation_assembler` — conv-hash bucket ``map_groups``
-  kernel: resolves anaphora (INDIRECT occurrences, reference doc
+* :func:`make_conversation_assembler` — per-bucket kernel (one job
+  bucket per call): resolves anaphora (INDIRECT occurrences, reference doc
   example NamedEntityReferenceType.java:15-19), dedups occurrences
   (NamedEntity's SortedSet semantics, NamedEntity.java:147-149) and
   materializes (subj, pred, obj) triples.
@@ -31,7 +32,6 @@ import pyarrow as pa
 import pyarrow.compute as _pc
 
 from .. import schema
-from ..hashing import hash_u32
 from ..sources.gazetteer import matcher_from_ref
 
 #: anaphora cue: the turn opens with a pronoun reference ("It is very big.")
@@ -39,7 +39,7 @@ _PRONOUN_RE = re.compile(r"^(?:It|This|They)\b")
 
 MENTION_SCHEMA = pa.schema(
     [
-        ("bucket", pa.int32()),  # hash(conv_id) % n_buckets — the shuffle key
+        ("bucket", pa.int32()),  # the input turn's job bucket — the exchange key
         ("conv_id", pa.string()),
         ("turn_idx", pa.int32()),
         ("pos", pa.int32()),  # token position of the match inside the turn
@@ -53,20 +53,20 @@ MENTION_SCHEMA = pa.schema(
 
 
 class MentionDetector:
-    """Turns -> mention/pronoun-cue rows for one batch.
+    """Bucketed turns -> mention/pronoun-cue rows for one batch.
 
     The gazetteer index comes from the per-process matcher cache
     (``matcher_from_ref``), so constructing a detector per batch is
-    cheap.  Emits a conv-hash ``bucket`` column so the downstream
-    shuffle groups by a few dozen buckets rather than one group per
+    cheap.  The input's job-bucket column (``pipelines/kg.add_bucket``)
+    is carried through to every mention row of its turn, so the
+    downstream exchange groups by bucket rather than one group per
     conversation (Ray's per-group dispatch overhead dominates with
     millions of tiny groups; the assembler iterates conversations inside
     each bucket instead).
     """
 
-    def __init__(self, dict_ref, n_buckets: int = 64):
+    def __init__(self, dict_ref):
         self.matcher = matcher_from_ref(dict_ref)
-        self.n_buckets = n_buckets
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         tcol = batch["text"]
@@ -120,18 +120,10 @@ class MentionDetector:
         pron_col = code_col < 0
 
         row_idx_pa = pa.array(row_idx, pa.int64())
-        conv_col = batch["conv_id"].combine_chunks()
-        cenc = conv_col.dictionary_encode()
-        ubuckets = np.array(
-            [hash_u32(c) % self.n_buckets for c in cenc.dictionary.to_pylist()],
-            np.int32,
-        )
-        bucket_col = ubuckets[cenc.indices.to_numpy()][row_idx]
-
         return pa.table(
             {
-                "bucket": pa.array(bucket_col, pa.int32()),
-                "conv_id": conv_col.take(row_idx_pa),
+                "bucket": batch["bucket"].combine_chunks().take(row_idx_pa),
+                "conv_id": batch["conv_id"].combine_chunks().take(row_idx_pa),
                 "turn_idx": _pc.cast(
                     batch["turn_idx"].combine_chunks().take(row_idx_pa), pa.int32()
                 ),
@@ -143,7 +135,7 @@ class MentionDetector:
         )
 
 
-def make_mention_detector(dict_ref, n_buckets: int = 64):
+def make_mention_detector(dict_ref):
     """``map_batches`` kernel running :class:`MentionDetector` per batch.
 
     The matcher index is cached per worker process (matcher_from_ref),
@@ -152,7 +144,7 @@ def make_mention_detector(dict_ref, n_buckets: int = 64):
     """
 
     def detect(batch: pa.Table) -> pa.Table:
-        return MentionDetector(dict_ref, n_buckets)(batch)
+        return MentionDetector(dict_ref)(batch)
 
     return detect
 

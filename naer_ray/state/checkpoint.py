@@ -45,6 +45,23 @@ def content_sha256(path: str | None) -> str | None:
     return h.hexdigest()
 
 
+def files_fingerprint(path: str | None) -> str | None:
+    """sha256 of the sorted (relative path, size, mtime_ns) of every file
+    under ``path`` (or of the one file); None for no path.  Only file
+    metadata is read, so it stays cheap on a corpus of any size."""
+    if path is None:
+        return None
+    files = [path]
+    if os.path.isdir(path):
+        files = [os.path.join(d, f) for d, _dirs, names in os.walk(path) for f in names]
+    entries = sorted(
+        (os.path.relpath(f, path), st.st_size, st.st_mtime_ns)
+        for f in files
+        for st in [os.stat(f)]
+    )
+    return hashlib.sha256(json.dumps(entries).encode()).hexdigest()
+
+
 class Manifest:
     def __init__(self, root: str):
         self.root = root
@@ -78,6 +95,14 @@ class Manifest:
         a stage with add_counter would double-count into the persisted
         manifest)."""
         self.stage(stage)["counters"][name] = value
+        self._flush()
+
+    def reset(self) -> None:
+        """Forget every stage and delete its directory, so a run that does
+        not resume keeps nothing of an earlier run's state."""
+        for stage in self.data["stages"]:
+            shutil.rmtree(os.path.join(self.root, stage), ignore_errors=True)
+        self.data["stages"] = {}
         self._flush()
 
     def stage_complete(self, stage: str, n_buckets: int) -> bool:
@@ -159,11 +184,13 @@ def finalize_bucket(root: str, stage: str, bucket: int, tmp: str, rows: int) -> 
     return rows
 
 
-def make_bucket_writer(root: str, stage: str, drop_columns: tuple = ("bucket",)):
+def make_bucket_writer(root: str, stage: str, kernel):
     """``map_groups`` kernel factory for DISTRIBUTED per-bucket writes.
 
-    Each bucket group is written by the WORKER that holds it — the
-    driver never sees triple data, only the (bucket, rows, errors,
+    Each group is one bucket: the writer takes its id from the group's
+    ``bucket`` column, runs ``kernel`` over the group's rows (without
+    that column) and writes the result from the WORKER that holds it —
+    the driver never sees triple data, only the (bucket, rows, errors,
     tmp_path) summary rows (the round-1 driver-side
     ``ray.get(to_arrow_refs) + concat + write_table`` path OOMs the
     driver once the edge table is TBs).  Writes land in a dot-prefixed
@@ -187,12 +214,12 @@ def make_bucket_writer(root: str, stage: str, drop_columns: tuple = ("bucket",))
         import pyarrow.parquet as pq
 
         bucket = group["bucket"][0].as_py()
+        tbl = kernel(group.drop_columns(["bucket"]))
         errors = 0
-        if "pred" in group.column_names and group.num_rows:
+        if "pred" in tbl.column_names and tbl.num_rows:
             errors = int(
-                pc.sum(pc.equal(group["pred"], "__error__").cast(pa.int64())).as_py() or 0
+                pc.sum(pc.equal(tbl["pred"], "__error__").cast(pa.int64())).as_py() or 0
             )
-        tbl = group.drop_columns([c for c in drop_columns if c in group.column_names])
         sort_keys = [
             (f.name, "ascending") for f in tbl.schema if not pa.types.is_nested(f.type)
         ]

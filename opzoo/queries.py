@@ -8413,18 +8413,14 @@ def _s07_write_pass(sf_dir: str, root: str, n_buckets: int) -> int:
         g = batch.groupby(["bucket", "lang"], as_index=False)["n"].sum()
         return g[~g["bucket"].isin(list(done))] if done else g
 
-    writer = make_bucket_writer(root, "lang_counts")
-
-    def reduce_and_write(group: pa.Table) -> pa.Table:
-        df = group.to_pandas().groupby(
-            ["bucket", "lang"], as_index=False
-        )["n"].sum()
-        return writer(pa.Table.from_pandas(df, preserve_index=False))
+    def reduce(group: pa.Table) -> pa.Table:
+        df = group.to_pandas().groupby("lang", as_index=False)["n"].sum()
+        return pa.Table.from_pandas(df, preserve_index=False)
 
     summary = (
         ds.map_batches(partial, batch_format="pandas", batch_size=65536)
         .groupby("bucket")
-        .map_groups(reduce_and_write, batch_format="pyarrow")
+        .map_groups(make_bucket_writer(root, "lang_counts", reduce), batch_format="pyarrow")
         .to_pandas()
     )
     for row in summary.itertuples():

@@ -15,6 +15,7 @@ import pyarrow as pa
 import pytest
 
 from naer_ray import schema
+from naer_ray.hashing import hash_u32
 from naer_ray.sources.gazetteer import load_dictionary_rows, matcher_from_ref
 from naer_ray.stages.extract import (
     MENTION_SCHEMA,
@@ -101,9 +102,9 @@ def _assemble_one(
         name, etype = row["canonical_name"], row["type"]
         add(name, "hasType", etype, conv_id)
         add(name, "mentionedIn", conv_id, conv_id)
-        # dictionary alias edges are ENTITY-scoped, not conversation-scoped:
-        # emitted once globally by alias_interface_edges() — repeating them
-        # per conversation multiplied triple volume ~40% for zero information
+        # dictionary alias edges are ENTITY-scoped, not conversation-scoped,
+        # so the walk emits none — repeating them per conversation
+        # multiplied triple volume ~40% for zero information
         for turn, ref in sorted(occurrences[eid], key=lambda o: (o[0], _REF_RANK[o[1]])):
             add(name, "occursIn", f"{conv_id}#{turn}", conv_id, turn, ref)
         for _iid, iface_name in sorted(
@@ -176,8 +177,10 @@ def test_ref_corpus_identical(ray_session, ref_corpus):
     import pyarrow.parquet as pq
 
     turns = pq.read_table(os.path.join(ref_corpus, "transcripts"))
-    det = MentionDetector(ref, n_buckets=8)
-    mentions = det(turns)
+    # bucketed turns, hashed the way pipelines/kg.add_bucket hashes them
+    buckets = [hash_u32(c) % 8 for c in turns["conv_id"].to_pylist()]
+    turns = turns.append_column("bucket", pa.array(buckets, pa.int32()))
+    mentions = MentionDetector(ref)(turns)
     py_fn, vec_fn = _assemblers(ref)
     _assert_identical(py_fn(mentions), vec_fn(mentions))
 

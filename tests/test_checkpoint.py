@@ -1,10 +1,13 @@
 """Checkpointed KG job: per-bucket manifests, lineage counters, resume."""
 
+import glob
+import hashlib
 import json
 import os
 import shutil
 
 import pyarrow.parquet as pq
+import pytest
 
 
 def _corpus_paths(c):
@@ -35,34 +38,94 @@ def test_kg_job_writes_partitions_and_manifest(ray_session, ref_corpus, tmp_path
     assert kinds == {"entity", "conversation"}
 
 
-def test_kg_job_resume_skips_done_buckets(ray_session, ref_corpus, tmp_path):
-    from naer_ray.pipelines.kg import run_kg_job
+def _bucket_sha256(out):
+    """sha256 of every triples bucket file, keyed by bucket directory."""
+    return {
+        os.path.basename(os.path.dirname(f)): hashlib.sha256(open(f, "rb").read()).hexdigest()
+        for f in glob.glob(os.path.join(out, "triples", "bucket=*", "*.parquet"))
+    }
 
-    transcripts, dictionary = _corpus_paths(ref_corpus)
-    out = str(tmp_path / "kg")
-    run_kg_job(transcripts, dictionary, out, n_buckets=4)
-    before = pq.read_table(os.path.join(out, "triples"))
 
-    # simulate a mid-job crash: drop two buckets from the manifest + disk
+def _forget_buckets(out, buckets):
+    """Simulate a mid-job crash: drop buckets (and the nodes stage) from
+    the manifest and from disk."""
     mpath = os.path.join(out, "MANIFEST.json")
     manifest = json.load(open(mpath))
-    for b in ("1", "3"):
-        del manifest["stages"]["triples"]["buckets"][b]
+    for b in buckets:
+        del manifest["stages"]["triples"]["buckets"][str(b)]
         shutil.rmtree(os.path.join(out, "triples", f"bucket={b}"))
     manifest["stages"].pop("nodes", None)
     shutil.rmtree(os.path.join(out, "nodes"))
     with open(mpath, "w") as f:
         json.dump(manifest, f)
 
+
+def test_kg_job_resume_skips_done_buckets(ray_session, ref_corpus, tmp_path):
+    from naer_ray.pipelines.kg import run_kg_job
+
+    transcripts, dictionary = _corpus_paths(ref_corpus)
+    out = str(tmp_path / "kg")
+    run_kg_job(transcripts, dictionary, out, n_buckets=4)
+    before = _bucket_sha256(out)
+    assert len(before) == 4
+
+    _forget_buckets(out, (1, 3))
     counters = run_kg_job(transcripts, dictionary, out, n_buckets=4)
     assert counters["buckets_skipped"] == 2
     assert counters["buckets_computed"] == 2
-    after = pq.read_table(os.path.join(out, "triples"))
-    # identical output after resume (sort both for comparison)
-    cols = ["subj", "pred", "obj", "conv_id"]
-    a = sorted(zip(*[before.column(c).to_pylist() for c in cols]))
-    b = sorted(zip(*[after.column(c).to_pylist() for c in cols]))
-    assert a == b
+    # the rewritten bucket files are byte-identical to the first run's
+    assert _bucket_sha256(out) == before
+
+
+def test_answers_job_resume_skips_done_buckets(ray_session, ref_corpus, tmp_path):
+    from naer_ray.pipelines.kg import run_kg_job
+
+    transcripts, _ = _corpus_paths(ref_corpus)
+    answers = os.path.join(ref_corpus, "llm_answers.parquet")
+    out = str(tmp_path / "kg")
+
+    def job():
+        return run_kg_job(
+            transcripts, None, out, extractor="answers", answers_path=answers, n_buckets=4
+        )
+
+    job()
+    before = _bucket_sha256(out)
+    assert len(before) == 4
+
+    _forget_buckets(out, (0, 2))
+    counters = job()
+    assert counters["buckets_skipped"] == 2
+    assert counters["buckets_computed"] == 2
+    assert _bucket_sha256(out) == before
+
+
+@pytest.mark.parametrize("extractor", ["gazetteer", "answers"])
+def test_kg_job_triples_stage_is_one_exchange(ray_session, ref_corpus, tmp_path, monkeypatch, extractor):
+    """The triples stage groups once (by job bucket); with no canon and no
+    evaluation the job's only other group-by is the nodes stage."""
+    from ray.data.grouped_data import GroupedData
+
+    from naer_ray.pipelines.kg import run_kg_job
+
+    calls = []
+    map_groups = GroupedData.map_groups
+
+    def counting(self, fn, *args, **kwargs):
+        calls.append(fn)
+        return map_groups(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(GroupedData, "map_groups", counting)
+    transcripts, dictionary = _corpus_paths(ref_corpus)
+    run_kg_job(
+        transcripts,
+        dictionary if extractor == "gazetteer" else None,
+        str(tmp_path / "kg"),
+        extractor=extractor,
+        answers_path=os.path.join(ref_corpus, "llm_answers.parquet"),
+        n_buckets=4,
+    )
+    assert len(calls) == 2, [getattr(f, "__qualname__", f) for f in calls]
 
 
 def test_answers_path_job_and_dead_letter(ray_session, ref_corpus, tmp_path):

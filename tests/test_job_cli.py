@@ -163,6 +163,55 @@ def test_resume_refuses_changed_dictionary_content(ray_session, ref_corpus, tmp_
         run_kg_job(t, d, out, n_buckets=2)
 
 
+def test_resume_refuses_changed_transcript_files(ray_session, ref_corpus, tmp_path):
+    """Same transcripts path, one file rewritten: the resume must raise."""
+    import shutil
+
+    import pyarrow.parquet as pq
+    import pytest
+
+    from naer_ray.pipelines.kg import run_kg_job
+
+    out = str(tmp_path / "kg")
+    t = str(tmp_path / "transcripts")
+    shutil.copytree(os.path.join(ref_corpus, "transcripts"), t)
+    d = os.path.join(ref_corpus, "entity_dictionary.parquet")
+    run_kg_job(t, d, out, n_buckets=2)
+    part = os.path.join(t, sorted(os.listdir(t))[0])
+    pq.write_table(pq.read_table(part).slice(1), part)
+    with pytest.raises(ValueError, match="transcripts_files"):
+        run_kg_job(t, d, out, n_buckets=2)
+
+
+def test_no_resume_clears_earlier_state(ray_session, ref_corpus, tmp_path):
+    """resume=False at fewer buckets keeps nothing of the earlier run: no
+    stale higher triples buckets, and nodes and canon are recomputed."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from naer_ray.pipelines.kg import run_kg_job
+
+    t = os.path.join(ref_corpus, "transcripts")
+    d = os.path.join(ref_corpus, "entity_dictionary.parquet")
+    out = str(tmp_path / "kg")
+    fresh = str(tmp_path / "fresh")
+    run_kg_job(t, d, out, n_buckets=4, canonicalize=True)
+    run_kg_job(t, d, out, n_buckets=2, canonicalize=True, resume=False)
+    run_kg_job(t, d, fresh, n_buckets=2, canonicalize=True)
+
+    manifest = json.load(open(os.path.join(out, "MANIFEST.json")))
+    assert sorted(manifest["stages"]["triples"]["buckets"]) == ["0", "1"]
+    assert len(glob.glob(os.path.join(out, "triples", "bucket=*"))) == 2
+
+    def rows(root, stage):
+        table = pq.read_table(os.path.join(root, stage))
+        return sorted(map(tuple, table.to_pandas().astype(str).values.tolist()))
+
+    for stage in ("triples", "nodes", "canon", "canonical_labels"):
+        assert rows(out, stage) == rows(fresh, stage), stage
+
+
 def test_orphan_tmpdir_sweep(ray_session, ref_corpus, tmp_path):
     """ADVICE r2: stale '.bucket-*' temp dirs from a dead driver are
     swept at job start instead of accumulating forever."""
