@@ -395,6 +395,7 @@ def run_kg_job(
 
             return read_transcripts_jsonl(transcripts_path)
         return read_transcripts(transcripts_path)
+
     if not resume:
         manifest.reset()
         # outputs written beside the manifest's stages
