@@ -489,8 +489,11 @@ def run_kg_job(
         nb = max(1, sum(os.path.getsize(f) for f in edge_files) // (64 * 1024 * 1024)) \
             if edge_files else 1
         nb = max(nb, min(len(edge_files), 32))
+        # explicit columns: the bucket=N directories add no partition column
         ok, _bad = split_errors(
-            ray.data.read_parquet(edge_files, override_num_blocks=nb)
+            ray.data.read_parquet(
+                edge_files, columns=schema.TRIPLES.names, override_num_blocks=nb
+            )
         )
         return ok
 
@@ -499,39 +502,39 @@ def run_kg_job(
             nodes_from_triples(_ok_edges()), out_root, "nodes", 0
         )
         manifest.mark_bucket("nodes", 0, rows, lineage={"input": "triples/*"})
-    # stage 3 (optional): cross-corpus canonicalization — union-find over
-    # name-pool similarity edges; materialized as a labels table plus
-    # (node, sameAs, label) edges for non-identity labels
+    # stage 3 (optional): cross-corpus canonicalization of the node
+    # table's entity names — union-find over name-pool similarity edges;
+    # materialized as a labels table plus (node, sameAs, label) edges for
+    # non-identity labels
     if canonicalize and edge_files and not manifest.stage_complete("canon", 1):
         from ..stages.canon import canonical_labels
 
-        ok = _ok_edges()
-
-        def subj_names(batch: pa.Table) -> pa.Table:
-            sel = batch.filter(pc.equal(batch["pred"], "hasType"))
-            return pa.table(
-                {"name": pa.array(sorted(set(sel["subj"].to_pylist())), pa.string())}
+        node_files = sorted(
+            _glob.glob(os.path.join(bucket_dir(out_root, "nodes", 0), "*.parquet"))
+        )
+        names_ds = (
+            ray.data.read_parquet(
+                node_files, columns=["kind", "name"], filter=pc.field("kind") == "entity"
             )
-
-        names_ds = ok.map_batches(subj_names, batch_format="pyarrow")
+            if node_files  # an empty node table is written as no file
+            else ray.data.from_arrow(pa.table({"name": pa.array([], pa.string())}))
+        )
         # one execution feeds both outputs: labels parquet + sameAs edges
         labels = canonical_labels(names_ds).materialize()
         rows = write_stage_dataset_atomic(labels, out_root, "canonical_labels", 0)
 
         def to_same_as(batch: pa.Table) -> pa.Table:
             sel = batch.filter(pc.not_equal(batch["node"], batch["label"]))
-            return pa.Table.from_pylist(
-                [
-                    {
-                        "subj": n,
-                        "pred": "sameAs",
-                        "obj": l,
-                        "conv_id": "",
-                        "turn_idx": None,
-                        "ref_type": None,
-                    }
-                    for n, l in zip(sel["node"].to_pylist(), sel["label"].to_pylist())
-                ],
+            n = sel.num_rows
+            return pa.table(
+                {
+                    "subj": sel["node"],
+                    "pred": pa.repeat("sameAs", n),
+                    "obj": sel["label"],
+                    "conv_id": pa.repeat("", n),
+                    "turn_idx": pa.nulls(n, pa.int32()),
+                    "ref_type": pa.nulls(n, pa.string()),
+                },
                 schema=schema.TRIPLES,
             )
 

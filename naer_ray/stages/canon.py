@@ -2,37 +2,53 @@
 
 Generalizes the reference's name-pool matching + rename-unify
 (TestProjectEvaluator.matchComponentNames:209-239, NamedEntity.changeName:77-80)
-to corpus scale:
+to corpus scale in one map, one exchange and one union-find
+(:func:`canonical_labels`):
 
-1. every observed entity name explodes into its name pool —
+1. map: every observed entity name explodes into its name pool —
    {cleanComponentName(name)} ∪ aliases, all normalized surface forms
-   (names.normalize_surface: lowercase, camelCase split);
-2. exact pool-key collisions and Jaro-Winkler >= threshold pairs inside
-   blocking buckets become similarity edges (blocking: first token +
-   length band — the documented partitioning assumption: names that
-   share no first token and differ in length by > 40% are never
-   compared);
-3. connected components via bucketed min-label propagation
-   (:func:`connected_components` — no driver-side state);
-4. the component's lexicographically-smallest member becomes the
-   canonical label (deterministic under any parallelism), mirroring the
-   reference's rename-unify where the matching pool name wins.
+   (names.normalize_surface: lowercase, camelCase split) — as the
+   batch's distinct (pool_key, name) pairs, each tagged with the hash
+   bucket of its blocking key (first two characters + length band of
+   the space-collapsed pool key);
+2. exchange: one group-by on that bucket.  A space-collapsed key
+   determines its block, so each bucket kernel holds every pair its
+   edges need and emits (a) a self edge per name, so the labelling is
+   total, (b) exact edges between names sharing a collapsed pool key,
+   and (c) Jaro-Winkler >= threshold edges between pool keys of one
+   block (the documented partitioning assumption: names in different
+   blocks are never fuzzy-compared);
+3. union-find: connected components (:func:`connected_components`),
+   labelled by the component's lexicographically-smallest member —
+   deterministic under any parallelism, mirroring the reference's
+   rename-unify where the matching pool name wins.
 
-Skew: hot surface forms ("WebUI" in a large share of conversations)
-are exploded to (name_pool_key, name) DISTINCT pairs before the edge
-stage, so a key's cost is its distinct-name count, not its corpus
-frequency — the salting analogue for this workload.
+Skew: a hot surface form ("WebUI" in a large share of conversations)
+crosses the exchange as per-batch DISTINCT (pool_key, name) pairs, and
+its bucket kernel deduplicates them again before any edge is built, so
+a key costs its distinct names, not its corpus frequency — the salting
+analogue for this workload.  A block's pairwise comparisons are capped
+at :data:`MAX_BLOCK` rows.
 """
 
 from __future__ import annotations
+
+import warnings
+from collections import defaultdict
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..hashing import _bucket_series, _fnv64_arr
+from ..hashing import _fnv64_arr
 from ..names import clean_component_name, normalize_surface
+
+#: most (pool_key, name) rows one block compares pairwise; the sorted
+#: head is kept and the rest lose their fuzzy candidate pairs
+MAX_BLOCK = 500
+#: buckets of the canonicalization exchange
+_N_BUCKETS = 64
 
 
 def jaro(s1: str, s2: str) -> float:
@@ -92,53 +108,6 @@ def _block_key(norm_name: str) -> str:
     return f"{collapsed[:2]}|{len(collapsed) // 4}"
 
 
-def name_pool_rows(names_ds, name_col: str = "name", aliases_col: str | None = None):
-    """Explode (name [, aliases]) rows into DISTINCT (pool_key, name) pairs."""
-
-    def explode(batch: pa.Table) -> pa.Table:
-        names = batch[name_col].to_pylist()
-        aliases = (
-            batch[aliases_col].to_pylist()
-            if aliases_col and aliases_col in batch.column_names
-            else [None] * len(names)
-        )
-        seen: set[tuple[str, str]] = set()
-        out_key, out_name = [], []
-        for name, alts in zip(names, aliases):
-            pool = {normalize_surface(clean_component_name(name))}
-            for a in alts or []:
-                pool.add(normalize_surface(a))
-            pool.discard("")
-            for key in pool:
-                pair = (key, name)
-                if pair not in seen:
-                    seen.add(pair)
-                    out_key.append(key)
-                    out_name.append(name)
-        return pa.table(
-            {
-                "pool_key": pa.array(out_key, pa.string()),
-                "name": pa.array(out_name, pa.string()),
-            }
-        )
-
-    rows = names_ds.map_batches(explode, batch_format="pyarrow")
-    # global distinct on (pool_key, name): hot keys cost their DISTINCT names
-    def dedup(group: pd.DataFrame) -> pd.DataFrame:
-        return group.drop_duplicates()
-
-    def bucketize(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.drop_duplicates()
-        batch["bucket"] = _bucket_series(batch["pool_key"], 64)
-        return batch
-
-    return (
-        rows.map_batches(bucketize, batch_format="pandas", batch_size=65536)
-        .groupby("bucket")
-        .map_groups(dedup, batch_format="pandas")
-    )
-
-
 def _edge_table(rows: list[tuple[str, str]]) -> pa.Table:
     """(a, b) pairs -> typed Arrow edge table.
 
@@ -153,135 +122,25 @@ def _edge_table(rows: list[tuple[str, str]]) -> pa.Table:
     )
 
 
-def similarity_edges(pool_rows, jw_threshold: float = 0.93, max_block: int = 500):
-    """(pool_key, name) rows -> undirected edges (id_a, id_b).
-
-    Exact edges: same pool_key.  Fuzzy edges: Jaro-Winkler >= threshold
-    between pool keys inside the same blocking bucket.  Oversized
-    blocks are capped deterministically (sorted head); rows beyond the
-    cap lose fuzzy candidate pairs, reported via a worker-side
-    RuntimeWarning with the dropped-row count.
-    """
-
-    def exact_edges(group: pd.DataFrame) -> pa.Table:
-        rows = []
-        # same pool key OR same space-collapsed pool key -> exact edge
-        g = group.assign(ckey=group["pool_key"].str.replace(" ", "", regex=False))
-        for _key, sub in g.groupby("ckey"):
-            names = sorted(sub["name"].unique())
-            for other in names[1:]:
-                rows.append((names[0], other))
-        return _edge_table(rows)
-
-    def collapse_key(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["ckey_bucket"] = _bucket_series(
-            batch["pool_key"].str.replace(" ", "", regex=False), 64
+def _block_edges(block: list[tuple[str, str]], jw_threshold: float) -> list[tuple[str, str]]:
+    """Jaro-Winkler >= threshold edges between the sorted (pool_key, name)
+    rows of one block.  Oversized blocks are capped deterministically
+    (sorted head); rows beyond the cap lose fuzzy candidate pairs,
+    reported via a worker-side RuntimeWarning with the dropped-row count."""
+    if len(block) > MAX_BLOCK:
+        warnings.warn(
+            f"canonicalization block capped: {len(block) - MAX_BLOCK} rows beyond "
+            f"max_block={MAX_BLOCK} lose fuzzy candidate pairs",
+            RuntimeWarning,
+            stacklevel=2,
         )
-        return batch
-
-    exact = (
-        pool_rows.map_batches(collapse_key, batch_format="pandas", batch_size=65536)
-        .groupby("ckey_bucket")
-        .map_groups(exact_edges, batch_format="pandas")
-    )
-
-    def blocked(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["block"] = batch["pool_key"].map(_block_key)
-        return batch[["block", "pool_key", "name"]]
-
-    def fuzzy_edges(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.drop_duplicates(subset=["pool_key", "name"]).sort_values(
-            ["pool_key", "name"]
-        )
-        if len(g) > max_block:
-            import warnings
-
-            warnings.warn(
-                f"canonicalization block capped: {len(g) - max_block} rows beyond "
-                f"max_block={max_block} lose fuzzy candidate pairs",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            g = g.head(max_block)
-        keys = g["pool_key"].to_numpy()
-        names = g["name"].to_numpy()
-        rows = []
-        for i in range(len(keys)):
-            for j in range(i + 1, len(keys)):
-                if keys[i] == keys[j]:
-                    continue
-                if jaro_winkler(keys[i], keys[j]) >= jw_threshold:
-                    a, b = sorted((names[i], names[j]))
-                    rows.append((a, b))
-        return _edge_table(rows)
-
-    if jw_threshold > 1.0:  # fuzzy disabled: skip the blocked-comparison stage
-        return exact
-
-    fuzzy = _grouped_runs(
-        pool_rows.map_batches(blocked, batch_format="pandas", batch_size=65536),
-        ["block"],
-        fuzzy_edges,
-    )
-    return exact.union(fuzzy)
-
-
-def _grouped_runs(ds, keys: list[str], kernel, n_buckets: int = 64,
-                  min_group_size: int = 1):
-    """Bucketed fine-grained groupby: hash the composite key into
-    ``n_buckets`` Ray groups, run ``kernel`` per logical key-run inside
-    a pandas loop — Ray dispatch stays O(n_buckets) even with millions
-    of distinct keys.
-
-    ``min_group_size=2`` vectorized-drops singleton key groups before
-    the Python loop — for pair-generation kernels (LSH buckets are
-    overwhelmingly singletons) this removes ~99% of the tiny-DataFrame
-    creations that otherwise dominate.
-    """
-
-    def bucketize(batch: pd.DataFrame) -> pd.DataFrame:
-        if batch.empty:
-            batch["bucket"] = pd.Series([], dtype="int32")
-            return batch
-        if all(pd.api.types.is_integer_dtype(batch[k]) for k in keys):
-            # vectorized splitmix-style mix for integer keys — the
-            # string-concat + per-row python hash path below costs more
-            # than the grouped kernel itself on wide band tables
-            with np.errstate(over="ignore"):
-                h = np.zeros(len(batch), np.uint64)
-                for k in keys:
-                    v = batch[k].to_numpy().astype(np.uint64, copy=False)
-                    h ^= v + np.uint64(0x9E3779B97F4A7C15) + (h << np.uint64(6)) + (
-                        h >> np.uint64(2)
-                    )
-                    h *= np.uint64(0xBF58476D1CE4E5B9)
-                    h ^= h >> np.uint64(27)
-            batch["bucket"] = (h % np.uint64(n_buckets)).astype("int32")
-            return batch
-        comb = batch[keys[0]].astype(str)
-        for k in keys[1:]:
-            comb = comb + "|" + batch[k].astype(str)
-        batch["bucket"] = _bucket_series(comb, n_buckets)
-        return batch
-
-    def run(group: pd.DataFrame) -> pd.DataFrame:
-        if min_group_size >= 2 and not group.empty:
-            group = group[group.duplicated(subset=keys, keep=False)]
-        outs = [kernel(sub) for _, sub in group.groupby(keys, sort=False)]
-        outs = [o for o in outs if o is not None and len(o)]
-        if not outs:
-            return kernel(group.head(0))
-        if isinstance(outs[0], pa.Table):
-            return pa.concat_tables(outs)
-        return pd.concat(outs, ignore_index=True)
-
-    return (
-        ds.map_batches(bucketize, batch_format="pandas", batch_size=65536)
-        .groupby("bucket")
-        .map_groups(run, batch_format="pandas")
-    )
+        block = block[:MAX_BLOCK]
+    rows = []
+    for i, (key_i, name_i) in enumerate(block):
+        for key_j, name_j in block[i + 1 :]:
+            if key_i != key_j and jaro_winkler(key_i, key_j) >= jw_threshold:
+                rows.append((min(name_i, name_j), max(name_i, name_j)))
+    return rows
 
 
 def connected_components(
@@ -486,56 +345,78 @@ def canonical_labels(names_ds, name_col: str = "name", aliases_col: str | None =
                      jw_threshold: float = 0.93):
     """names -> Dataset (node=name, label=canonical name).
 
-    Composition of the three stages above + min-label propagation;
-    min = lexicographic smallest name in the component (deterministic)."""
-    pool = name_pool_rows(names_ds, name_col, aliases_col)
-    edges = similarity_edges(pool, jw_threshold)
-    comp = connected_components(edges)
+    One map, one exchange, one union-find (module docstring); the label
+    is the lexicographically smallest name in the component
+    (deterministic).  ``jw_threshold > 1.0`` disables the fuzzy edges."""
 
-    # make the mapping TOTAL: names with no edges label themselves
-    def self_rows(batch: pa.Table) -> pa.Table:
-        names = sorted(set(batch["name"].to_pylist()))
+    def explode(batch: pa.Table) -> pa.Table:
+        names = batch[name_col].to_pylist()
+        aliases = (
+            batch[aliases_col].to_pylist()
+            if aliases_col and aliases_col in batch.column_names
+            else [None] * len(names)
+        )
+        pairs: set[tuple[str, str]] = set()
+        for name, alts in zip(names, aliases):
+            pool = {normalize_surface(clean_component_name(name))}
+            pool.update(normalize_surface(a) for a in alts or [])
+            pool.discard("")
+            pairs.update((key, name) for key in pool)
+        keys = [k for k, _ in pairs]
+        blocks = pa.array([_block_key(k) for k in keys], pa.string())
         return pa.table(
             {
-                "node": pa.array(names, pa.string()),
-                "label": pa.array(names, pa.string()),
+                "pool_key": pa.array(keys, pa.string()),
+                "name": pa.array([n for _, n in pairs], pa.string()),
+                "bucket": pa.array(
+                    (_fnv64_arr(blocks) % np.uint64(_N_BUCKETS)).astype(np.int32), pa.int32()
+                ),
             }
         )
 
-    singles = pool.map_batches(self_rows, batch_format="pyarrow")
+    def bucket_edges(group: pa.Table) -> pa.Table:
+        pairs = sorted(set(zip(group["pool_key"].to_pylist(), group["name"].to_pylist())))
+        # a self edge per name makes the labelling total
+        rows = [(n, n) for n in sorted({n for _, n in pairs})]
+        by_collapsed: dict[str, set[str]] = defaultdict(set)
+        blocks: dict[str, list[tuple[str, str]]] = defaultdict(list)
+        for key, name in pairs:
+            by_collapsed[key.replace(" ", "")].add(name)
+            blocks[_block_key(key)].append((key, name))
+        for names in by_collapsed.values():
+            first, *rest = sorted(names)
+            rows += [(first, other) for other in rest]
+        if jw_threshold <= 1.0:
+            for block in blocks.values():
+                rows += _block_edges(block, jw_threshold)
+        return _edge_table(rows)
 
-    def min_label(group: pd.DataFrame) -> pd.DataFrame:
-        return group.groupby("node", as_index=False)["label"].min()
-
-    def bucketize(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["bucket"] = _bucket_series(batch["node"], 64)
-        return batch
-
-    return (
-        comp.union(singles)
-        # no batch_size here: the union mixes Arrow and pandas blocks,
-        # and Ray's batcher cannot combine the two into one batch
-        .map_batches(bucketize, batch_format="pandas")
+    edges = (
+        names_ds.map_batches(explode, batch_format="pyarrow")
         .groupby("bucket")
-        .map_groups(min_label, batch_format="pandas")
-        .select_columns(["node", "label"])
+        .map_groups(bucket_edges, batch_format="pyarrow")
     )
+    return connected_components(edges)
 
 
 def apply_canonical_labels(triples_ds, labels_ds, col: str = "subj"):
     """Rewrite a triple column through the (node -> label) mapping.
 
     The label table is the SMALL side (distinct entity names), so it is
-    broadcast — ray.put once, dict lookup per batch."""
+    broadcast — ray.put once; each batch dictionary-encodes the column,
+    remaps only its distinct values and takes them back per row."""
     import ray
 
     labels_df = labels_ds.to_pandas()  # one execution feeds both columns
     map_ref = ray.put(dict(zip(labels_df["node"], labels_df["label"])))
 
-    def relabel(batch: pd.DataFrame) -> pd.DataFrame:
+    def relabel(batch: pa.Table) -> pa.Table:
         m = ray.get(map_ref)
-        batch[col] = batch[col].map(lambda v: m.get(v, v))
-        return batch
+        encoded = batch[col].combine_chunks().dictionary_encode()
+        values = pa.array(
+            [m.get(v, v) for v in encoded.dictionary.to_pylist()], encoded.dictionary.type
+        )
+        i = batch.column_names.index(col)
+        return batch.set_column(i, col, values.take(encoded.indices))
 
-    return triples_ds.map_batches(relabel, batch_format="pandas", batch_size=65536)
+    return triples_ds.map_batches(relabel, batch_format="pyarrow", batch_size=65536)

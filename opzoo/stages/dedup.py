@@ -27,9 +27,65 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from naer_ray.hashing import _bucket_series, _fnv64_arr, _varlen_buffers, hash_u32
-from naer_ray.stages.canon import _grouped_runs, connected_components
+from naer_ray.stages.canon import connected_components
 
 _MERSENNE = (1 << 61) - 1
+
+
+def _grouped_runs(ds, keys: list[str], kernel, n_buckets: int = 64,
+                  min_group_size: int = 1):
+    """Bucketed fine-grained groupby: hash the composite key into
+    ``n_buckets`` Ray groups, run ``kernel`` per logical key-run inside
+    a pandas loop — Ray dispatch stays O(n_buckets) even with millions
+    of distinct keys.
+
+    ``min_group_size=2`` vectorized-drops singleton key groups before
+    the Python loop — for pair-generation kernels (LSH buckets are
+    overwhelmingly singletons) this removes ~99% of the tiny-DataFrame
+    creations that otherwise dominate.
+    """
+
+    def bucketize(batch: pd.DataFrame) -> pd.DataFrame:
+        if batch.empty:
+            batch["bucket"] = pd.Series([], dtype="int32")
+            return batch
+        if all(pd.api.types.is_integer_dtype(batch[k]) for k in keys):
+            # vectorized splitmix-style mix for integer keys — the
+            # string-concat + per-row python hash path below costs more
+            # than the grouped kernel itself on wide band tables
+            with np.errstate(over="ignore"):
+                h = np.zeros(len(batch), np.uint64)
+                for k in keys:
+                    v = batch[k].to_numpy().astype(np.uint64, copy=False)
+                    h ^= v + np.uint64(0x9E3779B97F4A7C15) + (h << np.uint64(6)) + (
+                        h >> np.uint64(2)
+                    )
+                    h *= np.uint64(0xBF58476D1CE4E5B9)
+                    h ^= h >> np.uint64(27)
+            batch["bucket"] = (h % np.uint64(n_buckets)).astype("int32")
+            return batch
+        comb = batch[keys[0]].astype(str)
+        for k in keys[1:]:
+            comb = comb + "|" + batch[k].astype(str)
+        batch["bucket"] = _bucket_series(comb, n_buckets)
+        return batch
+
+    def run(group: pd.DataFrame) -> pd.DataFrame:
+        if min_group_size >= 2 and not group.empty:
+            group = group[group.duplicated(subset=keys, keep=False)]
+        outs = [kernel(sub) for _, sub in group.groupby(keys, sort=False)]
+        outs = [o for o in outs if o is not None and len(o)]
+        if not outs:
+            return kernel(group.head(0))
+        if isinstance(outs[0], pa.Table):
+            return pa.concat_tables(outs)
+        return pd.concat(outs, ignore_index=True)
+
+    return (
+        ds.map_batches(bucketize, batch_format="pandas", batch_size=65536)
+        .groupby("bucket")
+        .map_groups(run, batch_format="pandas")
+    )
 
 
 def _perm_params(num_perm: int, seed: int = 7) -> tuple[np.ndarray, np.ndarray]:

@@ -149,3 +149,193 @@ def test_canonical_labels_without_alias_edges(ray_session):
     names = ray.data.from_items([{"name": "Alpha"}, {"name": "Zeta"}])
     labels = canonical_labels(names).to_pandas()
     assert dict(zip(labels["node"], labels["label"])) == {"Alpha": "Alpha", "Zeta": "Zeta"}
+
+
+# ---- oracle: canonical_labels vs a pure-Python reference ------------------
+
+_WORDS = ["web", "ui", "data", "base", "image", "provider", "auth", "gateway",
+          "order", "service", "search", "index", "cart", "payment", "user", "profile"]
+
+
+def _variants(words: list[str], rng) -> list[str]:
+    """Surface forms of one multi-word name: camelCase, spaced, lowercase,
+    hyphenated and 'component'-suffixed."""
+    caps = [w.capitalize() for w in words]
+    forms = ["".join(caps), " ".join(caps), " ".join(words), "-".join(caps),
+             "".join(caps) + " Component", "".join(words), "".join(caps[:1] + words[1:])]
+    return [forms[i] for i in sorted(rng.choice(len(forms), 3, replace=False))]
+
+
+def _typo(name: str, rng) -> str:
+    """Swap two neighbouring characters after the first two: same block,
+    Jaro-Winkler >= 0.93."""
+    i = int(rng.integers(2, len(name) - 1))
+    return name[:i] + name[i + 1] + name[i] + name[i + 2:]
+
+
+def _name_rows(seed: int) -> list[dict]:
+    """Seeded names: alias lists, spacing/camelCase variants, names with an
+    empty pool, planted Jaro-Winkler typos and one block of > 500 rows."""
+    rng = np.random.default_rng(seed)
+    rows: list[dict] = []
+    for _ in range(40):
+        words = list(rng.choice(_WORDS, int(rng.integers(1, 4)), replace=False))
+        for v in _variants(words, rng):
+            aliases = None
+            if rng.random() < 0.3:
+                # an alias may bridge to another entity, be empty or clean away
+                aliases = [str(rng.choice(_WORDS)), "", "component"][: int(rng.integers(0, 4))]
+            rows.append({"name": v, "aliases": aliases})
+    for base in ["Inventoryservice", "Shippingrouter", "Ledgerwriter", "Notifier"]:
+        rows.append({"name": base, "aliases": []})
+        rows.append({"name": _typo(base, rng), "aliases": None})
+    for empty in ["component", "Component", "  ", "---", "_"]:
+        rows.append({"name": empty, "aliases": None})
+    # one block over 500 rows: 'zq' + 6 letters is collapsed length 8
+    letters = np.array(list("abcdefghijklmnoprstuvwy"))
+    big = {"zq" + "".join(rng.choice(letters, 6)) for _ in range(560)}
+    # typo pairs at both ends of the sorted block: the head pair is
+    # compared, the tail pair lies beyond the 500-row cap
+    big |= {"zqaaaaab", "zqaaaaac", "zqzzzzzx", "zqzzzzzy"}
+    rows += [{"name": n, "aliases": None} for n in sorted(big)]
+    # every name is seen again, in another batch
+    rows += [dict(r) for r in rows[::7]]
+    order = rng.permutation(len(rows))
+    return [rows[i] for i in order]
+
+
+def _reference_labels(rows: list[dict], jw_threshold: float, cap: int = 500) -> dict:
+    """Pure-Python canonicalization: pool explode, exact collapsed-key
+    edges, blocked Jaro-Winkler with the sorted-head cap, union-find with
+    the lexicographically smallest name as the label."""
+    from collections import defaultdict
+
+    from naer_ray.names import clean_component_name, normalize_surface
+    from naer_ray.stages.canon import jaro_winkler
+
+    pairs = set()
+    for r in rows:
+        pool = {normalize_surface(clean_component_name(r["name"]))}
+        pool |= {normalize_surface(a) for a in r["aliases"] or []}
+        pool.discard("")
+        pairs |= {(k, r["name"]) for k in pool}
+
+    edges = []
+    by_collapsed = defaultdict(set)
+    for k, n in pairs:
+        by_collapsed[k.replace(" ", "")].add(n)
+    for ns in by_collapsed.values():
+        ns = sorted(ns)
+        edges += [(ns[0], o) for o in ns[1:]]
+    if jw_threshold <= 1.0:
+        blocks = defaultdict(list)
+        for k, n in pairs:
+            c = k.replace(" ", "")
+            blocks[(c[:2], len(c) // 4)].append((k, n))
+        for block in blocks.values():
+            block = sorted(block)[:cap]
+            for i, (ki, ni) in enumerate(block):
+                for kj, nj in block[i + 1:]:
+                    if ki != kj and jaro_winkler(ki, kj) >= jw_threshold:
+                        edges.append((ni, nj))
+
+    parent = {n: n for _, n in pairs}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return {n: find(n) for n in parent}
+
+
+def _record_worker_warnings(monkeypatch, out_dir: str) -> None:
+    """Wrap every map_groups kernel so the RuntimeWarnings it raises in a
+    Ray worker are written, one file per kernel call, under ``out_dir``."""
+    from ray.data.grouped_data import GroupedData
+
+    map_groups = GroupedData.map_groups
+
+    def recording(self, fn, *args, **kwargs):
+        def kernel(group, *a, **kw):
+            import os
+            import uuid
+            import warnings
+
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = fn(group, *a, **kw)
+            msgs = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+            if msgs:
+                with open(os.path.join(out_dir, uuid.uuid4().hex), "w") as f:
+                    f.write("\n".join(msgs))
+            return out
+
+        return map_groups(self, kernel, *args, **kwargs)
+
+    monkeypatch.setattr(GroupedData, "map_groups", recording)
+
+
+@pytest.mark.parametrize("jw_threshold", [0.93, 1.01])
+def test_canonical_labels_matches_reference(ray_session, tmp_path, monkeypatch, jw_threshold):
+    import os
+
+    import ray.data
+
+    from naer_ray.stages.canon import canonical_labels
+
+    rows = _name_rows(seed=11)
+    want = _reference_labels(rows, jw_threshold)
+    # the planted structure is present in the reference itself
+    assert want["zqaaaaac"] == ("zqaaaaab" if jw_threshold <= 1.0 else "zqaaaaac")
+    assert want["zqzzzzzy"] == "zqzzzzzy"
+    assert "component" not in want and "---" not in want
+    for base in ["Inventoryservice", "Notifier"]:
+        (typo,) = {r["name"] for r in rows if r["name"] != base and sorted(r["name"]) == sorted(base)}
+        assert (want[typo] == want[base]) == (jw_threshold <= 1.0)
+
+    warn_dir = tmp_path / "warnings"
+    warn_dir.mkdir()
+    _record_worker_warnings(monkeypatch, str(warn_dir))
+    table = pa.Table.from_pylist(
+        rows, schema=pa.schema([("name", pa.string()), ("aliases", pa.list_(pa.string()))])
+    )
+    parts = [table.slice(i, 150) for i in range(0, table.num_rows, 150)]
+    got = canonical_labels(
+        ray.data.from_arrow(parts), aliases_col="aliases", jw_threshold=jw_threshold
+    ).to_pandas()
+    assert len(got) == len(set(got["node"]))
+    assert dict(zip(got["node"], got["label"])) == want
+
+    warned = "\n".join(open(warn_dir / f).read() for f in os.listdir(warn_dir))
+    if jw_threshold <= 1.0:
+        assert "canonicalization block capped" in warned, warned
+    else:
+        assert warned == ""
+
+
+def test_canonical_labels_is_one_exchange(ray_session, monkeypatch):
+    """Pool explode, exact and fuzzy edges share one group-by; the
+    union-find of a small graph runs on the driver."""
+    import ray.data
+    from ray.data.grouped_data import GroupedData
+
+    from naer_ray.stages.canon import canonical_labels
+
+    calls = []
+    map_groups = GroupedData.map_groups
+
+    def counting(self, fn, *args, **kwargs):
+        calls.append(fn)
+        return map_groups(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(GroupedData, "map_groups", counting)
+    names = ray.data.from_items([{"name": n} for n in ["WebUI", "Web UI", "Webui2", "Cart"]])
+    labels = canonical_labels(names).to_pandas()
+    assert dict(zip(labels["node"], labels["label"]))["WebUI"] == "Web UI"
+    assert len(calls) == 1, [getattr(f, "__qualname__", f) for f in calls]

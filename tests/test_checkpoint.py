@@ -102,8 +102,9 @@ def test_answers_job_resume_skips_done_buckets(ray_session, ref_corpus, tmp_path
 
 @pytest.mark.parametrize("extractor", ["gazetteer", "answers"])
 def test_kg_job_triples_stage_is_one_exchange(ray_session, ref_corpus, tmp_path, monkeypatch, extractor):
-    """The triples stage groups once (by job bucket); with no canon and no
-    evaluation the job's only other group-by is the nodes stage."""
+    """The triples stage groups once (by job bucket); with neither
+    canonicalization nor evaluation the job's only other group-by is the
+    nodes stage."""
     from ray.data.grouped_data import GroupedData
 
     from naer_ray.pipelines.kg import run_kg_job
@@ -126,6 +127,93 @@ def test_kg_job_triples_stage_is_one_exchange(ray_session, ref_corpus, tmp_path,
         n_buckets=4,
     )
     assert len(calls) == 2, [getattr(f, "__qualname__", f) for f in calls]
+
+
+def test_kg_job_canon_stage_is_one_exchange(ray_session, ref_corpus, tmp_path, monkeypatch):
+    """Triples, nodes and canon group once each, and canon reads its
+    names from the node table: only the nodes stage reads the triples."""
+    import ray.data
+    from ray.data.grouped_data import GroupedData
+
+    from naer_ray.pipelines.kg import run_kg_job
+
+    calls, reads = [], []
+    map_groups = GroupedData.map_groups
+    read_parquet = ray.data.read_parquet
+
+    def counting(self, fn, *args, **kwargs):
+        calls.append(fn)
+        return map_groups(self, fn, *args, **kwargs)
+
+    def recording(paths, *args, **kwargs):
+        reads.append([paths] if isinstance(paths, str) else list(paths))
+        return read_parquet(paths, *args, **kwargs)
+
+    monkeypatch.setattr(GroupedData, "map_groups", counting)
+    monkeypatch.setattr(ray.data, "read_parquet", recording)
+    transcripts, dictionary = _corpus_paths(ref_corpus)
+    out = str(tmp_path / "kg")
+    run_kg_job(transcripts, dictionary, out, n_buckets=4, canonicalize=True)
+    assert len(calls) == 3, [getattr(f, "__qualname__", f) for f in calls]
+    triples_dir = os.path.join(out, "triples")
+    assert sum(any(p.startswith(triples_dir) for p in r) for r in reads) == 1, reads
+    assert pq.read_table(os.path.join(out, "canonical_labels")).num_rows > 0
+
+
+def test_kg_job_canonicalize_without_entities(ray_session, tmp_path):
+    """A job whose every answer is dead-lettered has an empty node table;
+    canonicalization still completes, with empty labels and sameAs edges."""
+    import datetime
+
+    import pyarrow as pa
+
+    from naer_ray import schema
+    from naer_ray.pipelines.kg import run_kg_job
+
+    transcripts = tmp_path / "transcripts"
+    transcripts.mkdir()
+    turns = [
+        {"conv_id": c, "turn_idx": 0, "role": "user", "text": "Hello there.",
+         "tool": None, "ts": datetime.datetime(2024, 1, 1)}
+        for c in ("c1", "c2")
+    ]
+    pq.write_table(
+        pa.Table.from_pylist(turns, schema=schema.TRANSCRIPTS),
+        str(transcripts / "part-0.parquet"),
+    )
+    answers = str(tmp_path / "answers.parquet")
+    pq.write_table(
+        pa.table({"conv_id": ["c1", "c2"], "format": ["structured-text"] * 2,
+                  "answer": ["GARBAGE entities recognized:"] * 2}),
+        answers,
+    )
+    out = str(tmp_path / "kg")
+    counters = run_kg_job(
+        str(transcripts), None, out, extractor="answers", answers_path=answers,
+        n_buckets=2, canonicalize=True,
+    )
+    assert counters["same_as_edges"] == 0
+    manifest = json.load(open(os.path.join(out, "MANIFEST.json")))
+    assert manifest["stages"]["canon"]["buckets"]["0"]["complete"]
+    assert not glob.glob(os.path.join(out, "canonical_labels", "bucket=0", "*.parquet"))
+
+
+def test_kg_job_annotations_metrics(ray_session, ref_corpus, tmp_path):
+    """The job's eval_vs_annotations metrics equal the evaluator run on
+    the same triples outside the job."""
+    from naer_ray.pipelines.evaluate import eval_vs_annotations
+    from naer_ray.pipelines.kg import build_triples, run_kg_job
+
+    transcripts, dictionary = _corpus_paths(ref_corpus)
+    annotations = os.path.join(ref_corpus, "reference_annotations.parquet")
+    out = str(tmp_path / "kg")
+    run_kg_job(transcripts, dictionary, out, n_buckets=4, annotations_path=annotations)
+    with open(os.path.join(out, "metrics.json")) as f:
+        got = json.load(f)["eval_vs_annotations"]
+    want = eval_vs_annotations(
+        build_triples(transcripts, dictionary_path=dictionary), annotations
+    )
+    assert got == want
 
 
 def test_answers_path_job_and_dead_letter(ray_session, ref_corpus, tmp_path):
