@@ -38,8 +38,8 @@ def jaccard(a: str, b: str) -> float:
 def best_line(lines: list[str], text: str, threshold: float = THRESHOLD) -> int:
     """1-based argmax line by jaccard(line.lower(), text.lower()); -1 below threshold.
 
-    Scalar twin of :func:`best_lines`; reference
-    SoftwareArchitectureDocumentation.getLineNumber:145-168.
+    The oracle; :class:`LineResolver` is its vectorized production twin.
+    Reference SoftwareArchitectureDocumentation.getLineNumber:145-168.
     """
     tl = text.lower()
     best_no, best_score = -1, 0.0
@@ -56,9 +56,11 @@ class LineResolver:
 
     Precomputes a boolean char-incidence matrix over the conversation's
     (lowercased) lines once; each query is then one small matmul instead
-    of O(lines) Python-level set ops.  Exactly reproduces
-    ``best_line`` (strict-> tie-break, >=0.90 threshold, commons-text
-    empty-string rules).
+    of O(lines) Python-level set ops, and a repeated query is a dict
+    hit.  Exactly reproduces ``best_line`` (strict-> tie-break, >=0.90
+    threshold, commons-text empty-string rules).  The answers and llm
+    kernels resolve every occurrence through one instance per
+    conversation (``refsem.Sad(resolver=...)``).
     """
 
     def __init__(self, lines: list[str], threshold: float = THRESHOLD):
@@ -79,9 +81,16 @@ class LineResolver:
         self.inc = inc
         self.line_sizes = inc.sum(axis=1)  # distinct in-vocab chars per line
         self.line_empty = np.array([len(ln) == 0 for ln in self.lower_lines])
+        self.memo: dict[str, int] = {}
 
     def resolve(self, text: str) -> int:
         """1-based best line for ``text`` or -1 (threshold / no positive score)."""
+        line = self.memo.get(text)
+        if line is None:
+            line = self.memo[text] = self._scan(text)
+        return line
+
+    def _scan(self, text: str) -> int:
         if not self.lower_lines:
             return -1
         tl = text.lower()

@@ -357,6 +357,7 @@ def run_kg_job(
     from ..state.checkpoint import (
         Manifest,
         bucket_dir,
+        code_sha256,
         content_sha256,
         files_fingerprint,
         finalize_bucket,
@@ -368,11 +369,13 @@ def run_kg_job(
 
     manifest = Manifest(out_root)
     # refuse a resume whose inputs differ from the manifest's recorded
-    # lineage: a changed extractor/input would otherwise skip every done
-    # bucket and re-emit the previous run's triples, and a changed bucket
-    # count re-plans conversations into buckets already marked done
+    # lineage: a changed extractor/input/prompt/code would otherwise skip
+    # every done bucket and re-emit the previous run's triples, and a
+    # changed bucket count re-plans conversations into buckets already
+    # marked done
     manifest.record_job_lineage(
         {
+            "code_sha256": code_sha256(),
             "transcripts": transcripts_path,
             "transcripts_files": files_fingerprint(transcripts_path),
             "dictionary": dictionary_path,
@@ -382,6 +385,7 @@ def run_kg_job(
             "answers": answers_path,
             "answers_files": files_fingerprint(answers_path),
             "answer_format": answer_format,
+            "prompt_text": prompt_text,
             "input_format": input_format,
         },
         resume=resume,
@@ -447,23 +451,24 @@ def run_kg_job(
         writes = bucket_rows.groupby("bucket").map_groups(
             make_bucket_writer(out_root, "triples", kernel), batch_format="pyarrow"
         )
-        summary = writes.to_pandas().sort_values("bucket")
-        for row in summary.itertuples():
-            b = int(row.bucket)
-            finalize_bucket(out_root, "triples", b, row.tmp, int(row.rows))
+        # a job without a single extracted row yields no summary rows
+        summary = sorted(writes.take_all(), key=lambda r: r["bucket"])
+        for row in summary:
+            b = int(row["bucket"])
+            finalize_bucket(out_root, "triples", b, row["tmp"], int(row["rows"]))
             manifest.mark_bucket(
                 "triples",
                 b,
-                int(row.rows),
+                int(row["rows"]),
                 lineage={
                     "input": transcripts_path,
                     "extractor": extractor,
-                    "errors": int(row.errors),
+                    "errors": int(row["errors"]),
                 },
             )
         # buckets with no rows never reach the writer kernel — mark them
         # with an empty partition so resume doesn't re-plan them
-        for b in set(todo) - {int(r.bucket) for r in summary.itertuples()}:
+        for b in set(todo) - {int(r["bucket"]) for r in summary}:
             rows = write_bucket_atomic(
                 pa.Table.from_pylist([], schema=schema.TRIPLES), out_root, "triples", b
             )

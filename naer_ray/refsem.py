@@ -8,8 +8,11 @@ deterministic core — everything downstream of the LLM call — used to
    oracle's triples exactly), and
 2. serve as a unit-test oracle for individual operators.
 
-This module is NOT on the scale path; the Ray pipeline never imports it
-at runtime.  Every function cites the reference behavior it mirrors
+The answers and llm kernels (``stages/answers``, ``stages/llm``) reuse
+its parsers, but not its line scan: they hand :class:`Sad` a
+per-conversation :class:`~naer_ray.jaccard.LineResolver`, so the
+oracle's ``best_line`` serves only the test-data generator and the
+tests.  Every function cites the reference behavior it mirrors
 (file:line relative to /root/reference/).
 """
 
@@ -36,10 +39,16 @@ class ParseError(IOError):
 
 
 class Sad:
-    """One-sentence-per-line document; SoftwareArchitectureDocumentation.java:15-168."""
+    """One-sentence-per-line document; SoftwareArchitectureDocumentation.java:15-168.
 
-    def __init__(self, lines: list[str], validate: bool = True):
+    ``resolver(text) -> line`` replaces the oracle's scan
+    (``best_line`` over ``lines``) in :meth:`get_line_number`; it must
+    return the same line for every text.
+    """
+
+    def __init__(self, lines: list[str], validate: bool = True, resolver=None):
         self.lines = list(lines)
+        self.resolver = resolver
         if validate:
             self.check_text_format()
 
@@ -72,6 +81,8 @@ class Sad:
 
     def get_line_number(self, text_line: str) -> int:
         """Fuzzy resolve via char-set Jaccard >= 0.90, earliest-win; :145-168."""
+        if self.resolver is not None:
+            return self.resolver(text_line)
         return best_line(self.lines, text_line)
 
 

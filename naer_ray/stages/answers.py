@@ -8,15 +8,17 @@ the mocked-extractor-backend pattern — and run every deterministic
 downstream step distributed.
 
 Dataflow: transcripts ∪ answer-rows (same narrow schema, answers
-carried as role="__answer:<format>" rows with turn_idx=-1) ->
-groupby(conv_id) -> per-group kernel that rebuilds the ordered line
-array, parses the answer with the exact reference semantics
-(naer_ray.refsem kernels: alias-before-typing ordering, >=0.90 Jaccard
-resolution, silent drop of unresolved occurrences) and materializes
-triples.  Parse failures do not kill the job: they surface as
-``pred="__error__"`` rows routed to a dead-letter output (scaled-mode
-analogue of the reference's per-project try/catch,
-TestProjectEvaluator.java:74-84).
+carried as role="__answer:<format>" rows with turn_idx=-1) -> the job
+bucket (``pipelines/kg.add_bucket``, hash of conv_id) ->
+groupby(bucket) -> per-bucket kernel that walks the bucket's
+conversations, rebuilds each one's ordered line array, parses its
+answers with the exact reference semantics (naer_ray.refsem parsers:
+alias-before-typing ordering, silent drop of unresolved occurrences;
+>=0.90 Jaccard resolution through one ``jaccard.LineResolver`` per
+conversation) and materializes triples.  Parse failures do not kill
+the job: they surface as ``pred="__error__"`` rows routed to a
+dead-letter output (scaled-mode analogue of the reference's
+per-project try/catch, TestProjectEvaluator.java:74-84).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import pyarrow as pa
 import ray.data
 
 from .. import refsem
+from ..jaccard import LineResolver
 from .extract import triples_table
 
 ANSWER_ROLE_PREFIX = "__answer:"
@@ -60,7 +63,7 @@ def _parse_one(conv_id: str, lines: list[str], answers: list[tuple[str, str]], r
     slice (M3/M4) happens implicitly in refsem parsers; fromString /
     fromJson semantics per NamedEntityParser.java:39-204.
     """
-    sad = refsem.Sad(lines, validate=False)
+    sad = refsem.Sad(lines, validate=False, resolver=LineResolver(lines).resolve)
     for fmt, answer in answers:
         try:
             if fmt == "json":

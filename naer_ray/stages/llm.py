@@ -35,6 +35,7 @@ from collections.abc import Callable
 import pyarrow as pa
 
 from .. import refsem
+from ..jaccard import LineResolver
 from .extract import triples_table
 
 SYSTEM_MESSAGE = "You are a software engineer and software architect."
@@ -211,7 +212,7 @@ class LLMExtractor:
 
     def recognize(self, lines: list[str]) -> list[refsem.Entity]:
         """NamedEntityRecognizer.recognize:57-81 minus the network."""
-        sad = refsem.Sad(lines, validate=False)
+        sad = refsem.Sad(lines, validate=False, resolver=LineResolver(lines).resolve)
         answer = self.prompt.process(self.chat_fn, lines)
         try:
             return _slice_and_parse(answer, self.prompt.answer_format, sad)

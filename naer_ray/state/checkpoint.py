@@ -23,9 +23,10 @@ import shutil
 import tempfile
 
 
-def content_sha256(path: str | None) -> str | None:
-    """sha256 of a file's bytes, or of every file under a directory
-    (relative path + bytes, in sorted order); None for no path."""
+def content_sha256(path: str | None, suffix: str = "") -> str | None:
+    """sha256 of a file's bytes, or of every file under a directory whose
+    name ends in ``suffix`` (relative path + bytes, in sorted order);
+    None for no path."""
     if path is None:
         return None
     h = hashlib.sha256()
@@ -34,6 +35,7 @@ def content_sha256(path: str | None) -> str | None:
             os.path.relpath(os.path.join(d, f), path)
             for d, _dirs, names in os.walk(path)
             for f in names
+            if f.endswith(suffix)
         )
         for rel in files:
             h.update(rel.encode() + b"\0")
@@ -43,6 +45,12 @@ def content_sha256(path: str | None) -> str | None:
         with open(path, "rb") as f:
             h.update(f.read())
     return h.hexdigest()
+
+
+def code_sha256() -> str:
+    """sha256 of the library's source: every ``naer_ray/**/*.py`` file
+    (``__pycache__`` bytecode differs from run to run, so it is left out)."""
+    return content_sha256(os.path.dirname(os.path.dirname(__file__)), suffix=".py")
 
 
 def files_fingerprint(path: str | None) -> str | None:

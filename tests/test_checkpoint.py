@@ -198,6 +198,44 @@ def test_kg_job_canonicalize_without_entities(ray_session, tmp_path):
     assert not glob.glob(os.path.join(out, "canonical_labels", "bucket=0", "*.parquet"))
 
 
+def test_kg_job_without_mentions(ray_session, tmp_path):
+    """A dictionary that matches no turn of the gazetteer_sparse input:
+    every bucket is written empty and marked, the node table is empty,
+    and a resume skips every bucket."""
+    import pyarrow as pa
+
+    from naer_ray import schema
+    from naer_ray.pipelines.kg import run_kg_job
+    from perfbench import gen
+
+    spec = gen.generate("gazetteer_sparse", 1, str(tmp_path / "in"))
+    transcripts = os.path.join(str(tmp_path / "in"), spec["transcripts"])
+    dictionary = str(tmp_path / "dictionary.parquet")
+    pq.write_table(
+        pa.Table.from_pylist(
+            [{"entity_id": "e0", "canonical_name": "Zzqxjwv", "type": "COMPONENT",
+              "aliases": []}],
+            schema=schema.ENTITY_DICTIONARY,
+        ),
+        dictionary,
+    )
+    out = str(tmp_path / "kg")
+    counters = run_kg_job(transcripts, dictionary, out, n_buckets=4)
+    assert counters["buckets_computed"] == 4
+    assert counters["triples_rows"] == 0
+    manifest = json.load(open(os.path.join(out, "MANIFEST.json")))
+    buckets = manifest["stages"]["triples"]["buckets"]
+    assert sorted(buckets) == ["0", "1", "2", "3"]
+    assert all(v["complete"] and v["rows"] == 0 for v in buckets.values())
+    assert len(_bucket_sha256(out)) == 4
+    assert manifest["stages"]["nodes"]["buckets"]["0"] == {
+        "complete": True, "rows": 0, "lineage": {"input": "triples/*"}
+    }
+
+    counters = run_kg_job(transcripts, dictionary, out, n_buckets=4)
+    assert counters["buckets_skipped"] == 4 and counters["buckets_computed"] == 0
+
+
 def test_kg_job_annotations_metrics(ray_session, ref_corpus, tmp_path):
     """The job's eval_vs_annotations metrics equal the evaluator run on
     the same triples outside the job."""

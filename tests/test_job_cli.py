@@ -183,6 +183,42 @@ def test_resume_refuses_changed_transcript_files(ray_session, ref_corpus, tmp_pa
         run_kg_job(t, d, out, n_buckets=2)
 
 
+def test_resume_refuses_changed_code(ray_session, ref_corpus, tmp_path, monkeypatch):
+    """A resume under the same library source skips its done buckets; one
+    under changed source (a different code hash) must raise."""
+    import pytest
+
+    from naer_ray.pipelines.kg import run_kg_job
+    from naer_ray.state import checkpoint
+
+    out = str(tmp_path / "kg")
+    t = os.path.join(ref_corpus, "transcripts")
+    d = os.path.join(ref_corpus, "entity_dictionary.parquet")
+    run_kg_job(t, d, out, n_buckets=2)
+    assert run_kg_job(t, d, out, n_buckets=2)["buckets_skipped"] == 2
+    monkeypatch.setattr(checkpoint, "code_sha256", lambda: "0" * 64)
+    with pytest.raises(ValueError, match="code_sha256"):
+        run_kg_job(t, d, out, n_buckets=2)
+
+
+def test_code_sha256_hashes_only_python_source(tmp_path):
+    """The code hash covers the package's .py files; bytecode under
+    __pycache__ changes from run to run and must not change it."""
+    import naer_ray
+    from naer_ray.state.checkpoint import code_sha256, content_sha256
+
+    pkg = os.path.dirname(naer_ray.__file__)
+    assert code_sha256() == content_sha256(pkg, suffix=".py")
+
+    (tmp_path / "a.py").write_text("x = 1\n")
+    before = content_sha256(str(tmp_path), suffix=".py")
+    (tmp_path / "__pycache__").mkdir()
+    (tmp_path / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"\0")
+    assert content_sha256(str(tmp_path), suffix=".py") == before
+    (tmp_path / "a.py").write_text("x = 2\n")
+    assert content_sha256(str(tmp_path), suffix=".py") != before
+
+
 def test_no_resume_clears_earlier_state(ray_session, ref_corpus, tmp_path):
     """resume=False at fewer buckets keeps nothing of the earlier run: no
     stale higher triples buckets, and nodes and canon are recomputed."""

@@ -111,6 +111,28 @@ def test_llm_job_checkpointed(ray_session, llm_corpus, tmp_path):
     assert counters2["buckets_computed"] == 0
 
 
+def test_llm_job_resume_refuses_changed_prompt(ray_session, llm_corpus, tmp_path):
+    """The prompt changes the llm extractor's triples, so a resume under a
+    different prompt must raise; the same prompt still skips its buckets."""
+    from naer_ray.pipelines.kg import run_kg_job
+
+    out = str(tmp_path / "job_out")
+
+    def job(prompt_text):
+        return run_kg_job(
+            llm_corpus, None, out,
+            extractor="llm",
+            chat_fn_factory=_make_echo_factory(),
+            prompt_text=prompt_text,
+            n_buckets=2,
+        )
+
+    job("Identify all COMPONENT entities in the text.")
+    assert job("Identify all COMPONENT entities in the text.")["buckets_skipped"] == 2
+    with pytest.raises(ValueError, match="prompt_text"):
+        job("Identify all INTERFACE entities in the text.")
+
+
 def test_llm_partial_resume_skips_done_bucket_chat_calls(ray_session, tmp_path):
     """Resume must not re-pay chat calls for completed buckets: the done
     buckets are filtered out of the transcripts BEFORE extraction."""

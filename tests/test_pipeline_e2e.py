@@ -1,8 +1,8 @@
 """End-to-end pipeline gates (north rule):
 
 1. PARITY: the distributed pipeline over recorded answers reproduces
-   the sequential reference-semantics oracle's triples at P/R >= 0.95
-   (achieves 1.0 — the distributed composition is exact).
+   the sequential reference-semantics oracle's triples at P = R = 1.0,
+   over the oracle's own set of conversations.
 2. SYNTHETIC: the gazetteer extractor recovers the generator's recorded
    mention placements (incl. anaphora) at P/R = 1.0.
 3. Determinism: two runs at different parallelism emit identical triples.
@@ -27,6 +27,9 @@ def ref_paths(ray_session, ref_corpus):
 
 
 def test_parity_gate(ref_paths):
+    """Exact parity, over exactly the conversations the oracle covers."""
+    import pyarrow.parquet as pq
+
     from naer_ray.pipelines.evaluate import eval_vs_expected
     from naer_ray.pipelines.kg import build_triples, split_errors
 
@@ -34,12 +37,19 @@ def test_parity_gate(ref_paths):
         ref_paths["transcripts"],
         extractor="answers",
         answers_path=ref_paths["answers"],
-    )
+    ).materialize()
     ok, bad = split_errors(triples)
     assert bad.count() == 0
+    covered = set(ok.unique("conv_id"))
+    expected = set(pq.read_table(ref_paths["expected"], columns=["conv_id"])["conv_id"].to_pylist())
+    assert covered, f"the parity gate covered {len(covered)} conversations"
+    assert covered == expected, (
+        f"covered {len(covered)} conversations, expected {len(expected)}: "
+        f"missing {sorted(expected - covered)}, extra {sorted(covered - expected)}"
+    )
     m = eval_vs_expected(ok, ref_paths["expected"])
-    assert m["precision"] >= 0.95, m
-    assert m["recall"] >= 0.95, m
+    assert m["precision"] == 1.0, (len(covered), m)
+    assert m["recall"] == 1.0, (len(covered), m)
 
 
 def test_synthetic_gazetteer_exact(ref_paths):

@@ -5,6 +5,7 @@ copy: the fuzzy resolver, parsers and normalizers here are pinned by
 randomized invariants, not just hand-picked vectors.
 """
 
+import json
 import re
 
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from naer_ray import refsem
 from naer_ray.jaccard import LineResolver, best_line, jaccard
 from naer_ray.names import clean_component_name, normalize_surface
+from naer_ray.stages.answers import _parse_one
 
 printable = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=60
@@ -46,6 +48,61 @@ class TestJaccardProperties:
             got = best_line(lines, line)
             assert got != -1
             assert got <= i + 1
+
+
+#: a small alphabet, so that distinct lines often share a char set (ties)
+#: or miss each other's by one char (scores near the 0.90 threshold)
+line_texts = st.text(alphabet="abcdefghijkl .!?", max_size=24)
+
+
+@st.composite
+def conversation_and_quotes(draw):
+    """Lines with duplicates and empty lines, plus occurrence quotes that
+    copy a line exactly, gain or lose one distinct char (a score of
+    exactly 0.90 at 9 or 10 distinct chars), change case, or are garbage."""
+    ten_chars = st.permutations("abcdefghi.").map("".join)  # one char from 0.90
+    pool = draw(st.lists(st.one_of(line_texts, ten_chars), min_size=1, max_size=6))
+    lines = draw(st.lists(st.sampled_from(pool + [""]), min_size=1, max_size=14))
+    quotes = []
+    for _ in range(draw(st.integers(1, 10))):
+        line = draw(st.sampled_from(lines))
+        kind = draw(st.sampled_from(["exact", "append", "drop", "upper", "garbage"]))
+        if kind == "append":
+            line += draw(st.sampled_from("abcxyz."))
+        elif kind == "drop" and line:
+            line = line.replace(draw(st.sampled_from(line)), "")
+        elif kind == "upper":
+            line = line.upper()
+        elif kind == "garbage":
+            line = draw(line_texts)
+        quotes.append(line)
+    return lines, quotes
+
+
+class TestProductionResolverProperties:
+    @given(conversation_and_quotes(), st.sampled_from(["Web UI", "Store", "the GUI"]))
+    @settings(max_examples=200)
+    def test_answers_kernel_rows_equal_oracle(self, conv, name):
+        """``stages.answers._parse_one`` (LineResolver) emits exactly the
+        rows of the oracle (``refsem`` with the default ``Sad``)."""
+        lines, quotes = conv
+        structured = "COMPONENT entities recognized:\n" + "\n".join(
+            f"{name}, '{q}'" for q in quotes
+        )
+        as_json = "Answer:\n" + json.dumps(
+            [{"name": name, "type": "COMPONENT", "alternativeNames": ["alias"],
+              "occurrences": quotes}]
+        )
+        rows: list[dict] = []
+        _parse_one("c", lines, [("structured-text", structured), ("json", as_json)], rows)
+
+        sad = refsem.Sad(lines, validate=False)
+        expected = refsem.entities_to_triples(
+            refsem.parse_structured_text(structured, sad), "c"
+        ) + refsem.entities_to_triples(
+            refsem.parse_json_answer(refsem.slice_json(as_json), sad), "c"
+        )
+        assert rows == expected
 
 
 class TestNameProperties:

@@ -194,3 +194,75 @@ class TestMatching:
         with pytest.raises(refsem.SadFormatError):
             refsem.Sad(["  "])
         refsem.Sad(["Fine!", "Also fine?", "Yes."])
+
+
+class TestProductionResolver:
+    """The answers and llm kernels resolve lines with ``LineResolver``,
+    never with the oracle's ``best_line`` scan."""
+
+    @pytest.fixture()
+    def no_scan(self, monkeypatch):
+        def scan(lines, text, threshold=None):
+            raise AssertionError("the oracle's line scan was called")
+
+        monkeypatch.setattr(refsem, "best_line", scan)
+        with pytest.raises(AssertionError):
+            refsem.Sad(["The GUI talks."]).get_line_number("The GUI talks.")
+
+    def test_answers_kernel_reproduces_oracle_without_scan(self, no_scan, ref_corpus):
+        import os
+
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from naer_ray.stages.answers import ANSWER_ROLE_PREFIX, parse_answer_group
+
+        turns = pq.read_table(
+            os.path.join(ref_corpus, "transcripts"),
+            columns=["conv_id", "turn_idx", "role", "text"],
+        )
+        answers = pq.read_table(os.path.join(ref_corpus, "llm_answers.parquet"))
+        answer_rows = pa.table(
+            {
+                "conv_id": answers["conv_id"],
+                "turn_idx": pa.array([-1] * answers.num_rows, pa.int32()),
+                "role": [ANSWER_ROLE_PREFIX + f for f in answers["format"].to_pylist()],
+                "text": answers["answer"],
+            }
+        ).cast(turns.schema)
+        got = parse_answer_group(pa.concat_tables([turns, answer_rows]))
+        expected = pq.read_table(os.path.join(ref_corpus, "expected_triples.parquet"))
+        assert "__error__" not in got["pred"].to_pylist()
+        assert got.num_rows == expected.num_rows > 0
+        cols = expected.column_names
+        assert sorted(map(repr, got.select(cols).to_pylist())) == sorted(
+            map(repr, expected.to_pylist())
+        )
+
+    def test_llm_recognize_without_scan(self, no_scan):
+        from naer_ray.stages.llm import LLMExtractor, Prompt
+
+        lines = ["The Frontend talks to the store.", "Understood.", "It sends the orders."]
+
+        def chat(system, prompt):
+            return (
+                "COMPONENT entities recognized:\n"
+                "Frontend, 'The Frontend talks to the store.'\n"
+                "Frontend, 'it sends the orders'\n"
+                "Alternative names:\n"
+                "Frontend: None\n"
+            )
+
+        entities = LLMExtractor(chat, Prompt("Find components.")).recognize(lines)
+        assert [(e.name, e.sorted_occurrences()) for e in entities] == [
+            ("Frontend", [(1, "DIRECT"), (3, "INDIRECT")])
+        ]
+
+    def test_memo_matches_fresh_resolver(self):
+        for lines in (["abc.", "", "abd.", "abc."], ["abc.", "xyz!"]):
+            resolver = LineResolver(lines)
+            for q in ("abc.", "", "ABC.", "zzz", "abc.", ""):
+                first = resolver.resolve(q)
+                assert q in resolver.memo
+                assert resolver.resolve(q) == first
+                assert first == LineResolver(lines).resolve(q) == best_line(lines, q)
