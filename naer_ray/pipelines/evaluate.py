@@ -1,96 +1,61 @@
-"""Distributed evaluation jobs (reference §A3/J3/M14 semantics).
+"""Evaluation gates (reference §A3/J3/M14 semantics).
 
-Two gates:
+Two gates, each one per-bucket count function:
 
-* :func:`eval_vs_expected` — exact (subj, pred, obj, conv_id, turn_idx,
-  ref_type) triple-set P/R of a pipeline run against the
-  `expected_triples` oracle (sequential reference semantics).  This is
-  the north-rule P/R >= 0.95 gate: distributed execution must reproduce
-  the reference's emitted triples.
-* :func:`eval_vs_annotations` — the reference's own evaluation harness
+* :func:`expected_counts` — exact (subj, pred, obj, conv_id, turn_idx,
+  ref_type) triple-set tp/fp/fn of a pipeline run against the
+  `expected_triples` oracle (sequential reference semantics), as a
+  vectorized distinct-key compare.  This is the north-rule P/R >= 0.95
+  gate: distributed execution must reproduce the reference's emitted
+  triples.
+* :func:`annotation_counts` — the reference's own evaluation harness
   (TestProjectEvaluator.matchAndLogResults:187-199): per-conversation
   lowercase + cleanComponentName name-pool matching with rename-unify
   (J3, :209-239), flatten to (name, turn) pairs (M14,
-  SimpleComponentOccurrence.java:18-28), global TP/FP/FN -> P/R/F1.
+  SimpleComponentOccurrence.java:18-28), TP/FP/FN.
 
-Both are distributed with the bucket-run pattern: keys / conversations
-hash into O(n_buckets) Ray groups (never one Ray group per distinct
-key — unbounded-cardinality dispatch), each kernel reduces its bucket
-vectorized, and the global reduction is a tiny ``sum``.
+Both gates decompose by conversation, so both count one conv-hash
+bucket at a time: the gold rows (:func:`gold_rows`, tagged with their
+gate in the ``gate`` column) carry the conversation's job bucket and
+meet that bucket's triples in its group.  ``pipelines/kg.run_kg_job``
+sends them through its one triples exchange and counts inside the
+bucket writer; :func:`eval_vs_expected` and :func:`eval_vs_annotations`
+do the same over any triples Dataset with an exchange of their own.
+Either way the global reduction is a tiny ``sum`` of the per-bucket
+counts, and :func:`_metrics` turns it into P/R/F1.
 """
 
 from __future__ import annotations
 
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
-from .. import refsem
-from ..hashing import hash_u32
+from .. import refsem, schema
+from ..sources.transcripts import auto_num_blocks, conform_batch
 
 _KEY_COLS = ["subj", "pred", "obj", "conv_id", "turn_idx", "ref_type"]
 
 _N_BUCKETS = 64
 
+#: the tag column of gold rows: the name of their gate; null on triples
+GATE = "gate"
 
-def _keyed(batch: pa.Table, src: str) -> pa.Table:
-    def col(name):
-        vals = batch[name].to_pylist() if name in batch.column_names else [None] * batch.num_rows
-        return ["" if v is None else str(v) for v in vals]
-
-    keys = ["\x1f".join(parts) for parts in zip(*[col(c) for c in _KEY_COLS])]
-    n = batch.num_rows
-    return pa.table(
-        {
-            "key": pa.array(keys, pa.string()),
-            "bucket": pa.array(
-                [hash_u32(k) % _N_BUCKETS for k in keys], pa.int32()
-            ),
-            "n_pred": pa.array([1 if src == "pred" else 0] * n, pa.int32()),
-            "n_gold": pa.array([1 if src == "gold" else 0] * n, pa.int32()),
-        }
-    )
+#: every row an evaluation exchange carries: the tag plus a triple
+EVAL_SCHEMA = pa.schema([pa.field(GATE, pa.string()), *schema.TRIPLES])
 
 
-def eval_vs_expected(
-    triples: ray.data.Dataset, expected_path: str
-) -> dict[str, float]:
-    """Exact triple-set P/R/F1 via a distributed indicator join.
+def expected_counts(pred: pa.Table, gold: pa.Table) -> tuple[int, int, int]:
+    """(tp, fp, fn) of the distinct triple keys of ``pred`` against
+    ``gold``; every key value is compared as a string, null as ""."""
 
-    Both sides are reduced to composite keys with side indicators,
-    key-hash bucketed (O(64) Ray groups), and each bucket kernel counts
-    tp/fp/fn with one vectorized pandas groupby — no per-key Ray
-    dispatch, no driver-side row loop.
-    """
-    pred = triples.map_batches(lambda b: _keyed(b, "pred"), batch_format="pyarrow")
-    from ..sources.transcripts import auto_num_blocks
+    def keys(t: pa.Table) -> pa.Table:
+        cols = {c: pc.fill_null(pc.cast(t[c], pa.string()), "") for c in _KEY_COLS}
+        return pa.table(cols).group_by(_KEY_COLS).aggregate([])
 
-    gold = ray.data.read_parquet(
-        expected_path, override_num_blocks=auto_num_blocks(expected_path)
-    ).map_batches(
-        lambda b: _keyed(b, "gold"), batch_format="pyarrow"
-    )
-
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby("key", sort=False)[["n_pred", "n_gold"]].sum()
-        has_pred = agg["n_pred"] > 0
-        has_gold = agg["n_gold"] > 0
-        return pd.DataFrame(
-            {
-                "tp": [int((has_pred & has_gold).sum())],
-                "fp": [int((has_pred & ~has_gold).sum())],
-                "fn": [int((has_gold & ~has_pred).sum())],
-            }
-        )
-
-    flags = (
-        pred.union(gold)
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
-    )
-    agg = flags.sum(["tp", "fp", "fn"])
-    tp, fp, fn = agg["sum(tp)"], agg["sum(fp)"], agg["sum(fn)"]
-    return _metrics(tp, fp, fn)
+    p, g = keys(pred), keys(gold)
+    tp = p.join(g, keys=_KEY_COLS, join_type="inner").num_rows
+    return tp, p.num_rows - tp, g.num_rows - tp
 
 
 def _metrics(tp: int, fp: int, fn: int) -> dict[str, float]:
@@ -123,8 +88,6 @@ def _annotations_as_triplerows(annotations_path: str) -> ray.data.Dataset:
                 else pa.array(["DIRECT"] * n, pa.string()),
             }
         )
-
-    from ..sources.transcripts import auto_num_blocks
 
     return ray.data.read_parquet(
         annotations_path, override_num_blocks=auto_num_blocks(annotations_path)
@@ -173,57 +136,99 @@ def _conv_eval_kernel(group: pa.Table) -> pa.Table:
     )
 
 
+def annotation_counts(pred: pa.Table, gold: pa.Table) -> tuple[int, int, int]:
+    """(tp, fp, fn) of the J3 harness over conversations: ``gold`` holds
+    the annotation rows in triple shape (:func:`_annotations_as_triplerows`).
+    The rows are sorted into a deterministic (conv_id, pred, subj, obj,
+    turn_idx) order and each conversation run goes through
+    :func:`_conv_eval_kernel` — same shape as the triple assembler."""
+    rows = pa.concat_tables([pred, gold]).sort_by(
+        [
+            ("conv_id", "ascending"),
+            ("pred", "ascending"),
+            ("subj", "ascending"),
+            ("obj", "ascending"),
+            ("turn_idx", "ascending"),
+        ]
+    )
+    conv = rows["conv_id"].to_pylist()
+    tp = fp = fn = 0
+    i, n = 0, len(conv)
+    while i < n:
+        j = i
+        while j < n and conv[j] == conv[i]:
+            j += 1
+        m = _conv_eval_kernel(rows.slice(i, j - i)).to_pylist()[0]
+        tp, fp, fn = tp + m["tp"], fp + m["fp"], fn + m["fn"]
+        i = j
+    return tp, fp, fn
+
+
+#: the per-bucket count function of each gate, by its metrics.json key
+GATES = {
+    "parity_vs_expected": expected_counts,
+    "eval_vs_annotations": annotation_counts,
+}
+
+
+def gold_rows(gate: str, path: str) -> ray.data.Dataset:
+    """The gold side of ``gate`` as :data:`EVAL_SCHEMA` rows tagged ``gate``:
+    the expected triples, or the annotations in triple shape."""
+    if gate == "eval_vs_annotations":
+        ds = _annotations_as_triplerows(path)
+    else:
+        ds = ray.data.read_parquet(path, override_num_blocks=auto_num_blocks(path))
+
+    def tag(batch: pa.Table) -> pa.Table:
+        tagged = batch.append_column(GATE, pa.repeat(pa.scalar(gate), batch.num_rows))
+        return conform_batch(tagged, EVAL_SCHEMA)
+
+    return ds.map_batches(tag, batch_format="pyarrow")
+
+
+def split_gold(rows: pa.Table, gate: str) -> tuple[pa.Table, pa.Table]:
+    """(triples, gold rows of ``gate``) of one bucket's tagged rows, both
+    in the triple schema."""
+    triples = rows.filter(pc.is_null(rows[GATE]))
+    gold = rows.filter(pc.equal(rows[GATE], gate))
+    return triples.select(schema.TRIPLES.names), gold.select(schema.TRIPLES.names)
+
+
+def _gate_metrics(triples: ray.data.Dataset, gate: str, path: str) -> dict[str, float]:
+    """P/R/F1 of ``triples`` under ``gate``: triples and gold rows grouped
+    by conv-hash bucket (O(64) Ray groups, never one per key or
+    conversation), one :data:`GATES` count per bucket, summed."""
+    from .kg import add_bucket
+
+    count = GATES[gate]
+
+    def bucket_counts(group: pa.Table) -> pa.Table:
+        tp, fp, fn = count(*split_gold(group, gate))
+        return pa.table({"tp": [tp], "fp": [fp], "fn": [fn]})
+
+    pred = triples.map_batches(
+        lambda b: conform_batch(b, EVAL_SCHEMA), batch_format="pyarrow"
+    )
+    rows = add_bucket(pred.union(gold_rows(gate, path)), _N_BUCKETS)
+    counts = (
+        rows.groupby("bucket")
+        .map_groups(bucket_counts, batch_format="pyarrow")
+        .take_all()
+    )
+    return _metrics(*(sum(int(c[k]) for c in counts) for k in ("tp", "fp", "fn")))
+
+
+def eval_vs_expected(
+    triples: ray.data.Dataset, expected_path: str
+) -> dict[str, float]:
+    """Exact triple-set P/R/F1 of ``triples`` against the expected triples
+    (:func:`expected_counts` per bucket)."""
+    return _gate_metrics(triples, "parity_vs_expected", expected_path)
+
+
 def eval_vs_annotations(
     triples: ray.data.Dataset, annotations_path: str
 ) -> dict[str, float]:
-    """Reference evaluation harness, distributed by conv-hash bucket.
-
-    O(64) Ray groups; each kernel sorts its bucket into a deterministic
-    (conv_id, pred, subj, obj, turn_idx) order and walks conversation
-    runs in-process — same shape as the triple assembler."""
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        b = pa.array(
-            [hash_u32(c) % _N_BUCKETS for c in batch["conv_id"].to_pylist()],
-            pa.int32(),
-        )
-        return batch.append_column("bucket", b)
-
-    def bucket_kernel(group: pa.Table) -> pa.Table:
-        group = group.sort_by(
-            [
-                ("conv_id", "ascending"),
-                ("pred", "ascending"),
-                ("subj", "ascending"),
-                ("obj", "ascending"),
-                ("turn_idx", "ascending"),
-            ]
-        )
-        conv = group["conv_id"].to_pylist()
-        outs = []
-        i, n = 0, len(conv)
-        while i < n:
-            j = i
-            while j < n and conv[j] == conv[i]:
-                j += 1
-            outs.append(_conv_eval_kernel(group.slice(i, j - i)))
-            i = j
-        if not outs:
-            return pa.table(
-                {
-                    "conv_id": pa.array([], pa.string()),
-                    "tp": pa.array([], pa.int64()),
-                    "fp": pa.array([], pa.int64()),
-                    "fn": pa.array([], pa.int64()),
-                }
-            )
-        return pa.concat_tables(outs)
-
-    both = triples.union(_annotations_as_triplerows(annotations_path))
-    per_conv = (
-        both.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_kernel, batch_format="pyarrow")
-    )
-    agg = per_conv.sum(["tp", "fp", "fn"])
-    return _metrics(agg["sum(tp)"], agg["sum(fp)"], agg["sum(fn)"])
+    """The reference evaluation harness over ``triples``
+    (:func:`annotation_counts` per bucket)."""
+    return _gate_metrics(triples, "eval_vs_annotations", annotations_path)

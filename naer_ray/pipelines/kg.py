@@ -17,11 +17,21 @@ plus a per-bucket kernel that turns one bucket's rows into triples::
     rows.groupby("bucket").map_groups(kernel)         # the one exchange
 
 ``build_triples`` returns that triples Dataset.  ``run_kg_job`` is the
-checkpointed job: finished buckets are dropped right after
-``add_bucket`` (before any extraction), and each bucket's kernel runs
-inside ``make_bucket_writer``, so the worker that assembled a bucket
-sorts and writes it atomically; the driver records per-bucket lineage
-and counters (state/checkpoint.py).
+checkpointed job, and that exchange is the only Ray Data execution it
+needs for triples, nodes and evaluation::
+
+    rows ∪ gold rows of each gate (expected triples, annotations)
+         -> add_bucket -> drop finished buckets
+    rows.groupby("bucket").map_groups(make_bucket_writer(job_kernel))
+         per bucket: triples/bucket=b, nodes/bucket=b (its conversation
+         nodes), and in the summary row its (name, type) entity pairs
+         and per-gate tp/fp/fn
+    then: one entity-node file nodes/bucket=<n_buckets>; metrics.json
+
+Finished buckets are dropped right after ``add_bucket`` (before any
+extraction), and the worker that assembled a bucket sorts and writes
+its outputs atomically; ``run_kg_job`` records per-bucket lineage and
+counts (state/checkpoint.py).
 """
 
 from __future__ import annotations
@@ -34,9 +44,10 @@ import ray.data
 from .. import schema
 from ..hashing import hash_u32
 from ..sources.gazetteer import load_dictionary_rows
-from ..sources.transcripts import read_transcripts, validate_transcripts
+from ..sources.transcripts import conform_batch, read_transcripts, validate_transcripts
 from ..stages.answers import answers_as_rows, parse_answer_group
 from ..stages.extract import (
+    MENTION_SCHEMA,
     _empty_triples,
     make_conversation_assembler,
     make_mention_detector,
@@ -100,14 +111,7 @@ def bucketed_extraction(
         n_buckets = auto_n_buckets()
 
     def bucketed(ds: ray.data.Dataset) -> ray.data.Dataset:
-        ds = add_bucket(ds, n_buckets)
-        if not skip_buckets:
-            return ds
-        skip = pa.array(sorted(skip_buckets), pa.int32())
-        return ds.map_batches(
-            lambda t: t.filter(pc.invert(pc.is_in(t["bucket"], value_set=skip))),
-            batch_format="pyarrow",
-        )
+        return bucketed_rows(ds, n_buckets, skip_buckets)
 
     def transcripts(columns=None) -> ray.data.Dataset:
         ds = transcripts_ds
@@ -264,6 +268,20 @@ def auto_n_buckets() -> int:
     return int(min(4096, max(64, 8 * int(cpus))))
 
 
+def bucketed_rows(
+    ds: ray.data.Dataset, n_buckets: int, skip_buckets=()
+) -> ray.data.Dataset:
+    """:func:`add_bucket`, then drop the rows of ``skip_buckets``."""
+    ds = add_bucket(ds, n_buckets)
+    if not skip_buckets:
+        return ds
+    skip = pa.array(sorted(skip_buckets), pa.int32())
+    return ds.map_batches(
+        lambda t: t.filter(pc.invert(pc.is_in(t["bucket"], value_set=skip))),
+        batch_format="pyarrow",
+    )
+
+
 def add_bucket(ds: ray.data.Dataset, n_buckets: int) -> ray.data.Dataset:
     """Job-bucket column ``hash_u32(conv_id) % n_buckets`` (FNV-1a, stable
     across processes) — the one place conv ids are hashed into buckets.
@@ -284,40 +302,102 @@ def add_bucket(ds: ray.data.Dataset, n_buckets: int) -> ray.data.Dataset:
     return ds.map_batches(bucketize, batch_format="pyarrow")
 
 
-def nodes_from_triples(
-    triples: ray.data.Dataset, n_buckets: int = 64
+def row_schema(extractor: str) -> pa.Schema:
+    """Schema of the rows ``bucketed_extraction`` hands to the exchange."""
+    if extractor == "gazetteer":
+        return MENTION_SCHEMA
+    return pa.schema(
+        [schema.TRANSCRIPTS.field(c) for c in _ROLE_COLUMNS] + [("bucket", pa.int32())]
+    )
+
+
+def with_gold_rows(
+    rows: ray.data.Dataset, row_fields: pa.Schema, gates: dict, n_buckets: int, skip_buckets=()
 ) -> ray.data.Dataset:
-    """Distinct entity + conversation nodes from the edge set.
+    """``rows`` plus the gold rows of every gate (``{gate: path}``), bucketed
+    and filtered the same way.  Both sides are conformed to one schema
+    (``row_fields`` + ``evaluate.EVAL_SCHEMA``), so the union never has to
+    unify two."""
+    from .evaluate import EVAL_SCHEMA, gold_rows
 
-    Bucket-run dedup: per-batch partial dedup emits a node-id-hash
-    bucket, the groupby dispatches O(n_buckets) groups, and each kernel
-    dedups its bucket vectorized — never one Ray group per node_id
-    (unbounded-cardinality dispatch, the repo's banned pattern)."""
+    both = pa.schema(
+        list(row_fields) + [f for f in EVAL_SCHEMA if f.name not in row_fields.names]
+    )
 
-    def partial(batch: pa.Table) -> pa.Table:
-        ent = batch.filter(pc.equal(batch["pred"], "hasType"))
-        conv = batch.filter(pc.equal(batch["pred"], "mentionedIn"))
-        rows = [
-            {"node_id": f"entity:{s}", "kind": "entity", "name": s, "type": t}
-            for s, t in set(zip(ent["subj"].to_pylist(), ent["obj"].to_pylist()))
-        ] + [
-            {"node_id": f"conv:{c}", "kind": "conversation", "name": c, "type": ""}
-            for c in set(conv["obj"].to_pylist())
-        ]
-        tbl = pa.Table.from_pylist(rows, schema=schema.NODES)
-        bucket = pa.array(
-            [hash_u32(n) % n_buckets for n in tbl["node_id"].to_pylist()], pa.int32()
-        )
-        return tbl.append_column("bucket", bucket)
+    def conform(batch: pa.Table) -> pa.Table:
+        return conform_batch(batch, both)
 
-    def dedup_bucket(group: pa.Table) -> pa.Table:
-        group = group.sort_by([("node_id", "ascending")])
-        ids = group["node_id"].to_pylist()
-        keep = [i for i, n in enumerate(ids) if i == 0 or n != ids[i - 1]]
-        return group.take(keep).drop_columns(["bucket"])
+    out = rows.map_batches(conform, batch_format="pyarrow")
+    for gate, path in gates.items():
+        gold = bucketed_rows(gold_rows(gate, path), n_buckets, skip_buckets)
+        out = out.union(gold.map_batches(conform, batch_format="pyarrow"))
+    return out
 
-    parts = triples.map_batches(partial, batch_format="pyarrow")
-    return parts.groupby("bucket").map_groups(dedup_bucket, batch_format="pyarrow")
+
+def conversation_nodes(triples: pa.Table) -> pa.Table:
+    """The conversation nodes of ``triples``: one per distinct
+    ``mentionedIn`` object."""
+    convs = pc.unique(triples.filter(pc.equal(triples["pred"], "mentionedIn"))["obj"])
+    n = len(convs)
+    return pa.table(
+        {
+            "node_id": pc.binary_join_element_wise("conv:", convs, ""),
+            "kind": pa.repeat(pa.scalar("conversation"), n),
+            "name": convs,
+            "type": pa.repeat(pa.scalar(""), n),
+        },
+        schema=schema.NODES,
+    )
+
+
+def entity_nodes(pairs: pa.Table) -> pa.Table:
+    """One entity node per distinct ``name`` of the ``(name, type)`` pairs;
+    a name with two types keeps the smallest, so the pick never depends
+    on arrival order."""
+    ent = pairs.group_by("name").aggregate([("type", "min")]).sort_by("name")
+    return pa.table(
+        {
+            "node_id": pc.binary_join_element_wise("entity:", ent["name"], ""),
+            "kind": pa.repeat(pa.scalar("entity"), ent.num_rows),
+            "name": ent["name"],
+            "type": ent["type_min"],
+        },
+        schema=schema.NODES,
+    )
+
+
+def make_job_kernel(kernel, gates, columns):
+    """Per-bucket kernel of ``run_kg_job``, run by the bucket writer.
+
+    With ``gates``, the bucket's rows carry the gold rows of each gate
+    (tagged in ``evaluate.GATE``); they are split off first and the
+    extraction rows cut back to ``columns``.  Returns the bucket's
+    triples, its conversation nodes, its distinct ``hasType`` pairs as
+    ``entity_names``/``entity_types`` and, per gate, its ``<gate>_tp``,
+    ``_fp`` and ``_fn`` counted on the non-error triples."""
+    from .evaluate import GATE, GATES, split_gold
+
+    def job_bucket(group: pa.Table) -> dict:
+        gold = {}
+        if gates:
+            gold = {g: split_gold(group, g)[1] for g in gates}
+            group = group.filter(pc.is_null(group[GATE])).select(columns)
+        triples = kernel(group) if group.num_rows else _empty_triples()
+        ok = triples.filter(pc.not_equal(triples["pred"], "__error__"))
+        types = ok.filter(pc.equal(ok["pred"], "hasType"))
+        pairs = types.group_by(["subj", "obj"]).aggregate([])
+        out = {
+            "triples": triples,
+            "nodes": conversation_nodes(ok),
+            "entity_names": pairs["subj"].combine_chunks(),
+            "entity_types": pairs["obj"].combine_chunks(),
+        }
+        for g in gates:
+            tp, fp, fn = GATES[g](ok, gold[g])
+            out.update({f"{g}_tp": tp, f"{g}_fp": fp, f"{g}_fn": fn})
+        return out
+
+    return job_bucket
 
 
 def run_kg_job(
@@ -340,19 +420,30 @@ def run_kg_job(
     """Checkpointed KG job: triples + nodes + dead-letter, resumable per bucket.
 
     Stage "triples": one exchange keyed by the job bucket.  Each bucket's
-    extraction kernel runs inside the writer, which writes the bucket
-    atomically (temp-dir rename); the driver records it in MANIFEST.json
-    with row counts and lineage.  On resume, completed buckets are
-    dropped right after bucketing, BEFORE extraction, so their compute
-    is skipped entirely; ``resume=False`` forgets every stage of an
-    earlier run first.  Stage "nodes" derives the node table from the
-    written edge partitions.
+    extraction kernel runs inside the writer (:func:`make_job_kernel`),
+    which writes the bucket's triples and its conversation nodes
+    (``nodes/bucket=b``) atomically (temp-dir rename) and counts the
+    bucket's tp/fp/fn for each evaluation gate (``expected_path``,
+    ``annotations_path``), whose gold rows ride the same exchange.  The
+    job then renames the nodes, then the triples, into place and marks
+    them in MANIFEST.json with row counts, lineage and the counts — the
+    triples mark is the bucket's commit point.  It then writes one
+    entity-node file (``nodes/bucket=<n_buckets>``) from the buckets'
+    ``(name, type)`` pairs and sums the counts into metrics.json.  On
+    resume, completed buckets are dropped right after bucketing, BEFORE
+    extraction, so their compute is skipped entirely: their counts come
+    from their marks and their entity pairs from their own triples
+    files.  ``resume=False`` forgets every stage of an earlier run first.
+    Canonicalization (optional) reads the entity-node file.
 
     At 100 TB scale the same layout holds: buckets are key ranges of
     conv hash, each an independent re-runnable unit.
     """
+    import json
     import os
     import shutil
+
+    import pyarrow.parquet as pq
 
     from ..state.checkpoint import (
         Manifest,
@@ -366,13 +457,15 @@ def run_kg_job(
         write_bucket_atomic,
         write_stage_dataset_atomic,
     )
+    from .evaluate import GATES, _metrics
 
     manifest = Manifest(out_root)
     # refuse a resume whose inputs differ from the manifest's recorded
     # lineage: a changed extractor/input/prompt/code would otherwise skip
     # every done bucket and re-emit the previous run's triples, and a
     # changed bucket count re-plans conversations into buckets already
-    # marked done
+    # marked done; the done buckets' evaluation counts are kept in their
+    # marks, so a changed gold file must raise too
     manifest.record_job_lineage(
         {
             "code_sha256": code_sha256(),
@@ -387,6 +480,8 @@ def run_kg_job(
             "answer_format": answer_format,
             "prompt_text": prompt_text,
             "input_format": input_format,
+            "expected_files": files_fingerprint(expected_path),
+            "annotations_files": files_fingerprint(annotations_path),
         },
         resume=resume,
     )
@@ -410,6 +505,16 @@ def run_kg_job(
     done = manifest.done_buckets("triples")
     todo = [b for b in range(n_buckets) if b not in done]
     counters = {"buckets_skipped": len(done), "buckets_computed": len(todo)}
+    gates = {
+        g: p
+        for g, p in (("parity_vs_expected", expected_path), ("eval_vs_annotations", annotations_path))
+        if p
+    }
+    triples_lineage = {"input": transcripts_path, "extractor": extractor}
+    nodes_lineage = {"input": "triples/bucket=b"}
+    # (name, type) pairs of hasType triples, from every bucket
+    entity_names: list[str] = []
+    entity_types: list[str] = []
 
     if todo:
         # dead-letter sink: rows failing the SAD format rule are persisted
@@ -443,85 +548,87 @@ def run_kg_job(
             n_buckets=n_buckets,
             skip_buckets=done,
         )
-        # The one exchange: each bucket group is extracted and written to
-        # a temp dir by the worker holding it.  The driver only handles
-        # (bucket, rows, errors, tmp) summary rows — rename + manifest
-        # mark, never triple data (at 100 TB the edge table is TBs; the
-        # round-1 ray.get+concat path OOMs).
+        columns = None
+        if gates:
+            fields = row_schema(extractor)
+            columns = [n for n in fields.names if n != "bucket"]
+            bucket_rows = with_gold_rows(bucket_rows, fields, gates, n_buckets, done)
+        # The one exchange: each bucket group is extracted, counted and
+        # written to temp dirs by the worker holding it.  This process only
+        # handles summary rows — renames + manifest marks, never triple
+        # data (at 100 TB the edge table is TBs; the round-1
+        # ray.get+concat path OOMs).
         writes = bucket_rows.groupby("bucket").map_groups(
-            make_bucket_writer(out_root, "triples", kernel), batch_format="pyarrow"
+            make_bucket_writer(out_root, "triples", make_job_kernel(kernel, gates, columns)),
+            batch_format="pyarrow",
         )
-        # a job without a single extracted row yields no summary rows
-        summary = sorted(writes.take_all(), key=lambda r: r["bucket"])
-        for row in summary:
-            b = int(row["bucket"])
-            finalize_bucket(out_root, "triples", b, row["tmp"], int(row["rows"]))
+        # a job without a single exchanged row yields no summary rows
+        summary = {int(r["bucket"]): r for r in writes.take_all()}
+        for b in todo:
+            row = summary.get(b)
+            if row is None:
+                # buckets with no rows never reach the writer — mark them
+                # with empty partitions so resume doesn't re-plan them
+                row = {"rows": 0, "errors": 0, "nodes_rows": 0,
+                       "entity_names": [], "entity_types": []}
+                row.update({f"{g}_{k}": 0 for g in gates for k in ("tp", "fp", "fn")})
+                write_bucket_atomic(
+                    pa.Table.from_pylist([], schema=schema.NODES), out_root, "nodes", b
+                )
+                write_bucket_atomic(
+                    pa.Table.from_pylist([], schema=schema.TRIPLES), out_root, "triples", b
+                )
+            else:
+                finalize_bucket(out_root, "nodes", b, row["nodes_tmp"], int(row["nodes_rows"]))
+                finalize_bucket(out_root, "triples", b, row["tmp"], int(row["rows"]))
+            manifest.mark_bucket("nodes", b, int(row["nodes_rows"]), lineage=nodes_lineage)
             manifest.mark_bucket(
                 "triples",
                 b,
                 int(row["rows"]),
-                lineage={
-                    "input": transcripts_path,
-                    "extractor": extractor,
-                    "errors": int(row["errors"]),
+                lineage={**triples_lineage, "errors": int(row["errors"])},
+                counts={
+                    g: {k: int(row[f"{g}_{k}"]) for k in ("tp", "fp", "fn")} for g in gates
                 },
             )
-        # buckets with no rows never reach the writer kernel — mark them
-        # with an empty partition so resume doesn't re-plan them
-        for b in set(todo) - {int(r["bucket"]) for r in summary}:
-            rows = write_bucket_atomic(
-                pa.Table.from_pylist([], schema=schema.TRIPLES), out_root, "triples", b
-            )
-            manifest.mark_bucket(
-                "triples", b, rows,
-                lineage={"input": transcripts_path, "extractor": extractor, "errors": 0},
-            )
+            entity_names += row["entity_names"]
+            entity_types += row["entity_types"]
         manifest.set_counter("triples", "rows_written", sum(
             v["rows"] for v in manifest.stage("triples")["buckets"].values()
         ))
+        # every write has landed; a writer task that Ray retried after its
+        # worker died may have left the temp dirs of its first attempt
+        sweep_orphan_tmpdirs(out_root)
 
-    # stage 2: node table from the checkpointed edge partitions
-    import glob as _glob
-
-    edge_files = [
-        f
-        for b in sorted(manifest.done_buckets("triples"))
-        if os.path.isdir(bucket_dir(out_root, "triples", b))
-        for f in sorted(_glob.glob(os.path.join(bucket_dir(out_root, "triples", b), "*.parquet")))
-    ]
-
-    def _ok_edges():
-        nb = max(1, sum(os.path.getsize(f) for f in edge_files) // (64 * 1024 * 1024)) \
-            if edge_files else 1
-        nb = max(nb, min(len(edge_files), 32))
-        # explicit columns: the bucket=N directories add no partition column
-        ok, _bad = split_errors(
-            ray.data.read_parquet(
-                edge_files, columns=schema.TRIPLES.names, override_num_blocks=nb
+    # the entity nodes: one file of distinct names over every bucket's
+    # (name, type) pairs; a skipped bucket's pairs come from the
+    # hasType rows of its own triples file
+    if todo or n_buckets not in manifest.done_buckets("nodes"):
+        for b in sorted(done):
+            t = pq.read_table(
+                bucket_dir(out_root, "triples", b), columns=["subj", "pred", "obj"]
             )
+            t = t.filter(pc.equal(t["pred"], "hasType"))
+            entity_names += t["subj"].to_pylist()
+            entity_types += t["obj"].to_pylist()
+        pairs = pa.table(
+            {"name": pa.array(entity_names, pa.string()),
+             "type": pa.array(entity_types, pa.string())}
         )
-        return ok
+        rows = write_bucket_atomic(entity_nodes(pairs), out_root, "nodes", n_buckets)
+        manifest.mark_bucket("nodes", n_buckets, rows, lineage={"input": "triples/*/hasType"})
 
-    if edge_files and not manifest.stage_complete("nodes", 1):
-        rows = write_stage_dataset_atomic(
-            nodes_from_triples(_ok_edges()), out_root, "nodes", 0
-        )
-        manifest.mark_bucket("nodes", 0, rows, lineage={"input": "triples/*"})
     # stage 3 (optional): cross-corpus canonicalization of the node
     # table's entity names — union-find over name-pool similarity edges;
     # materialized as a labels table plus (node, sameAs, label) edges for
     # non-identity labels
-    if canonicalize and edge_files and not manifest.stage_complete("canon", 1):
+    if canonicalize and not manifest.stage_complete("canon", 1):
         from ..stages.canon import canonical_labels
 
-        node_files = sorted(
-            _glob.glob(os.path.join(bucket_dir(out_root, "nodes", 0), "*.parquet"))
-        )
+        entities = manifest.stage("nodes")["buckets"][str(n_buckets)]
         names_ds = (
-            ray.data.read_parquet(
-                node_files, columns=["kind", "name"], filter=pc.field("kind") == "entity"
-            )
-            if node_files  # an empty node table is written as no file
+            ray.data.read_parquet(bucket_dir(out_root, "nodes", n_buckets), columns=["name"])
+            if entities["rows"]
             else ray.data.from_arrow(pa.table({"name": pa.array([], pa.string())}))
         )
         # one execution feeds both outputs: labels parquet + sameAs edges
@@ -552,26 +659,22 @@ def run_kg_job(
         manifest.mark_bucket("canon", 0, same_as_rows, lineage={"labels_rows": rows})
         counters["same_as_edges"] = same_as_rows
 
-    # stage 4 (optional): evaluation job — P/R vs reference annotations
-    # (J3 name-pool matching) and/or vs expected triples (parity gate);
-    # metrics written beside the outputs and recorded in the manifest
-    if (annotations_path or expected_path) and edge_files:
-        import json as _json
-
-        from .evaluate import eval_vs_annotations, eval_vs_expected
-
-        metrics: dict = {}
-        if expected_path:
-            metrics["parity_vs_expected"] = eval_vs_expected(_ok_edges(), expected_path)
-        if annotations_path:
-            metrics["eval_vs_annotations"] = eval_vs_annotations(
-                _ok_edges(), annotations_path
-            )
+    # evaluation: P/R vs reference annotations (J3 name-pool matching)
+    # and/or vs expected triples (parity gate), summed from the per-bucket
+    # counts of the triples marks; written beside the outputs and
+    # recorded in the manifest
+    if gates:
+        marks = manifest.stage("triples")["buckets"].values()
+        metrics = {
+            g: _metrics(*(sum(m["counts"][g][k] for m in marks) for k in ("tp", "fp", "fn")))
+            for g in GATES
+            if g in gates
+        }
         with open(os.path.join(out_root, "metrics.json"), "w") as f:
-            _json.dump(metrics, f, indent=2)
+            json.dump(metrics, f, indent=2)
         for group, vals in metrics.items():
             for k, v in vals.items():
-                manifest.add_counter("eval", f"{group}.{k}", float(v))
+                manifest.set_counter("eval", f"{group}.{k}", float(v))
         counters["metrics"] = metrics
 
     counters["triples_rows"] = sum(

@@ -85,12 +85,21 @@ class Manifest:
     def done_buckets(self, stage: str) -> set[int]:
         return {int(k) for k, v in self.stage(stage)["buckets"].items() if v.get("complete")}
 
-    def mark_bucket(self, stage: str, bucket: int, rows: int, lineage: dict | None = None) -> None:
-        self.stage(stage)["buckets"][str(bucket)] = {
-            "complete": True,
-            "rows": rows,
-            "lineage": lineage or {},
-        }
+    def mark_bucket(
+        self,
+        stage: str,
+        bucket: int,
+        rows: int,
+        lineage: dict | None = None,
+        counts: dict | None = None,
+    ) -> None:
+        """Mark one bucket complete; ``counts`` (e.g. a bucket's evaluation
+        tp/fp/fn) are kept with the mark, so a resume that skips the bucket
+        still has them."""
+        entry = {"complete": True, "rows": rows, "lineage": lineage or {}}
+        if counts is not None:
+            entry["counts"] = counts
+        self.stage(stage)["buckets"][str(bucket)] = entry
         self._flush()
 
     def add_counter(self, stage: str, name: str, value: float) -> None:
@@ -208,45 +217,70 @@ def make_bucket_writer(root: str, stage: str, kernel):
     sorted by all non-nested columns first → bucket files are
     deterministic under any parallelism.
 
+    ``kernel`` returns the bucket's table of ``stage``, or a dict that
+    holds it under the key ``stage`` beside more outputs of the same
+    bucket.  Every other table in the dict is sorted and written the
+    same way, into a temp dir under its own stage dir (the key), and
+    comes back as ``<key>_rows`` and ``<key>_tmp``; every other value
+    is one more summary column, a ``pa.Array`` as one list value.
+
     Assumes ``root`` is on storage reachable from every worker (true
     single-node; on a real cluster this is the shared object store /
     DFS output path).
     """
 
     def write_group(group):
-        import os
-        import tempfile
-
         import pyarrow as pa
         import pyarrow.compute as pc
-        import pyarrow.parquet as pq
 
         bucket = group["bucket"][0].as_py()
-        tbl = kernel(group.drop_columns(["bucket"]))
+        out = kernel(group.drop_columns(["bucket"]))
+        if not isinstance(out, dict):
+            out = {stage: out}
+        tbl = out[stage]
         errors = 0
         if "pred" in tbl.column_names and tbl.num_rows:
             errors = int(
                 pc.sum(pc.equal(tbl["pred"], "__error__").cast(pa.int64())).as_py() or 0
             )
-        sort_keys = [
-            (f.name, "ascending") for f in tbl.schema if not pa.types.is_nested(f.type)
-        ]
-        if sort_keys:
-            tbl = tbl.sort_by(sort_keys)
-        parent = os.path.join(root, stage)
-        os.makedirs(parent, exist_ok=True)
-        tmp = tempfile.mkdtemp(dir=parent, prefix=f".bucket-{bucket}-")
-        pq.write_table(tbl, os.path.join(tmp, "part-0.parquet"))
-        return pa.table(
-            {
-                "bucket": pa.array([bucket], pa.int32()),
-                "rows": pa.array([tbl.num_rows], pa.int64()),
-                "errors": pa.array([errors], pa.int64()),
-                "tmp": pa.array([tmp], pa.string()),
-            }
-        )
+        summary = {
+            "bucket": pa.array([bucket], pa.int32()),
+            "errors": pa.array([errors], pa.int64()),
+        }
+        for key, value in out.items():
+            if isinstance(value, pa.Table):
+                prefix = "" if key == stage else f"{key}_"
+                summary[prefix + "rows"] = pa.array([value.num_rows], pa.int64())
+                summary[prefix + "tmp"] = pa.array(
+                    [_write_sorted_tmp(value, root, key, bucket)], pa.string()
+                )
+            elif isinstance(value, pa.Array):
+                summary[key] = pa.ListArray.from_arrays(
+                    pa.array([0, len(value)], pa.int32()), value
+                )
+            else:
+                summary[key] = pa.array([value])
+        return pa.table(summary)
 
     return write_group
+
+
+def _write_sorted_tmp(tbl, root: str, stage: str, bucket: int) -> str:
+    """Sort ``tbl`` by its non-nested columns and write it into a new temp
+    dir under the stage dir; returns that dir."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    sort_keys = [
+        (f.name, "ascending") for f in tbl.schema if not pa.types.is_nested(f.type)
+    ]
+    if sort_keys:
+        tbl = tbl.sort_by(sort_keys)
+    parent = os.path.join(root, stage)
+    os.makedirs(parent, exist_ok=True)
+    tmp = tempfile.mkdtemp(dir=parent, prefix=f".bucket-{bucket}-")
+    pq.write_table(tbl, os.path.join(tmp, "part-0.parquet"))
+    return tmp
 
 
 def write_stage_dataset_atomic(ds, root: str, stage: str, bucket: int = 0) -> int:

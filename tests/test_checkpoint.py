@@ -38,24 +38,32 @@ def test_kg_job_writes_partitions_and_manifest(ray_session, ref_corpus, tmp_path
     assert kinds == {"entity", "conversation"}
 
 
-def _bucket_sha256(out):
-    """sha256 of every triples bucket file, keyed by bucket directory."""
+def _bucket_sha256(out, stage="triples"):
+    """sha256 of every bucket file of a stage, keyed by bucket directory."""
     return {
         os.path.basename(os.path.dirname(f)): hashlib.sha256(open(f, "rb").read()).hexdigest()
-        for f in glob.glob(os.path.join(out, "triples", "bucket=*", "*.parquet"))
+        for f in glob.glob(os.path.join(out, stage, "bucket=*", "*.parquet"))
     }
 
 
-def _forget_buckets(out, buckets):
-    """Simulate a mid-job crash: drop buckets (and the nodes stage) from
-    the manifest and from disk."""
+def _outputs_sha256(out):
+    """sha256 of every triples and nodes bucket file and of metrics.json."""
+    got = {s: _bucket_sha256(out, s) for s in ("triples", "nodes")}
+    metrics = os.path.join(out, "metrics.json")
+    if os.path.exists(metrics):
+        got["metrics"] = hashlib.sha256(open(metrics, "rb").read()).hexdigest()
+    return got
+
+
+def _forget_buckets(out, buckets, stages=("triples", "nodes")):
+    """Simulate a mid-job crash: drop buckets of ``stages`` (by default the
+    triples and the per-bucket nodes) from the manifest and from disk."""
     mpath = os.path.join(out, "MANIFEST.json")
     manifest = json.load(open(mpath))
-    for b in buckets:
-        del manifest["stages"]["triples"]["buckets"][str(b)]
-        shutil.rmtree(os.path.join(out, "triples", f"bucket={b}"))
-    manifest["stages"].pop("nodes", None)
-    shutil.rmtree(os.path.join(out, "nodes"))
+    for stage in stages:
+        for b in buckets:
+            del manifest["stages"][stage]["buckets"][str(b)]
+            shutil.rmtree(os.path.join(out, stage, f"bucket={b}"))
     with open(mpath, "w") as f:
         json.dump(manifest, f)
 
@@ -102,9 +110,9 @@ def test_answers_job_resume_skips_done_buckets(ray_session, ref_corpus, tmp_path
 
 @pytest.mark.parametrize("extractor", ["gazetteer", "answers"])
 def test_kg_job_triples_stage_is_one_exchange(ray_session, ref_corpus, tmp_path, monkeypatch, extractor):
-    """The triples stage groups once (by job bucket); with neither
-    canonicalization nor evaluation the job's only other group-by is the
-    nodes stage."""
+    """The triples stage groups once (by job bucket), and without
+    canonicalization that is the job's only group-by: its writer also
+    writes the node table."""
     from ray.data.grouped_data import GroupedData
 
     from naer_ray.pipelines.kg import run_kg_job
@@ -126,12 +134,12 @@ def test_kg_job_triples_stage_is_one_exchange(ray_session, ref_corpus, tmp_path,
         answers_path=os.path.join(ref_corpus, "llm_answers.parquet"),
         n_buckets=4,
     )
-    assert len(calls) == 2, [getattr(f, "__qualname__", f) for f in calls]
+    assert len(calls) == 1, [getattr(f, "__qualname__", f) for f in calls]
 
 
 def test_kg_job_canon_stage_is_one_exchange(ray_session, ref_corpus, tmp_path, monkeypatch):
-    """Triples, nodes and canon group once each, and canon reads its
-    names from the node table: only the nodes stage reads the triples."""
+    """Triples and canon group once each, and canon reads its names from
+    the node table: nothing reads the written triples back."""
     import ray.data
     from ray.data.grouped_data import GroupedData
 
@@ -154,9 +162,9 @@ def test_kg_job_canon_stage_is_one_exchange(ray_session, ref_corpus, tmp_path, m
     transcripts, dictionary = _corpus_paths(ref_corpus)
     out = str(tmp_path / "kg")
     run_kg_job(transcripts, dictionary, out, n_buckets=4, canonicalize=True)
-    assert len(calls) == 3, [getattr(f, "__qualname__", f) for f in calls]
+    assert len(calls) == 2, [getattr(f, "__qualname__", f) for f in calls]
     triples_dir = os.path.join(out, "triples")
-    assert sum(any(p.startswith(triples_dir) for p in r) for r in reads) == 1, reads
+    assert not any(p.startswith(triples_dir) for r in reads for p in r), reads
     assert pq.read_table(os.path.join(out, "canonical_labels")).num_rows > 0
 
 
@@ -228,9 +236,13 @@ def test_kg_job_without_mentions(ray_session, tmp_path):
     assert sorted(buckets) == ["0", "1", "2", "3"]
     assert all(v["complete"] and v["rows"] == 0 for v in buckets.values())
     assert len(_bucket_sha256(out)) == 4
-    assert manifest["stages"]["nodes"]["buckets"]["0"] == {
-        "complete": True, "rows": 0, "lineage": {"input": "triples/*"}
+    # four empty conversation-node buckets and an empty entity-node file
+    assert manifest["stages"]["nodes"]["buckets"] == {
+        **{str(b): {"complete": True, "rows": 0, "lineage": {"input": "triples/bucket=b"}}
+           for b in range(4)},
+        "4": {"complete": True, "rows": 0, "lineage": {"input": "triples/*/hasType"}},
     }
+    assert len(_bucket_sha256(out, "nodes")) == 5
 
     counters = run_kg_job(transcripts, dictionary, out, n_buckets=4)
     assert counters["buckets_skipped"] == 4 and counters["buckets_computed"] == 0
@@ -286,3 +298,216 @@ def test_answers_path_job_and_dead_letter(ray_session, ref_corpus, tmp_path):
     preds = edges.column("pred").to_pylist()
     assert "__error__" in preds  # dead-lettered, job survived
     assert preds.count("occursIn") > 100
+
+
+@pytest.mark.parametrize("job, executions", [("answers", 1), ("gazetteer", 2), ("canon", 5)])
+def test_kg_job_executions(ray_session, ref_corpus, tmp_path, monkeypatch, job, executions):
+    """One Ray Data execution writes the triples, the nodes and the
+    evaluation counts: an answers job with expected triples runs exactly
+    one; the gazetteer job adds its quarantine write and canon its three.
+    A fresh job never reads the written triples back."""
+    import pyarrow.parquet as pq_mod
+    import ray.data
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from naer_ray.pipelines.kg import run_kg_job
+
+    calls, reads = [], []
+    execute, read_parquet, read_table = (
+        StreamingExecutor.execute, ray.data.read_parquet, pq_mod.read_table
+    )
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return execute(self, *args, **kwargs)
+
+    def recording(paths, *args, **kwargs):
+        reads.append([paths] if isinstance(paths, str) else list(paths))
+        return read_parquet(paths, *args, **kwargs)
+
+    def recording_table(path, *args, **kwargs):
+        reads.append([str(path)])
+        return read_table(path, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    monkeypatch.setattr(ray.data, "read_parquet", recording)
+    monkeypatch.setattr(pq_mod, "read_table", recording_table)
+    transcripts, dictionary = _corpus_paths(ref_corpus)
+    out = str(tmp_path / "kg")
+    if job == "answers":
+        run_kg_job(
+            transcripts, None, out, extractor="answers",
+            answers_path=os.path.join(ref_corpus, "llm_answers.parquet"),
+            expected_path=os.path.join(ref_corpus, "expected_triples.parquet"),
+            n_buckets=4,
+        )
+        assert os.path.exists(os.path.join(out, "metrics.json"))
+    else:
+        run_kg_job(transcripts, dictionary, out, n_buckets=4, canonicalize=job == "canon")
+    assert len(calls) == executions
+    triples_dir = os.path.join(out, "triples")
+    assert not any(p.startswith(triples_dir) for r in reads for p in r), reads
+
+
+def _answers_job(ref_corpus, out, expected=None, **kwargs):
+    from naer_ray.pipelines.kg import run_kg_job
+
+    transcripts, _ = _corpus_paths(ref_corpus)
+    return run_kg_job(
+        transcripts, None, out, extractor="answers",
+        answers_path=os.path.join(ref_corpus, "llm_answers.parquet"),
+        expected_path=expected or os.path.join(ref_corpus, "expected_triples.parquet"),
+        n_buckets=4, **kwargs,
+    )
+
+
+def test_answers_job_resume_with_expected_is_exact(ray_session, ref_corpus, tmp_path):
+    """A resume that recomputes 2 of 4 buckets takes the other two's
+    evaluation counts from their marks and their entity pairs from their
+    triples: metrics.json and every triples and nodes file are
+    byte-identical to the clean run."""
+    out = str(tmp_path / "kg")
+    _answers_job(ref_corpus, out)
+    clean = _outputs_sha256(out)
+    assert len(clean["triples"]) == 4 and len(clean["nodes"]) == 5
+    with open(os.path.join(out, "metrics.json")) as f:
+        assert json.load(f)["parity_vs_expected"]["recall"] == 1.0
+
+    _forget_buckets(out, (1, 3))
+    os.remove(os.path.join(out, "metrics.json"))
+    counters = _answers_job(ref_corpus, out)
+    assert (counters["buckets_skipped"], counters["buckets_computed"]) == (2, 2)
+    assert _outputs_sha256(out) == clean
+
+
+def test_resume_recomputes_bucket_committed_only_in_nodes(ray_session, ref_corpus, tmp_path):
+    """A crash after a bucket's nodes were renamed into place and marked,
+    before its triples were: the triples mark is the commit point, so the
+    bucket is recomputed, to the same bytes, and its orphan temp dir is
+    swept."""
+    out = str(tmp_path / "kg")
+    _answers_job(ref_corpus, out)
+    clean = _outputs_sha256(out)
+
+    _forget_buckets(out, (2,), stages=("triples",))
+    orphan = os.path.join(out, "triples", ".bucket-2-crashed")
+    os.makedirs(orphan)
+    counters = _answers_job(ref_corpus, out)
+    assert (counters["buckets_skipped"], counters["buckets_computed"]) == (3, 1)
+    assert _outputs_sha256(out) == clean
+    assert not os.path.exists(orphan)
+
+
+def test_resume_refuses_changed_expected_file(ray_session, ref_corpus, tmp_path):
+    """Done buckets keep their evaluation counts across a resume, so a
+    changed expected-triples file must raise."""
+    expected = str(tmp_path / "expected.parquet")
+    table = pq.read_table(os.path.join(ref_corpus, "expected_triples.parquet"))
+    pq.write_table(table, expected)
+    out = str(tmp_path / "kg")
+    _answers_job(ref_corpus, out, expected)
+    pq.write_table(table.slice(1), expected)
+    with pytest.raises(ValueError, match="expected_files"):
+        _answers_job(ref_corpus, out, expected)
+
+
+def _node_oracle(out):
+    """The node table derived in plain Python from the job's own triples:
+    a conversation node per distinct mentionedIn object and an entity node
+    per distinct hasType subject, with its smallest type."""
+    triples = pq.read_table(os.path.join(out, "triples")).to_pylist()
+    types = {}
+    for t in triples:
+        if t["pred"] == "hasType":
+            types[t["subj"]] = min(types.get(t["subj"], t["obj"]), t["obj"])
+    convs = {t["obj"] for t in triples if t["pred"] == "mentionedIn"}
+    return sorted(
+        [(f"entity:{n}", "entity", n, ty) for n, ty in types.items()]
+        + [(f"conv:{c}", "conversation", c, "") for c in convs]
+    )
+
+
+def _node_rows(out):
+    t = pq.read_table(os.path.join(out, "nodes"), columns=["node_id", "kind", "name", "type"])
+    return sorted(zip(*(t[c].to_pylist() for c in t.column_names)))
+
+
+@pytest.mark.parametrize("extractor", ["gazetteer", "answers"])
+def test_node_table_matches_triples_oracle(ray_session, ref_corpus, tmp_path, extractor):
+    """The node table equals its plain-Python derivation from the job's
+    triples on the ref corpus."""
+    from naer_ray.pipelines.kg import run_kg_job
+
+    transcripts, dictionary = _corpus_paths(ref_corpus)
+    out = str(tmp_path / "kg")
+    run_kg_job(
+        transcripts,
+        dictionary if extractor == "gazetteer" else None,
+        out,
+        extractor=extractor,
+        answers_path=os.path.join(ref_corpus, "llm_answers.parquet"),
+        n_buckets=4,
+    )
+    want = _node_oracle(out)
+    assert any(k == "entity" for _, k, _, _ in want)
+    assert any(k == "conversation" for _, k, _, _ in want)
+    assert _node_rows(out) == want
+
+
+def test_node_table_keeps_smallest_type(ray_session, ref_corpus, tmp_path):
+    """A dictionary that gives one name two types: every run's node table
+    has one node for the name, with the smallest type."""
+    import pyarrow as pa
+
+    from naer_ray.pipelines.kg import run_kg_job
+
+    transcripts, dictionary = _corpus_paths(ref_corpus)
+    table = pq.read_table(dictionary)
+    first = table.slice(0, 1).to_pylist()[0]
+    twin = {**first, "entity_id": first["entity_id"] + "-twin", "type": "CLASS",
+            "aliases": [], "interface_of": None}
+    both = str(tmp_path / "dictionary.parquet")
+    pq.write_table(pa.concat_tables([table, pa.Table.from_pylist([twin], schema=table.schema)]), both)
+    name = first["canonical_name"]
+    for run in range(2):
+        out = str(tmp_path / f"kg{run}")
+        run_kg_job(transcripts, both, out, n_buckets=4)
+        types = {
+            t["obj"] for t in pq.read_table(os.path.join(out, "triples")).to_pylist()
+            if t["pred"] == "hasType" and t["subj"] == name
+        }
+        assert types == {"CLASS", first["type"]}
+        rows = _node_rows(out)
+        assert [r for r in rows if r[0] == f"entity:{name}"] == [
+            (f"entity:{name}", "entity", name, min(types))
+        ]
+        assert rows == _node_oracle(out)
+
+
+def test_kg_job_counters_reconcile(ray_session, ref_corpus, tmp_path):
+    """The manifest's counts add up: the per-bucket conversation-node marks
+    plus the entity-file mark are the node table's rows, and the
+    per-bucket evaluation counts sum to metrics.json."""
+    out = str(tmp_path / "kg")
+    _answers_job(
+        ref_corpus, out,
+        annotations_path=os.path.join(ref_corpus, "reference_annotations.parquet"),
+    )
+    manifest = json.load(open(os.path.join(out, "MANIFEST.json")))["stages"]
+    nodes = manifest["nodes"]["buckets"]
+    conv_rows = sum(nodes[str(b)]["rows"] for b in range(4))
+    assert sorted(nodes, key=int) == ["0", "1", "2", "3", "4"]
+    assert conv_rows + nodes["4"]["rows"] == pq.read_table(os.path.join(out, "nodes")).num_rows
+    assert conv_rows == pq.read_table(
+        os.path.join(out, "nodes"), filters=[("kind", "=", "conversation")]
+    ).num_rows
+
+    with open(os.path.join(out, "metrics.json")) as f:
+        metrics = json.load(f)
+    assert sorted(metrics) == ["eval_vs_annotations", "parity_vs_expected"]
+    marks = manifest["triples"]["buckets"].values()
+    for gate, got in metrics.items():
+        for k in ("tp", "fp", "fn"):
+            assert sum(m["counts"][gate][k] for m in marks) == got[k]
+            assert manifest["eval"]["counters"][f"{gate}.{k}"] == got[k]
+    assert metrics["parity_vs_expected"]["tp"] > 0

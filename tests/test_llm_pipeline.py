@@ -223,3 +223,45 @@ def test_llm_extractor_dead_letters_bad_conversations(ray_session, llm_corpus):
     df = t.to_pandas()
     assert (df["pred"] == "__error__").all()
     assert len(df) == 6  # one dead-letter row per conversation
+
+
+def test_llm_job_survives_worker_death(ray_session, llm_corpus, tmp_path):
+    """A worker killed mid-bucket (its chat backend's factory exits the
+    process on the job's first call, leaving a temp dir as an attempt
+    that had written a bucket would) is retried by Ray: every triples
+    and nodes bucket file is byte-identical to a clean run, and the job
+    leaves no temp dir in any stage directory."""
+    import glob
+    import hashlib
+
+    from naer_ray.pipelines.kg import run_kg_job
+
+    clean, faulted = str(tmp_path / "clean"), str(tmp_path / "faulted")
+
+    def dying_factory(marker=str(tmp_path / "died"), inner=_make_echo_factory(),
+                      partial=os.path.join(faulted, "triples", ".bucket-0-killed")):
+        def factory():
+            if not os.path.exists(marker):
+                open(marker, "w").close()
+                os.makedirs(partial)
+                open(os.path.join(partial, "part-0.parquet"), "w").close()
+                os._exit(1)
+            return inner()
+
+        return factory
+
+    def files(out):
+        return {
+            os.path.relpath(f, out): hashlib.sha256(open(f, "rb").read()).hexdigest()
+            for stage in ("triples", "nodes")
+            for f in glob.glob(os.path.join(out, stage, "bucket=*", "*.parquet"))
+        }
+
+    run_kg_job(llm_corpus, None, clean, extractor="llm",
+               chat_fn_factory=_make_echo_factory(), n_buckets=4)
+    counters = run_kg_job(llm_corpus, None, faulted, extractor="llm",
+                          chat_fn_factory=dying_factory(), n_buckets=4)
+    assert os.path.exists(str(tmp_path / "died"))
+    assert counters["buckets_computed"] == 4 and counters["triples_rows"] > 0
+    assert files(faulted) == files(clean) and len(files(clean)) == 9
+    assert not glob.glob(os.path.join(faulted, "*", ".bucket-*"))
