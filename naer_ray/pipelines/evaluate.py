@@ -16,7 +16,7 @@ Two gates, each one per-bucket count function:
 
 Both gates decompose by conversation, so both count one conv-hash
 bucket at a time: the gold rows (:func:`gold_rows`, tagged with their
-gate in the ``gate`` column) carry the conversation's job bucket and
+gate in the ``schema.TAG`` column) carry the conversation's job bucket and
 meet that bucket's triples in its group.  ``pipelines/kg.run_kg_job``
 sends them through its one triples exchange and counts inside the
 bucket writer; :func:`eval_vs_expected` and :func:`eval_vs_annotations`
@@ -38,11 +38,9 @@ _KEY_COLS = ["subj", "pred", "obj", "conv_id", "turn_idx", "ref_type"]
 
 _N_BUCKETS = 64
 
-#: the tag column of gold rows: the name of their gate; null on triples
-GATE = "gate"
-
-#: every row an evaluation exchange carries: the tag plus a triple
-EVAL_SCHEMA = pa.schema([pa.field(GATE, pa.string()), *schema.TRIPLES])
+#: every row an evaluation exchange carries: the tag (the gate's name on
+#: gold rows, null on triples) plus a triple
+EVAL_SCHEMA = pa.schema([pa.field(schema.TAG, pa.string()), *schema.TRIPLES])
 
 
 def expected_counts(pred: pa.Table, gold: pa.Table) -> tuple[int, int, int]:
@@ -180,7 +178,7 @@ def gold_rows(gate: str, path: str) -> ray.data.Dataset:
         ds = ray.data.read_parquet(path, override_num_blocks=auto_num_blocks(path))
 
     def tag(batch: pa.Table) -> pa.Table:
-        tagged = batch.append_column(GATE, pa.repeat(pa.scalar(gate), batch.num_rows))
+        tagged = batch.append_column(schema.TAG, pa.repeat(pa.scalar(gate), batch.num_rows))
         return conform_batch(tagged, EVAL_SCHEMA)
 
     return ds.map_batches(tag, batch_format="pyarrow")
@@ -189,8 +187,8 @@ def gold_rows(gate: str, path: str) -> ray.data.Dataset:
 def split_gold(rows: pa.Table, gate: str) -> tuple[pa.Table, pa.Table]:
     """(triples, gold rows of ``gate``) of one bucket's tagged rows, both
     in the triple schema."""
-    triples = rows.filter(pc.is_null(rows[GATE]))
-    gold = rows.filter(pc.equal(rows[GATE], gate))
+    triples = rows.filter(pc.is_null(rows[schema.TAG]))
+    gold = rows.filter(pc.equal(rows[schema.TAG], gate))
     return triples.select(schema.TRIPLES.names), gold.select(schema.TRIPLES.names)
 
 

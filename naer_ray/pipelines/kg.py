@@ -5,27 +5,30 @@ Every extractor has one shape: rows that carry a ``bucket`` column,
 plus a per-bucket kernel that turns one bucket's rows into triples::
 
     gazetteer  read_parquet(transcripts, columns=3)   # prune at the read
-                 -> validate (vectorized regex, quarantine)
                  -> add_bucket
-                 -> mention detection map_batches     # per turn, NO shuffle
+                 -> mention detection map_batches     # per turn, NO shuffle;
+                    it also tags the invalid turns (format rule)
                kernel: per-bucket anaphora + triple assembly
     answers    transcripts ∪ recorded answers -> add_bucket
                kernel: parse_answer_group (reference parse/resolve/type)
-    llm        transcripts -> validate -> add_bucket
+    llm        transcripts -> tag invalid turns -> add_bucket
                kernel: chat + parse per conversation
 
     rows.groupby("bucket").map_groups(kernel)         # the one exchange
 
-``build_triples`` returns that triples Dataset.  ``run_kg_job`` is the
-checkpointed job, and that exchange is the only Ray Data execution it
-needs for triples, nodes and evaluation::
+Quarantined turns and, in a job, gold rows ride the exchange tagged in
+``schema.TAG``; kernels see only the untagged rows.  ``build_triples``
+returns the triples Dataset.  ``run_kg_job`` is the checkpointed job:
+it reads the transcripts once, and that exchange is the only execution
+it needs for triples, nodes, quarantine and evaluation::
 
     rows ∪ gold rows of each gate (expected triples, annotations)
          -> add_bucket -> drop finished buckets
     rows.groupby("bucket").map_groups(make_bucket_writer(job_kernel))
          per bucket: triples/bucket=b, nodes/bucket=b (its conversation
-         nodes), and in the summary row its (name, type) entity pairs
-         and per-gate tp/fp/fn
+         nodes), quarantine/bucket=b (its invalid turns, if any), and in
+         the summary row its (name, type) entity pairs and per-gate
+         tp/fp/fn
     then: one entity-node file nodes/bucket=<n_buckets>; metrics.json
 
 Finished buckets are dropped right after ``add_bucket`` (before any
@@ -44,27 +47,40 @@ import ray.data
 from .. import schema
 from ..hashing import hash_u32
 from ..sources.gazetteer import load_dictionary_rows
-from ..sources.transcripts import conform_batch, read_transcripts, validate_transcripts
+from ..sources.transcripts import (
+    QUARANTINED,
+    conform_batch,
+    read_transcripts,
+    validate_transcripts,
+)
 from ..stages.answers import answers_as_rows, parse_answer_group
 from ..stages.extract import (
-    MENTION_SCHEMA,
-    _empty_triples,
+    TAGGED_MENTION_SCHEMA,
     make_conversation_assembler,
     make_mention_detector,
 )
 
 #: the columns the answers and llm extractors read
 _ROLE_COLUMNS = ["conv_id", "turn_idx", "role", "text"]
+_ROLE_SCHEMA = pa.schema([schema.TRANSCRIPTS.field(c) for c in _ROLE_COLUMNS])
 
 
 def build_triples(
     transcripts_path: str | None, dictionary_path: str | None = None, **options
 ) -> ray.data.Dataset:
-    """Lazy triples Dataset for any extractor backend: the rows of
-    :func:`bucketed_extraction` (which documents ``options``), grouped by
-    bucket, each bucket through the extractor's kernel — one exchange."""
+    """Lazy triples Dataset for any extractor backend: the untagged rows
+    of :func:`bucketed_extraction` (which documents ``options``), grouped
+    by bucket, each bucket through the extractor's kernel — one exchange."""
     rows, kernel = bucketed_extraction(transcripts_path, dictionary_path, **options)
-    return rows.groupby("bucket").map_groups(kernel, batch_format="pyarrow")
+    untagged = rows.map_batches(_untagged, batch_format="pyarrow")
+    return untagged.groupby("bucket").map_groups(kernel, batch_format="pyarrow")
+
+
+def _untagged(batch: pa.Table) -> pa.Table:
+    """The extractor's own rows of a batch (null ``schema.TAG``)."""
+    if schema.TAG not in batch.column_names:
+        return batch
+    return batch.filter(pc.is_null(batch[schema.TAG])).drop_columns([schema.TAG])
 
 
 def bucketed_extraction(
@@ -89,6 +105,11 @@ def bucketed_extraction(
     (without that column) into triples.  Rows of ``skip_buckets`` are
     dropped right after bucketing, so they cost no extraction.
 
+    validate="quarantine" (default) keeps the gazetteer and llm paths'
+    invalid turns as rows tagged QUARANTINED in ``schema.TAG`` (null on
+    the rows the kernel takes); "strict" raises on one, None checks
+    nothing.  The answers path never validates.
+
     extractor="gazetteer": broadcast-dictionary mention detection (the
     production path; dictionary_path, dict_rows or a pre-``ray.put``
     dict_ref required).  extractor="answers": recorded structured-text/
@@ -109,6 +130,9 @@ def bucketed_extraction(
     """
     if n_buckets is None:
         n_buckets = auto_n_buckets()
+    if validate not in (None, "strict", "quarantine"):
+        raise ValueError(f"unknown validate mode {validate!r}")
+    quarantine = validate == "quarantine"
 
     def bucketed(ds: ray.data.Dataset) -> ray.data.Dataset:
         return bucketed_rows(ds, n_buckets, skip_buckets)
@@ -117,7 +141,7 @@ def bucketed_extraction(
         ds = transcripts_ds
         if ds is None:
             ds = read_transcripts(transcripts_path, columns=columns)
-        return validate_transcripts(ds, mode=validate) if validate else ds
+        return validate_transcripts(ds, mode="strict") if validate == "strict" else ds
 
     if extractor == "answers":
         if answers_path is None:
@@ -126,13 +150,9 @@ def bucketed_extraction(
         # input_format="jsonl") — the parquet reader would crash on a
         # JSONL path with a misleading error (ADVICE r3)
         if transcripts_ds is not None:
-
-            def _with_role(t: pa.Table) -> pa.Table:
-                if "role" not in t.column_names:
-                    t = t.append_column("role", pa.nulls(t.num_rows, pa.string()))
-                return t.select(_ROLE_COLUMNS)
-
-            tds = transcripts_ds.map_batches(_with_role, batch_format="pyarrow")
+            tds = transcripts_ds.map_batches(
+                lambda t: conform_batch(t, _ROLE_SCHEMA), batch_format="pyarrow"
+            )
         else:
             tds = read_transcripts(transcripts_path, columns=_ROLE_COLUMNS)
         return bucketed(tds.union(answers_as_rows(answers_path))), parse_answer_group
@@ -143,7 +163,10 @@ def bucketed_extraction(
         kernel = make_llm_bucket_extractor(
             chat_fn_factory, prompt_text=prompt_text, answer_format=answer_format
         )
-        return bucketed(transcripts(_ROLE_COLUMNS)), kernel
+        rows = transcripts(_ROLE_COLUMNS)
+        if quarantine:
+            rows = validate_transcripts(rows, mode="tag")
+        return bucketed(rows), kernel
 
     if extractor != "gazetteer":
         raise ValueError(f"unknown extractor {extractor!r}")
@@ -156,7 +179,7 @@ def bucketed_extraction(
             raise ValueError("dictionary_path, dict_rows or dict_ref required")
     # elastic stateless tasks; the matcher is cached per worker process
     mentions = bucketed(transcripts()).map_batches(
-        make_mention_detector(dict_ref),
+        make_mention_detector(dict_ref, quarantine=quarantine),
         batch_format="pyarrow",
         batch_size=batch_size,
     )
@@ -241,7 +264,7 @@ def make_llm_bucket_extractor(
             outs.append(ex.extract(conv[i], lines))
             i = j
         if not outs:
-            return _empty_triples()
+            return schema.TRIPLES.empty_table()
         return pa.concat_tables(outs)
 
     return extract_bucket
@@ -303,12 +326,14 @@ def add_bucket(ds: ray.data.Dataset, n_buckets: int) -> ray.data.Dataset:
 
 
 def row_schema(extractor: str) -> pa.Schema:
-    """Schema of the rows ``bucketed_extraction`` hands to the exchange."""
+    """Schema of the rows ``bucketed_extraction`` hands to the exchange
+    with its default validation."""
     if extractor == "gazetteer":
-        return MENTION_SCHEMA
-    return pa.schema(
-        [schema.TRANSCRIPTS.field(c) for c in _ROLE_COLUMNS] + [("bucket", pa.int32())]
-    )
+        return TAGGED_MENTION_SCHEMA
+    fields = [*_ROLE_SCHEMA, pa.field("bucket", pa.int32())]
+    if extractor == "llm":
+        fields.append(pa.field(schema.TAG, pa.string()))
+    return pa.schema(fields)
 
 
 def with_gold_rows(
@@ -366,32 +391,38 @@ def entity_nodes(pairs: pa.Table) -> pa.Table:
     )
 
 
-def make_job_kernel(kernel, gates, columns):
+def make_job_kernel(kernel, gates):
     """Per-bucket kernel of ``run_kg_job``, run by the bucket writer.
 
-    With ``gates``, the bucket's rows carry the gold rows of each gate
-    (tagged in ``evaluate.GATE``); they are split off first and the
-    extraction rows cut back to ``columns``.  Returns the bucket's
-    triples, its conversation nodes, its distinct ``hasType`` pairs as
+    The tagged rows (``schema.TAG``: quarantined turns, gold rows of each
+    gate) are split off first; ``kernel`` sees the untagged rows.  Returns
+    the bucket's triples, its conversation nodes, its quarantined turns
+    (``None``, no file, if none), its distinct ``hasType`` pairs as
     ``entity_names``/``entity_types`` and, per gate, its ``<gate>_tp``,
     ``_fp`` and ``_fn`` counted on the non-error triples."""
-    from .evaluate import GATE, GATES, split_gold
+    from .evaluate import GATES
 
     def job_bucket(group: pa.Table) -> dict:
-        gold = {}
-        if gates:
-            gold = {g: split_gold(group, g)[1] for g in gates}
-            group = group.filter(pc.is_null(group[GATE])).select(columns)
-        triples = kernel(group) if group.num_rows else _empty_triples()
+        out, gold = {}, {}
+        if schema.TAG in group.column_names:
+            tags = group[schema.TAG]
+            quarantine = group.filter(pc.equal(tags, QUARANTINED))
+            quarantine = quarantine.select(schema.QUARANTINE.names).cast(schema.QUARANTINE)
+            out["quarantine"] = quarantine if quarantine.num_rows else None
+            gold = {
+                g: group.filter(pc.equal(tags, g)).select(schema.TRIPLES.names) for g in gates
+            }
+            group = group.filter(pc.is_null(tags)).drop_columns([schema.TAG])
+        triples = kernel(group) if group.num_rows else schema.TRIPLES.empty_table()
         ok = triples.filter(pc.not_equal(triples["pred"], "__error__"))
         types = ok.filter(pc.equal(ok["pred"], "hasType"))
         pairs = types.group_by(["subj", "obj"]).aggregate([])
-        out = {
-            "triples": triples,
-            "nodes": conversation_nodes(ok),
-            "entity_names": pairs["subj"].combine_chunks(),
-            "entity_types": pairs["obj"].combine_chunks(),
-        }
+        out.update(
+            triples=triples,
+            nodes=conversation_nodes(ok),
+            entity_names=pairs["subj"].combine_chunks(),
+            entity_types=pairs["obj"].combine_chunks(),
+        )
         for g in gates:
             tp, fp, fn = GATES[g](ok, gold[g])
             out.update({f"{g}_tp": tp, f"{g}_fp": fp, f"{g}_fn": fn})
@@ -417,24 +448,29 @@ def run_kg_job(
     expected_path: str | None = None,
     input_format: str = "parquet",
 ) -> dict:
-    """Checkpointed KG job: triples + nodes + dead-letter, resumable per bucket.
+    """Checkpointed KG job: triples + nodes + quarantine + dead-letter,
+    resumable per bucket, from one read of the transcripts.
 
     Stage "triples": one exchange keyed by the job bucket.  Each bucket's
     extraction kernel runs inside the writer (:func:`make_job_kernel`),
-    which writes the bucket's triples and its conversation nodes
-    (``nodes/bucket=b``) atomically (temp-dir rename) and counts the
-    bucket's tp/fp/fn for each evaluation gate (``expected_path``,
-    ``annotations_path``), whose gold rows ride the same exchange.  The
-    job then renames the nodes, then the triples, into place and marks
-    them in MANIFEST.json with row counts, lineage and the counts — the
-    triples mark is the bucket's commit point.  It then writes one
-    entity-node file (``nodes/bucket=<n_buckets>``) from the buckets'
-    ``(name, type)`` pairs and sums the counts into metrics.json.  On
-    resume, completed buckets are dropped right after bucketing, BEFORE
-    extraction, so their compute is skipped entirely: their counts come
-    from their marks and their entity pairs from their own triples
-    files.  ``resume=False`` forgets every stage of an earlier run first.
-    Canonicalization (optional) reads the entity-node file.
+    which writes the bucket's triples, its conversation nodes
+    (``nodes/bucket=b``) and, on the gazetteer and llm paths, its turns
+    that fail the SAD format rule (``quarantine/bucket=b``, if any) to
+    temp dirs, and counts its tp/fp/fn for each evaluation gate
+    (``expected_path``, ``annotations_path``); quarantined turns and gold
+    rows ride the exchange as tagged rows.  The job then renames the
+    quarantine, nodes and triples into place, marks them with row
+    counts, lineage and the gate counts, and saves MANIFEST.json once
+    for the stage: the triples mark is the bucket's commit point.  It
+    then writes one entity-node file (``nodes/bucket=<n_buckets>``) from
+    the buckets' ``(name, type)`` pairs and sums the counts into
+    metrics.json.  On resume, completed buckets are dropped right after
+    bucketing, BEFORE extraction, so their compute is skipped entirely:
+    their counts come from their marks and their entity pairs from their
+    own triples files.  ``resume=False`` forgets every stage of an
+    earlier run first.
+    Canonicalization (optional) is one more execution, over the
+    entity-node file.
 
     At 100 TB scale the same layout holds: buckets are key ranges of
     conv hash, each an independent re-runnable unit.
@@ -455,7 +491,6 @@ def run_kg_job(
         make_bucket_writer,
         sweep_orphan_tmpdirs,
         write_bucket_atomic,
-        write_stage_dataset_atomic,
     )
     from .evaluate import GATES, _metrics
 
@@ -488,13 +523,6 @@ def run_kg_job(
     if input_format not in ("parquet", "jsonl"):
         raise ValueError(f"unknown input_format: {input_format!r}")
 
-    def _read_src():
-        if input_format == "jsonl":
-            from ..sources.transcripts import read_transcripts_jsonl
-
-            return read_transcripts_jsonl(transcripts_path)
-        return read_transcripts(transcripts_path)
-
     if not resume:
         manifest.reset()
         # outputs written beside the manifest's stages
@@ -510,32 +538,21 @@ def run_kg_job(
         for g, p in (("parity_vs_expected", expected_path), ("eval_vs_annotations", annotations_path))
         if p
     }
+    # the validating extractors keep the turns that fail the format rule
+    quarantines = extractor != "answers"
     triples_lineage = {"input": transcripts_path, "extractor": extractor}
     nodes_lineage = {"input": "triples/bucket=b"}
+    quarantine_lineage = {"rule": "S3 [.!?]$"}
     # (name, type) pairs of hasType triples, from every bucket
     entity_names: list[str] = []
     entity_types: list[str] = []
 
     if todo:
-        # dead-letter sink: rows failing the SAD format rule are persisted
-        # (not silently dropped) with a manifest counter — stage
-        # "quarantine".  Applies to every validating extractor (the llm
-        # path also drops invalid rows via validate="quarantine", so it
-        # gets the same persisted sink, not a silent drop).
-        if extractor in ("gazetteer", "llm") and not manifest.stage_complete(
-            "quarantine", 1
-        ):
-            from ..sources.transcripts import invalid_transcripts
+        transcripts_ds = None
+        if input_format == "jsonl":
+            from ..sources.transcripts import read_transcripts_jsonl
 
-            rows = write_stage_dataset_atomic(
-                invalid_transcripts(_read_src()),
-                out_root,
-                "quarantine",
-                0,
-            )
-            manifest.mark_bucket("quarantine", 0, rows, lineage={"rule": "S3 [.!?]$"})
-            counters["quarantined_rows"] = rows
-
+            transcripts_ds = read_transcripts_jsonl(transcripts_path)
         bucket_rows, kernel = bucketed_extraction(
             transcripts_path,
             dictionary_path,
@@ -544,22 +561,21 @@ def run_kg_job(
             chat_fn_factory=chat_fn_factory,
             prompt_text=prompt_text,
             answer_format=answer_format,
-            transcripts_ds=_read_src() if input_format != "parquet" else None,
+            transcripts_ds=transcripts_ds,
             n_buckets=n_buckets,
             skip_buckets=done,
         )
-        columns = None
         if gates:
-            fields = row_schema(extractor)
-            columns = [n for n in fields.names if n != "bucket"]
-            bucket_rows = with_gold_rows(bucket_rows, fields, gates, n_buckets, done)
+            bucket_rows = with_gold_rows(
+                bucket_rows, row_schema(extractor), gates, n_buckets, done
+            )
         # The one exchange: each bucket group is extracted, counted and
         # written to temp dirs by the worker holding it.  This process only
         # handles summary rows — renames + manifest marks, never triple
         # data (at 100 TB the edge table is TBs; the round-1
         # ray.get+concat path OOMs).
         writes = bucket_rows.groupby("bucket").map_groups(
-            make_bucket_writer(out_root, "triples", make_job_kernel(kernel, gates, columns)),
+            make_bucket_writer(out_root, "triples", make_job_kernel(kernel, gates)),
             batch_format="pyarrow",
         )
         # a job without a single exchanged row yields no summary rows
@@ -569,18 +585,23 @@ def run_kg_job(
             if row is None:
                 # buckets with no rows never reach the writer — mark them
                 # with empty partitions so resume doesn't re-plan them
-                row = {"rows": 0, "errors": 0, "nodes_rows": 0,
-                       "entity_names": [], "entity_types": []}
+                row = {"rows": 0, "errors": 0, "nodes_rows": 0, "quarantine_tmp": None,
+                       "quarantine_rows": 0, "entity_names": [], "entity_types": []}
                 row.update({f"{g}_{k}": 0 for g in gates for k in ("tp", "fp", "fn")})
-                write_bucket_atomic(
-                    pa.Table.from_pylist([], schema=schema.NODES), out_root, "nodes", b
-                )
-                write_bucket_atomic(
-                    pa.Table.from_pylist([], schema=schema.TRIPLES), out_root, "triples", b
-                )
+                write_bucket_atomic(schema.NODES.empty_table(), out_root, "nodes", b)
+                write_bucket_atomic(schema.TRIPLES.empty_table(), out_root, "triples", b)
             else:
                 finalize_bucket(out_root, "nodes", b, row["nodes_tmp"], int(row["nodes_rows"]))
                 finalize_bucket(out_root, "triples", b, row["tmp"], int(row["rows"]))
+            if quarantines:
+                if row["quarantine_tmp"]:
+                    finalize_bucket(out_root, "quarantine", b, row["quarantine_tmp"], 0)
+                else:
+                    # no file: not even one left by an earlier, crashed run
+                    shutil.rmtree(bucket_dir(out_root, "quarantine", b), ignore_errors=True)
+                manifest.mark_bucket(
+                    "quarantine", b, int(row["quarantine_rows"]), lineage=quarantine_lineage
+                )
             manifest.mark_bucket("nodes", b, int(row["nodes_rows"]), lineage=nodes_lineage)
             manifest.mark_bucket(
                 "triples",
@@ -596,6 +617,7 @@ def run_kg_job(
         manifest.set_counter("triples", "rows_written", sum(
             v["rows"] for v in manifest.stage("triples")["buckets"].values()
         ))
+        manifest.save()
         # every write has landed; a writer task that Ray retried after its
         # worker died may have left the temp dirs of its first attempt
         sweep_orphan_tmpdirs(out_root)
@@ -617,12 +639,13 @@ def run_kg_job(
         )
         rows = write_bucket_atomic(entity_nodes(pairs), out_root, "nodes", n_buckets)
         manifest.mark_bucket("nodes", n_buckets, rows, lineage={"input": "triples/*/hasType"})
+        manifest.save()
 
     # stage 3 (optional): cross-corpus canonicalization of the node
-    # table's entity names — union-find over name-pool similarity edges;
-    # materialized as a labels table plus (node, sameAs, label) edges for
-    # non-identity labels
-    if canonicalize and not manifest.stage_complete("canon", 1):
+    # table's entity names — union-find over name-pool similarity edges,
+    # one execution; the driver writes its labels (one row per name) and
+    # the (node, sameAs, label) edges of the non-identity labels
+    if canonicalize and 0 not in manifest.done_buckets("canon"):
         from ..stages.canon import canonical_labels
 
         entities = manifest.stage("nodes")["buckets"][str(n_buckets)]
@@ -631,33 +654,30 @@ def run_kg_job(
             if entities["rows"]
             else ray.data.from_arrow(pa.table({"name": pa.array([], pa.string())}))
         )
-        # one execution feeds both outputs: labels parquet + sameAs edges
-        labels = canonical_labels(names_ds).materialize()
-        rows = write_stage_dataset_atomic(labels, out_root, "canonical_labels", 0)
-
-        def to_same_as(batch: pa.Table) -> pa.Table:
-            sel = batch.filter(pc.not_equal(batch["node"], batch["label"]))
-            n = sel.num_rows
-            return pa.table(
-                {
-                    "subj": sel["node"],
-                    "pred": pa.repeat("sameAs", n),
-                    "obj": sel["label"],
-                    "conv_id": pa.repeat("", n),
-                    "turn_idx": pa.nulls(n, pa.int32()),
-                    "ref_type": pa.nulls(n, pa.string()),
-                },
-                schema=schema.TRIPLES,
-            )
-
-        same_as_rows = write_stage_dataset_atomic(
-            labels.map_batches(to_same_as, batch_format="pyarrow"),
-            out_root,
-            "canon",
-            0,
+        refs = canonical_labels(names_ds).materialize().to_arrow_refs()
+        labels = pa.concat_tables(ray.get(refs)).sort_by("node")
+        same = labels.filter(pc.not_equal(labels["node"], labels["label"]))
+        n = same.num_rows
+        same_as = pa.table(
+            {
+                "subj": same["node"],
+                "pred": pa.repeat("sameAs", n),
+                "obj": same["label"],
+                "conv_id": pa.repeat("", n),
+                "turn_idx": pa.nulls(n, pa.int32()),
+                "ref_type": pa.nulls(n, pa.string()),
+            },
+            schema=schema.TRIPLES,
         )
-        manifest.mark_bucket("canon", 0, same_as_rows, lineage={"labels_rows": rows})
-        counters["same_as_edges"] = same_as_rows
+        # an empty table is an empty bucket dir, with no file
+        for stage, table in (("canonical_labels", labels), ("canon", same_as)):
+            if table.num_rows:
+                write_bucket_atomic(table, out_root, stage, 0)
+            else:
+                os.makedirs(bucket_dir(out_root, stage, 0), exist_ok=True)
+        manifest.mark_bucket("canon", 0, n, lineage={"labels_rows": labels.num_rows})
+        manifest.save()
+        counters["same_as_edges"] = n
 
     # evaluation: P/R vs reference annotations (J3 name-pool matching)
     # and/or vs expected triples (parity gate), summed from the per-bucket
@@ -675,9 +695,14 @@ def run_kg_job(
         for group, vals in metrics.items():
             for k, v in vals.items():
                 manifest.set_counter("eval", f"{group}.{k}", float(v))
+        manifest.save()
         counters["metrics"] = metrics
 
     counters["triples_rows"] = sum(
         v["rows"] for v in manifest.stage("triples")["buckets"].values()
     )
+    if quarantines:
+        counters["quarantined_rows"] = sum(
+            v["rows"] for v in manifest.stage("quarantine")["buckets"].values()
+        )
     return counters

@@ -65,3 +65,11 @@ NODES = pa.schema(
         ("type", pa.string()),
     ]
 )
+
+#: the tag column of the rows that ride a job's exchange beside the
+#: extractor's own rows (tag null): gold rows carry their gate's name,
+#: quarantined turns ``sources.transcripts.QUARANTINED``
+TAG = "tag"
+
+#: turns that fail the format rule, kept per bucket
+QUARANTINE = pa.schema([TRANSCRIPTS.field(c) for c in ("conv_id", "turn_idx", "text")])

@@ -15,10 +15,15 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..schema import TAG
+
 #: the reference's sentence-terminator rule, :88 (regex on the trimmed line)
 _TERMINATOR_RE = r".*[.!?]$"
 
 CORE_COLUMNS = ["conv_id", "turn_idx", "text"]
+
+#: the tag (in :data:`naer_ray.schema.TAG`) of a turn that fails the format rule
+QUARANTINED = "quarantine"
 
 
 #: target on-disk bytes per read block.  Ray's default parallelism floor
@@ -141,18 +146,10 @@ def read_transcripts_jsonl(
     out_schema = pa.schema([TRANSCRIPTS.field(c) for c in cols])
 
     def normalize(batch: pa.Table) -> pa.Table:
-        arrays = []
-        for field in out_schema:
-            if field.name not in batch.column_names:
-                arrays.append(pa.nulls(len(batch), field.type))
-                continue
-            col = batch[field.name]
-            if pa.types.is_timestamp(field.type) and pa.types.is_string(
-                col.type
-            ):
-                col = pc.strptime(col, "%Y-%m-%dT%H:%M:%S", "us")
-            arrays.append(pc.cast(col, field.type))
-        return pa.table(dict(zip(out_schema.names, arrays)))
+        if "ts" in cols and "ts" in batch.column_names and pa.types.is_string(batch["ts"].type):
+            ts = pc.strptime(batch["ts"], "%Y-%m-%dT%H:%M:%S", "us")
+            batch = batch.set_column(batch.column_names.index("ts"), "ts", ts)
+        return conform_batch(batch, out_schema)
 
     return ray.data.read_json(path).map_batches(
         normalize, batch_format="pyarrow"
@@ -193,8 +190,10 @@ def validate_transcripts(
 
     mode="strict": raise on the first invalid row (reference behavior,
     single-document semantics).  mode="quarantine": drop invalid rows
-    (scaled-mode dead-letter; callers can route them separately with
-    :func:`invalid_transcripts`).
+    (``llm_extract_triples``).  mode="tag": keep every row and add the
+    :data:`naer_ray.schema.TAG` column, :data:`QUARANTINED` on invalid rows
+    and null on the rest, so the invalid turns ride a job's exchange to
+    its per-bucket quarantine sink (``pipelines/kg.run_kg_job``).
     """
     if mode == "strict":
 
@@ -210,16 +209,16 @@ def validate_transcripts(
 
         return ds.map_batches(check, batch_format="pyarrow")
 
+    if mode == "tag":
+
+        def tag(batch: pa.Table) -> pa.Table:
+            tags = pc.if_else(validity_mask(batch), pa.scalar(None, pa.string()), QUARANTINED)
+            return batch.append_column(TAG, tags)
+
+        return ds.map_batches(tag, batch_format="pyarrow")
+
     return ds.map_batches(
         lambda batch: batch.filter(validity_mask(batch)), batch_format="pyarrow"
-    )
-
-
-def invalid_transcripts(ds: ray.data.Dataset) -> ray.data.Dataset:
-    """The dead-letter side: rows failing the format rule."""
-    return ds.map_batches(
-        lambda batch: batch.filter(pc.invert(validity_mask(batch))),
-        batch_format="pyarrow",
     )
 
 

@@ -32,7 +32,8 @@ import pyarrow as pa
 import pyarrow.compute as _pc
 
 from .. import schema
-from ..sources.gazetteer import matcher_from_ref
+from ..sources.gazetteer import _ranges, matcher_from_ref
+from ..sources.transcripts import QUARANTINED, conform_batch, validity_mask
 
 #: anaphora cue: the turn opens with a pronoun reference ("It is very big.")
 _PRONOUN_RE = re.compile(r"^(?:It|This|They)\b")
@@ -49,6 +50,12 @@ MENTION_SCHEMA = pa.schema(
         ("eid_code", pa.int32()),
         ("is_pronoun", pa.bool_()),
     ]
+)
+
+#: a quarantining detector's rows: mention rows (tag null) and invalid
+#: turns (tag QUARANTINED, with their text, mention columns null)
+TAGGED_MENTION_SCHEMA = pa.schema(
+    [*MENTION_SCHEMA, pa.field(schema.TAG, pa.string()), pa.field("text", pa.string())]
 )
 
 
@@ -75,10 +82,7 @@ class MentionDetector:
             tcol = batch["text"]
         n = batch.num_rows
         if n == 0:
-            return pa.table(
-                {f.name: pa.array([], f.type) for f in MENTION_SCHEMA},
-                schema=MENTION_SCHEMA,
-            )
+            return MENTION_SCHEMA.empty_table()
         enc = tcol.combine_chunks().dictionary_encode()
         codes = enc.indices.to_numpy()
         uniq = enc.dictionary
@@ -94,10 +98,7 @@ class MentionDetector:
         )
         counts = hit_counts + pron_flags
         if counts.sum() == 0:
-            return pa.table(
-                {f.name: pa.array([], f.type) for f in MENTION_SCHEMA},
-                schema=MENTION_SCHEMA,
-            )
+            return MENTION_SCHEMA.empty_table()
         # merge the pronoun marker (pos=-1, code=-1) ahead of each text's
         # hits, then the hits in match order
         total = int(counts.sum())
@@ -135,16 +136,29 @@ class MentionDetector:
         )
 
 
-def make_mention_detector(dict_ref):
+def make_mention_detector(dict_ref, quarantine: bool = False):
     """``map_batches`` kernel running :class:`MentionDetector` per batch.
 
     The matcher index is cached per worker process (matcher_from_ref),
     so stateless tasks get actor-pool-like amortization with fully
     elastic scheduling — no pool ramp-up, which dominates short jobs.
+
+    With ``quarantine`` the detector sees only the turns that pass the
+    format rule; the others come out beside the mention rows, tagged
+    (:data:`TAGGED_MENTION_SCHEMA`).
     """
 
     def detect(batch: pa.Table) -> pa.Table:
-        return MentionDetector(dict_ref)(batch)
+        detector = MentionDetector(dict_ref)
+        if not quarantine:
+            return detector(batch)
+        valid = validity_mask(batch)
+        bad = batch.filter(_pc.invert(valid))
+        bad = bad.append_column(schema.TAG, pa.repeat(pa.scalar(QUARANTINED), bad.num_rows))
+        mentions = detector(batch.filter(valid))
+        return pa.concat_tables(
+            [conform_batch(t, TAGGED_MENTION_SCHEMA) for t in (mentions, bad)]
+        )
 
     return detect
 
@@ -166,18 +180,6 @@ def make_conversation_assembler(dict_ref):
         return _assemble_vectorized(group, matcher)
 
     return assemble_vector
-
-
-_EMPTY_TRIPLES = None
-
-
-def _empty_triples() -> pa.Table:
-    global _EMPTY_TRIPLES
-    if _EMPTY_TRIPLES is None:
-        _EMPTY_TRIPLES = pa.table(
-            {f.name: pa.array([], f.type) for f in schema.TRIPLES}, schema=schema.TRIPLES
-        )
-    return _EMPTY_TRIPLES
 
 
 def _matcher_lookup_arrays(matcher):
@@ -231,7 +233,7 @@ def _assemble_vectorized(group: pa.Table, matcher) -> pa.Table:
     )
     n = group.num_rows
     if n == 0:
-        return _empty_triples()
+        return schema.TRIPLES.empty_table()
 
     conv_codes, conv_uniq = pd.factorize(
         group["conv_id"].to_pandas(), sort=False
@@ -408,12 +410,3 @@ def _pa_concat(arrays):
         else:
             flat.append(a)
     return pa.concat_arrays(flat)
-
-
-def _ranges(counts: np.ndarray) -> np.ndarray:
-    """[3,0,2] -> [0,1,2,0,1] (position within each repeated segment)."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, np.int64)
-    starts_at = np.cumsum(counts) - counts
-    return np.arange(total, dtype=np.int64) - np.repeat(starts_at, counts)

@@ -10,8 +10,9 @@ Design: output root contains one directory per stage
 (atomically replaced via temp-file rename) recording, per stage and
 per bucket: row count, input lineage (source paths + bucket id), and
 completion flag.  Resume = read manifest, process only missing
-buckets; writes go to a temp dir then rename, so partially-written
-buckets are never marked complete.
+buckets; writes go to a temp dir then rename, and the manifest is
+saved only after a stage's renames, so partially-written buckets are
+never marked complete.
 """
 
 from __future__ import annotations
@@ -93,25 +94,22 @@ class Manifest:
         lineage: dict | None = None,
         counts: dict | None = None,
     ) -> None:
-        """Mark one bucket complete; ``counts`` (e.g. a bucket's evaluation
-        tp/fp/fn) are kept with the mark, so a resume that skips the bucket
-        still has them."""
+        """Mark one bucket complete in memory (:meth:`save` writes it);
+        ``counts`` (e.g. a bucket's evaluation tp/fp/fn) are kept with the
+        mark, so a resume that skips the bucket still has them."""
         entry = {"complete": True, "rows": rows, "lineage": lineage or {}}
         if counts is not None:
             entry["counts"] = counts
         self.stage(stage)["buckets"][str(bucket)] = entry
-        self._flush()
-
-    def add_counter(self, stage: str, name: str, value: float) -> None:
-        counters = self.stage(stage)["counters"]
-        counters[name] = counters.get(name, 0) + value
-        self._flush()
 
     def set_counter(self, stage: str, name: str, value: float) -> None:
-        """Idempotent counter write — use for recomputed totals (rerunning
-        a stage with add_counter would double-count into the persisted
-        manifest)."""
+        """Set a counter in memory (:meth:`save` writes it); set, never
+        added, so a rerun of a stage does not count twice."""
         self.stage(stage)["counters"][name] = value
+
+    def save(self) -> None:
+        """Write the marks and counters set so far; a job saves once per
+        stage, after its files are in place, not once per bucket."""
         self._flush()
 
     def reset(self) -> None:
@@ -121,9 +119,6 @@ class Manifest:
             shutil.rmtree(os.path.join(self.root, stage), ignore_errors=True)
         self.data["stages"] = {}
         self._flush()
-
-    def stage_complete(self, stage: str, n_buckets: int) -> bool:
-        return len(self.done_buckets(stage)) >= n_buckets
 
     def record_job_lineage(self, lineage: dict, *, resume: bool) -> None:
         """Record the job's input lineage (paths + extractor) at job start.
@@ -182,13 +177,7 @@ def sweep_orphan_tmpdirs(root: str) -> int:
 
 def write_bucket_atomic(table, root: str, stage: str, bucket: int) -> int:
     """Write one bucket's Arrow table to parquet via temp-dir rename; returns rows."""
-    import pyarrow.parquet as pq
-
-    final = bucket_dir(root, stage, bucket)
-    parent = os.path.dirname(final)
-    os.makedirs(parent, exist_ok=True)
-    tmp = tempfile.mkdtemp(dir=parent, prefix=f".bucket-{bucket}-")
-    pq.write_table(table, os.path.join(tmp, "part-0.parquet"))
+    tmp = _write_tmp(table, root, stage, bucket)
     return finalize_bucket(root, stage, bucket, tmp, table.num_rows)
 
 
@@ -221,8 +210,9 @@ def make_bucket_writer(root: str, stage: str, kernel):
     holds it under the key ``stage`` beside more outputs of the same
     bucket.  Every other table in the dict is sorted and written the
     same way, into a temp dir under its own stage dir (the key), and
-    comes back as ``<key>_rows`` and ``<key>_tmp``; every other value
-    is one more summary column, a ``pa.Array`` as one list value.
+    comes back as ``<key>_rows`` and ``<key>_tmp``; ``None`` is a table
+    that writes no file (0 rows, null temp dir).  Every other value is
+    one more summary column, a ``pa.Array`` as one list value.
 
     Assumes ``root`` is on storage reachable from every worker (true
     single-node; on a real cluster this is the shared object store /
@@ -248,12 +238,13 @@ def make_bucket_writer(root: str, stage: str, kernel):
             "errors": pa.array([errors], pa.int64()),
         }
         for key, value in out.items():
-            if isinstance(value, pa.Table):
+            if value is None or isinstance(value, pa.Table):
                 prefix = "" if key == stage else f"{key}_"
-                summary[prefix + "rows"] = pa.array([value.num_rows], pa.int64())
-                summary[prefix + "tmp"] = pa.array(
-                    [_write_sorted_tmp(value, root, key, bucket)], pa.string()
-                )
+                rows, tmp = 0, None
+                if value is not None:
+                    rows, tmp = value.num_rows, _write_sorted_tmp(value, root, key, bucket)
+                summary[prefix + "rows"] = pa.array([rows], pa.int64())
+                summary[prefix + "tmp"] = pa.array([tmp], pa.string())
             elif isinstance(value, pa.Array):
                 summary[key] = pa.ListArray.from_arrays(
                     pa.array([0, len(value)], pa.int32()), value
@@ -269,37 +260,17 @@ def _write_sorted_tmp(tbl, root: str, stage: str, bucket: int) -> str:
     """Sort ``tbl`` by its non-nested columns and write it into a new temp
     dir under the stage dir; returns that dir."""
     import pyarrow as pa
+
+    keys = [(f.name, "ascending") for f in tbl.schema if not pa.types.is_nested(f.type)]
+    return _write_tmp(tbl.sort_by(keys) if keys else tbl, root, stage, bucket)
+
+
+def _write_tmp(tbl, root: str, stage: str, bucket: int) -> str:
+    """Write ``tbl`` into a new temp dir under the stage dir; returns that dir."""
     import pyarrow.parquet as pq
 
-    sort_keys = [
-        (f.name, "ascending") for f in tbl.schema if not pa.types.is_nested(f.type)
-    ]
-    if sort_keys:
-        tbl = tbl.sort_by(sort_keys)
     parent = os.path.join(root, stage)
     os.makedirs(parent, exist_ok=True)
     tmp = tempfile.mkdtemp(dir=parent, prefix=f".bucket-{bucket}-")
     pq.write_table(tbl, os.path.join(tmp, "part-0.parquet"))
     return tmp
-
-
-def write_stage_dataset_atomic(ds, root: str, stage: str, bucket: int = 0) -> int:
-    """Distributed whole-Dataset write as one atomic stage bucket.
-
-    Workers stream parquet shards into a temp dir (``Dataset.write_parquet``
-    — no data through the driver); the row count comes from parquet
-    FOOTERS (metadata-only reads) and the temp dir is renamed into place.
-    """
-    import glob as _glob
-
-    import pyarrow.parquet as pq
-
-    parent = os.path.join(root, stage)
-    os.makedirs(parent, exist_ok=True)
-    tmp = tempfile.mkdtemp(dir=parent, prefix=f".bucket-{bucket}-")
-    ds.write_parquet(tmp)
-    rows = sum(
-        pq.ParquetFile(f).metadata.num_rows
-        for f in _glob.glob(os.path.join(tmp, "*.parquet"))
-    )
-    return finalize_bucket(root, stage, bucket, tmp, rows)

@@ -8426,6 +8426,7 @@ def _s07_write_pass(sf_dir: str, root: str, n_buckets: int) -> int:
     for row in summary.itertuples():
         finalize_bucket(root, "lang_counts", int(row.bucket), row.tmp, int(row.rows))
         manifest.mark_bucket("lang_counts", int(row.bucket), int(row.rows))
+    manifest.save()
     return len(summary)
 
 

@@ -243,6 +243,9 @@ def test_kg_job_without_mentions(ray_session, tmp_path):
         "4": {"complete": True, "rows": 0, "lineage": {"input": "triples/*/hasType"}},
     }
     assert len(_bucket_sha256(out, "nodes")) == 5
+    # no turn is invalid: every bucket is marked, none writes a file
+    assert [v["rows"] for v in manifest["stages"]["quarantine"]["buckets"].values()] == [0] * 4
+    assert _bucket_sha256(out, "quarantine") == {}
 
     counters = run_kg_job(transcripts, dictionary, out, n_buckets=4)
     assert counters["buckets_skipped"] == 4 and counters["buckets_computed"] == 0
@@ -300,12 +303,12 @@ def test_answers_path_job_and_dead_letter(ray_session, ref_corpus, tmp_path):
     assert preds.count("occursIn") > 100
 
 
-@pytest.mark.parametrize("job, executions", [("answers", 1), ("gazetteer", 2), ("canon", 5)])
+@pytest.mark.parametrize("job, executions", [("answers", 1), ("gazetteer", 1), ("canon", 2)])
 def test_kg_job_executions(ray_session, ref_corpus, tmp_path, monkeypatch, job, executions):
-    """One Ray Data execution writes the triples, the nodes and the
-    evaluation counts: an answers job with expected triples runs exactly
-    one; the gazetteer job adds its quarantine write and canon its three.
-    A fresh job never reads the written triples back."""
+    """One Ray Data execution writes the triples, the nodes, the quarantine
+    and the evaluation counts: an answers job with expected triples and a
+    gazetteer job run exactly one, and canonicalization one more.  A job
+    reads its transcripts once and never reads the written triples back."""
     import pyarrow.parquet as pq_mod
     import ray.data
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
@@ -345,6 +348,7 @@ def test_kg_job_executions(ray_session, ref_corpus, tmp_path, monkeypatch, job, 
     else:
         run_kg_job(transcripts, dictionary, out, n_buckets=4, canonicalize=job == "canon")
     assert len(calls) == executions
+    assert sum(transcripts in r for r in reads) == 1, reads
     triples_dir = os.path.join(out, "triples")
     assert not any(p.startswith(triples_dir) for r in reads for p in r), reads
 
@@ -511,3 +515,101 @@ def test_kg_job_counters_reconcile(ray_session, ref_corpus, tmp_path):
             assert sum(m["counts"][gate][k] for m in marks) == got[k]
             assert manifest["eval"]["counters"][f"{gate}.{k}"] == got[k]
     assert metrics["parity_vs_expected"]["tp"] > 0
+
+
+def _corpus_with_invalid_turns(ref_corpus, out, every):
+    """The ref corpus transcripts with the sentence terminator cut off
+    every ``every``-th turn, so that turn fails the format rule; returns
+    the transcripts dir and the number of turns cut."""
+    import pyarrow as pa
+
+    t = pq.read_table(os.path.join(ref_corpus, "transcripts"))
+    texts = [
+        x.rstrip().rstrip(".!?") if i % every == 0 else x
+        for i, x in enumerate(t["text"].to_pylist())
+    ]
+    t = t.set_column(t.schema.get_field_index("text"), "text", pa.array(texts, pa.string()))
+    os.makedirs(out)
+    pq.write_table(t, os.path.join(out, "part-0.parquet"))
+    return out, len(range(0, t.num_rows, every))
+
+
+def _quarantine_marks(out):
+    return json.load(open(os.path.join(out, "MANIFEST.json")))["stages"]["quarantine"]
+
+
+def test_kg_job_resume_rewrites_quarantine(ray_session, ref_corpus, tmp_path):
+    """A gazetteer job over turns of which some are invalid, resumed after
+    forgetting 2 of its 4 buckets: the quarantine, triples and nodes files
+    and the manifest's quarantine marks are byte-identical to a clean run."""
+    from naer_ray.pipelines.kg import run_kg_job
+
+    transcripts, cut = _corpus_with_invalid_turns(ref_corpus, str(tmp_path / "in"), 4)
+    _, dictionary = _corpus_paths(ref_corpus)
+    out = str(tmp_path / "kg")
+    stages = ("quarantine", "triples", "nodes")
+    counters = run_kg_job(transcripts, dictionary, out, n_buckets=4)
+    clean = {s: _bucket_sha256(out, s) for s in stages}
+    marks = _quarantine_marks(out)
+    assert len(clean["quarantine"]) == 4
+    assert sum(m["rows"] for m in marks["buckets"].values()) == cut == counters["quarantined_rows"]
+    assert pq.read_table(os.path.join(out, "quarantine")).num_rows == cut
+
+    _forget_buckets(out, (1, 3), stages=stages)
+    counters = run_kg_job(transcripts, dictionary, out, n_buckets=4)
+    assert (counters["buckets_skipped"], counters["buckets_computed"]) == (2, 2)
+    assert {s: _bucket_sha256(out, s) for s in stages} == clean
+    assert _quarantine_marks(out) == marks
+
+
+@pytest.mark.parametrize("extractor", ["gazetteer", "llm"])
+def test_kg_job_every_turn_quarantined(ray_session, ref_corpus, tmp_path, extractor):
+    """A corpus of invalid turns only: the job finishes, every triples and
+    nodes bucket is typed-empty, the quarantine marks add up to the turns,
+    and the llm job never builds its chat backend."""
+    from naer_ray import schema
+    from naer_ray.pipelines.kg import run_kg_job
+
+    transcripts, turns = _corpus_with_invalid_turns(ref_corpus, str(tmp_path / "in"), 1)
+    _, dictionary = _corpus_paths(ref_corpus)
+
+    def chat_fn_factory():
+        raise AssertionError("the chat backend was built for a quarantined turn")
+
+    out = str(tmp_path / "kg")
+    counters = run_kg_job(
+        transcripts, dictionary if extractor == "gazetteer" else None, out,
+        extractor=extractor, chat_fn_factory=chat_fn_factory, n_buckets=4,
+    )
+    assert counters["triples_rows"] == 0
+    assert sum(m["rows"] for m in _quarantine_marks(out)["buckets"].values()) == turns
+    assert pq.read_table(os.path.join(out, "quarantine")).num_rows == turns
+    for stage, want, files in (("triples", schema.TRIPLES, 4), ("nodes", schema.NODES, 5)):
+        paths = glob.glob(os.path.join(out, stage, "bucket=*", "*.parquet"))
+        assert len(paths) == files
+        for path in paths:
+            t = pq.read_table(path)
+            assert t.num_rows == 0 and t.schema.equals(want), (path, t.schema)
+
+
+def test_kg_job_manifest_saves_do_not_grow_with_buckets(ray_session, ref_corpus, tmp_path, monkeypatch):
+    """The manifest is written once per stage, not once per bucket: a
+    gazetteer job writes it as often at 16 buckets as at 4."""
+    from naer_ray.pipelines.kg import run_kg_job
+    from naer_ray.state.checkpoint import Manifest
+
+    calls = []
+    flush = Manifest._flush
+
+    def counting(self):
+        calls.append(1)
+        return flush(self)
+
+    monkeypatch.setattr(Manifest, "_flush", counting)
+    transcripts, dictionary = _corpus_paths(ref_corpus)
+    flushes = []
+    for n in (4, 16):
+        calls.clear()
+        run_kg_job(transcripts, dictionary, str(tmp_path / f"kg{n}"), n_buckets=n)
+        flushes.append(len(calls))
+    assert flushes[0] == flushes[1], flushes

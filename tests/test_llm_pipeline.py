@@ -265,3 +265,52 @@ def test_llm_job_survives_worker_death(ray_session, llm_corpus, tmp_path):
     assert counters["buckets_computed"] == 4 and counters["triples_rows"] > 0
     assert files(faulted) == files(clean) and len(files(clean)) == 9
     assert not glob.glob(os.path.join(faulted, "*", ".bucket-*"))
+
+
+def test_llm_job_quarantines_invalid_turn(ray_session, llm_corpus, tmp_path):
+    """A turn that fails the format rule never reaches the chat backend:
+    it lands in the job's quarantine, and the other turns are extracted."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from naer_ray.pipelines.kg import run_kg_job
+
+    invalid = "The Frontend forgot its terminator"
+    corpus = pq.read_table(llm_corpus)
+    extra = pa.Table.from_pylist(
+        [{"conv_id": "conv-0", "turn_idx": 2, "role": "user", "text": invalid}],
+        schema=corpus.schema,
+    )
+    transcripts = str(tmp_path / "with_invalid")
+    os.makedirs(transcripts)
+    pq.write_table(pa.concat_tables([corpus, extra]), os.path.join(transcripts, "part-0.parquet"))
+    prompts = str(tmp_path / "prompts")
+    os.makedirs(prompts)
+
+    def recording_factory(prompts=prompts, inner=_make_echo_factory()):
+        def factory():
+            chat = inner()
+
+            def record(system, prompt):
+                with open(os.path.join(prompts, str(os.getpid())), "a") as f:
+                    f.write(prompt)
+                return chat(system, prompt)
+
+            return record
+
+        return factory
+
+    out = str(tmp_path / "kg")
+    counters = run_kg_job(transcripts, None, out, extractor="llm",
+                          chat_fn_factory=recording_factory(), n_buckets=4)
+    sent = "".join(open(f).read() for f in glob.glob(os.path.join(prompts, "*")))
+    assert "The Frontend talks to the store." in sent
+    assert invalid not in sent
+    assert counters["quarantined_rows"] == 1 and counters["triples_rows"] > 0
+    quarantine = pq.read_table(
+        os.path.join(out, "quarantine"), columns=["conv_id", "turn_idx", "text"]
+    )
+    assert quarantine.to_pylist() == [
+        {"conv_id": "conv-0", "turn_idx": 2, "text": invalid}
+    ]

@@ -96,11 +96,13 @@ def test_reference_gold_eval_reported(ref_paths):
 def test_validation_quarantine(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
-    import ray.data
+    import ray
 
+    from naer_ray import schema
+    from naer_ray.pipelines.kg import bucketed_extraction
     from naer_ray.sources.transcripts import (
+        QUARANTINED,
         FormatError,
-        invalid_transcripts,
         read_transcripts,
         validate_transcripts,
     )
@@ -116,9 +118,23 @@ def test_validation_quarantine(ray_session, tmp_path):
     pq.write_table(t, path)
     ds = read_transcripts(path)
     assert validate_transcripts(ds, "quarantine").count() == 2
-    assert invalid_transcripts(ds).count() == 1
+    tagged = validate_transcripts(ds, "tag").to_pandas().sort_values("turn_idx")
+    assert tagged[schema.TAG].tolist() == [None, QUARANTINED, None]
     with pytest.raises(Exception):
         validate_transcripts(ds, "strict").materialize()
+
+    # the gazetteer path splits the invalid turn off in its detection map:
+    # one tagged row with the turn's text, beside the untagged mention rows
+    entity = {"entity_id": "e0", "canonical_name": "Fine", "type": "COMPONENT",
+              "aliases": [], "interface_of": None}
+    rows, _ = bucketed_extraction(path, dict_rows=[entity], n_buckets=2)
+    rows = pa.concat_tables(ray.get(rows.to_arrow_refs()))
+    bad = rows.filter(pc.equal(rows[schema.TAG], QUARANTINED))
+    assert bad.select(schema.QUARANTINE.names).to_pylist() == [
+        {"conv_id": "c", "turn_idx": 2, "text": "no terminator"}
+    ]
+    mentions = rows.filter(pc.is_null(rows[schema.TAG]))
+    assert mentions["turn_idx"].to_pylist() == [1]
 
 
 def test_determinism_rerun(ref_paths):
