@@ -291,7 +291,7 @@ def run_full_correctness(sf_dir: str, num_cpus: int, out_path: str) -> dict:
     """Sweep EVERY registry query against its DuckDB oracle at
     ``sf_dir`` and write one diffable JSON row per entry (rows /
     schema / value match + wall time) — the committed counterpart of
-    the driver's 50-entry snapshot, so all 117 queries have a
+    the driver's 50-entry snapshot, so all nine KG queries have a
     per-round correctness record (round-4 judge item 4).  The compare
     mirrors tests/test_queries_oracle.py exactly: sort columns by
     name, stringify object columns, sort rows, require matching dtype

@@ -98,6 +98,7 @@ def bucketed_extraction(
     chat_fn_factory=None,
     prompt_text: str | None = None,
     answer_format: str = "structured-text",
+    prompt_template=None,
     skip_buckets=(),
 ):
     """``(rows, kernel)`` of one extractor: a lazy Dataset whose rows carry
@@ -115,8 +116,10 @@ def bucketed_extraction(
     dict_ref required).  extractor="answers": recorded structured-text/
     JSON answers parsed with exact reference semantics (parity path;
     answers_path required).  extractor="llm": chat-model recognition per
-    conversation (chat_fn_factory required; see
-    :func:`llm_extract_triples`).
+    conversation (chat_fn_factory required; ``prompt_template``, a
+    pre-built Prompt/TwoPartPrompt, replaces the one built from
+    ``prompt_text`` and ``answer_format``; see
+    :func:`make_llm_bucket_extractor`).
 
     batch_size=None (default) processes whole read blocks — the read is
     already sized to ~64 MB blocks (sources.transcripts.auto_num_blocks),
@@ -161,7 +164,10 @@ def bucketed_extraction(
         if chat_fn_factory is None:
             raise ValueError("chat_fn_factory required for extractor='llm'")
         kernel = make_llm_bucket_extractor(
-            chat_fn_factory, prompt_text=prompt_text, answer_format=answer_format
+            chat_fn_factory,
+            prompt_text=prompt_text,
+            answer_format=answer_format,
+            prompt_template=prompt_template,
         )
         rows = transcripts(_ROLE_COLUMNS)
         if quarantine:
@@ -186,47 +192,15 @@ def bucketed_extraction(
     return mentions, make_conversation_assembler(dict_ref)
 
 
-def llm_extract_triples(
-    transcripts_path: str | None,
-    chat_fn_factory,
-    *,
-    prompt_text: str | None = None,
-    answer_format: str = "structured-text",
-    possible_entities: dict[str, list[str]] | None = None,
-    n_buckets: int | None = None,
-    transcripts_ds: "ray.data.Dataset | None" = None,
-    validate: str | None = "quarantine",
-    prompt_template=None,
-) -> ray.data.Dataset:
-    """LLM-recognizer pipeline path (reference main flow: SAD ->
-    chat-model recognizer -> entities, NamedEntityRecognizer.java:57-81)
-    as a Ray stage, with the prompt options ``build_triples`` does not
-    take (``possible_entities``, ``prompt_template``)."""
-    ds = transcripts_ds
-    if ds is None:
-        ds = read_transcripts(transcripts_path, columns=_ROLE_COLUMNS)
-    if validate:
-        ds = validate_transcripts(ds, mode=validate)
-    rows = add_bucket(ds, n_buckets or auto_n_buckets())
-    kernel = make_llm_bucket_extractor(
-        chat_fn_factory,
-        prompt_text=prompt_text,
-        answer_format=answer_format,
-        possible_entities=possible_entities,
-        prompt_template=prompt_template,
-    )
-    return rows.groupby("bucket").map_groups(kernel, batch_format="pyarrow")
-
-
 def make_llm_bucket_extractor(
     chat_fn_factory,
     *,
     prompt_text: str | None = None,
     answer_format: str = "structured-text",
-    possible_entities: dict[str, list[str]] | None = None,
     prompt_template=None,
 ):
-    """Per-bucket kernel of the llm extractor.
+    """Per-bucket kernel of the llm extractor (reference main flow: SAD ->
+    chat-model recognizer -> entities, NamedEntityRecognizer.java:57-81).
 
     LLM extraction needs every turn's text per conversation, so full
     rows enter the exchange — inherent to the operator, and the reason
@@ -242,12 +216,8 @@ def make_llm_bucket_extractor(
 
     def extract_bucket(group: pa.Table) -> pa.Table:
         chat_fn = chat_fn_factory()
-        # prompt_template: a pre-built Prompt/TwoPartPrompt instance
-        # (each Ray task deserializes its own copy, so the one-shot
-        # entity-injection state never crosses buckets)
+        # each Ray task deserializes its own copy of prompt_template
         prompt = prompt_template or Prompt(base_prompt, answer_format)
-        if possible_entities:
-            prompt.add_possible_entities(possible_entities)
         ex = LLMExtractor(chat_fn, prompt)
         group = group.sort_by(
             [("conv_id", "ascending"), ("turn_idx", "ascending")]

@@ -4,8 +4,7 @@ implementation + DuckDB oracle SQL.
 Each entry in :data:`REGISTRY` is ``name -> (ray_fn, sql | None)`` where
 ``ray_fn(sf_dir)`` returns a Dataset / pandas DataFrame / pyarrow Table
 and ``sql`` is the ANSI-SQL equivalent DuckDB runs over the same
-parquet tables (views: region nation customer supplier part orders
-lineitem events documents embeddings).  Column names match exactly on
+parquet tables (views: documents part).  Column names match exactly on
 both sides (the comparison hashes values after sorting columns by name).
 
 The KG-shaped queries derive a transcripts-shaped table from
@@ -343,17 +342,18 @@ def _llm_fake_chat(system: str, prompt: str) -> str:
 
 
 def q27_llm_extract(sf_dir: str):
-    """ST1-ST4 pipeline path under the SQL oracle: the LLM-extractor
-    stage (pipelines/kg.llm_extract_triples — prompt assembly, chat
-    call, JSON slice+parse, repair loop, per-conv dead-letter) runs
-    over the derived transcripts with the deterministic fake backend.
+    """ST1-ST4 pipeline path under the SQL oracle: the llm extractor of
+    ``build_triples`` (pipelines/kg.make_llm_bucket_extractor — prompt
+    assembly, chat call, JSON slice+parse, repair loop, per-conv
+    dead-letter) runs over the derived transcripts with the
+    deterministic fake backend.
 
     Oracled at CONVERSATION grain (hasType rows = entity recognized in
     conv): exact regardless of which line each occurrence fuzzy-resolves
     to — the synthetic word-soup turns have near-identical character
     sets, so occurrence LINE numbers are resolver-implementation detail
     (covered instead by the refsem parity tests on real SADs)."""
-    from .kg import llm_extract_triples
+    from .kg import build_triples
 
     # sample: first 2000 docs — the oracle is a correctness gate for the
     # chat->parse->triples path, and per-occurrence fuzzy line resolution
@@ -365,9 +365,10 @@ def q27_llm_extract(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    triples = llm_extract_triples(
+    triples = build_triples(
         None,
-        lambda: _llm_fake_chat,
+        extractor="llm",
+        chat_fn_factory=lambda: _llm_fake_chat,
         answer_format="json",
         transcripts_ds=sampled,
         validate=None,
@@ -438,7 +439,7 @@ def q28_llm_two_part(sf_dir: str):
     -> parse) runs distributed over the derived transcripts with a
     deterministic stateless backend; conv-grain hasType oracle as q27."""
     from ..stages.llm import TwoPartPrompt
-    from .kg import llm_extract_triples
+    from .kg import build_triples
 
     sampled = _derive_transcripts(sf_dir).map_batches(
         lambda t: t.filter(
@@ -452,9 +453,10 @@ def q28_llm_two_part(sf_dir: str):
 
         return _llm_two_part_chat
 
-    triples = llm_extract_triples(
+    triples = build_triples(
         None,
-        factory,
+        extractor="llm",
+        chat_fn_factory=factory,
         transcripts_ds=sampled,
         validate=None,
         n_buckets=32,

@@ -183,14 +183,11 @@ class FormatError(ValueError):
     """Strict-mode analogue of the reference's IllegalArgumentException."""
 
 
-def validate_transcripts(
-    ds: ray.data.Dataset, mode: str = "quarantine"
-) -> ray.data.Dataset:
+def validate_transcripts(ds: ray.data.Dataset, mode: str) -> ray.data.Dataset:
     """Apply the SAD format rule per batch.
 
     mode="strict": raise on the first invalid row (reference behavior,
-    single-document semantics).  mode="quarantine": drop invalid rows
-    (``llm_extract_triples``).  mode="tag": keep every row and add the
+    single-document semantics).  mode="tag": keep every row and add the
     :data:`naer_ray.schema.TAG` column, :data:`QUARANTINED` on invalid rows
     and null on the rest, so the invalid turns ride a job's exchange to
     its per-bucket quarantine sink (``pipelines/kg.run_kg_job``).
@@ -217,9 +214,7 @@ def validate_transcripts(
 
         return ds.map_batches(tag, batch_format="pyarrow")
 
-    return ds.map_batches(
-        lambda batch: batch.filter(validity_mask(batch)), batch_format="pyarrow"
-    )
+    raise ValueError(f"unknown validate mode {mode!r}")
 
 
 def transcripts_from_text_files(paths, conv_id_from_path=None) -> ray.data.Dataset:

@@ -206,13 +206,13 @@ def make_bucket_writer(root: str, stage: str, kernel):
     sorted by all non-nested columns first → bucket files are
     deterministic under any parallelism.
 
-    ``kernel`` returns the bucket's table of ``stage``, or a dict that
-    holds it under the key ``stage`` beside more outputs of the same
-    bucket.  Every other table in the dict is sorted and written the
-    same way, into a temp dir under its own stage dir (the key), and
-    comes back as ``<key>_rows`` and ``<key>_tmp``; ``None`` is a table
-    that writes no file (0 rows, null temp dir).  Every other value is
-    one more summary column, a ``pa.Array`` as one list value.
+    ``kernel`` returns a dict that holds the bucket's table of ``stage``
+    under the key ``stage`` beside more outputs of the same bucket.
+    Every other table in the dict is sorted and written the same way,
+    into a temp dir under its own stage dir (the key), and comes back as
+    ``<key>_rows`` and ``<key>_tmp``; ``None`` is a table that writes no
+    file (0 rows, null temp dir).  Every other value is one more summary
+    column, a ``pa.Array`` as one list value.
 
     Assumes ``root`` is on storage reachable from every worker (true
     single-node; on a real cluster this is the shared object store /
@@ -225,8 +225,6 @@ def make_bucket_writer(root: str, stage: str, kernel):
 
         bucket = group["bucket"][0].as_py()
         out = kernel(group.drop_columns(["bucket"]))
-        if not isinstance(out, dict):
-            out = {stage: out}
         tbl = out[stage]
         errors = 0
         if "pred" in tbl.column_names and tbl.num_rows:
