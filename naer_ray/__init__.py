@@ -5,7 +5,10 @@ ardoco/named-architecture-entity-recognition (NAER) as a streaming
 extraction DAG over Parquet transcript tables: mention detection, alias
 handling, occurrence resolution with DIRECT/INDIRECT reference typing,
 gazetteer-assisted linking, name-pool canonicalization, (subj, pred,
-obj) triple materialization, and P/R/F1 evaluation.
+obj) triple materialization, and P/R/F1 evaluation.  The
+general-purpose operators (dedup, similarity search, text analysis,
+multimodal plumbing) live in the separate ``opzoo`` package, which this
+one never imports.
 
 Nothing in this package calls ``ray.init()``; sessions are owned by the
 caller (driver / bench.py / test fixture).

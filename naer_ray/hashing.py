@@ -8,13 +8,14 @@ between buckets and breaks resume against an existing output tree.
   conversations to conv-hash buckets (``pipelines/kg.add_bucket``,
   ``stages/extract.MentionDetector``) and evaluation keys to buckets.
 * :func:`_fnv64_arr` — vectorized 64-bit FNV-1a over an Arrow string
-  column; canonicalization hashes names with it
-  (``stages/canon``).
+  column.
+* :func:`_bucket_series` — int32 bucket keys for a pandas Series.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 
 
@@ -71,3 +72,17 @@ def _fnv64_arr(arr) -> np.ndarray:
             h[m] = (hm ^ data[starts[m] + j].astype(np.uint64)) * prime
     return h
 
+
+def _bucket_series(series, n_buckets: int) -> np.ndarray:
+    """Vectorized int32 bucket keys for a pandas Series: a splitmix
+    finalizer for integer dtypes, the FNV64 Arrow kernel over the
+    stringified values otherwise.  Bucket keys only need determinism and
+    co-location, so the hash family is free to differ from hash_u32."""
+    if pd.api.types.is_integer_dtype(series):
+        with np.errstate(over="ignore"):
+            v = series.to_numpy().astype(np.uint64, copy=False)
+            h = (v ^ (v >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
+            h ^= h >> np.uint64(33)
+        return (h % np.uint64(n_buckets)).astype(np.int32)
+    arr = pa.array(series.astype(str), from_pandas=True)
+    return (_fnv64_arr(arr) % np.uint64(n_buckets)).astype(np.int32)

@@ -8413,9 +8413,9 @@ def _s07_write_pass(sf_dir: str, root: str, n_buckets: int) -> int:
         g = batch.groupby(["bucket", "lang"], as_index=False)["n"].sum()
         return g[~g["bucket"].isin(list(done))] if done else g
 
-    def reduce(group: pa.Table) -> pa.Table:
+    def reduce(group: pa.Table) -> dict:
         df = group.to_pandas().groupby("lang", as_index=False)["n"].sum()
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return {"lang_counts": pa.Table.from_pandas(df, preserve_index=False)}
 
     summary = (
         ds.map_batches(partial, batch_format="pandas", batch_size=65536)

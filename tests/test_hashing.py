@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+import pandas as pd
 import pyarrow as pa
 
-from naer_ray.hashing import _fnv64_arr, hash_u32
+from naer_ray.hashing import _bucket_series, _fnv64_arr, hash_u32
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -47,6 +49,15 @@ def test_fnv64_arr_large_string_and_slices():
     assert [int(v) for v in _fnv64_arr(pa.array(vals, pa.large_string()))] == want
     assert [int(v) for v in _fnv64_arr(pa.array(vals, pa.string()).slice(1, 2))] == want[1:3]
     assert len(_fnv64_arr(pa.array([], pa.string()))) == 0
+
+
+def test_bucket_series_in_range_and_deterministic():
+    s = pd.Series([f"name-{i}" for i in range(500)])
+    b = _bucket_series(s, 64)
+    assert b.dtype == np.int32 and b.min() >= 0 and b.max() < 64
+    assert np.array_equal(b, _bucket_series(s.copy(), 64))
+    ints = _bucket_series(pd.Series(np.arange(500, dtype=np.int64)), 64)
+    assert ints.min() >= 0 and ints.max() < 64
 
 
 def test_kg_core_does_not_import_testdata():

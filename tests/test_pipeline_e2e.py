@@ -6,15 +6,11 @@
 2. SYNTHETIC: the gazetteer extractor recovers the generator's recorded
    mention placements (incl. anaphora) at P/R = 1.0.
 3. Determinism: two runs at different parallelism emit identical triples.
-4. Sources: ``conform_batch`` and a caller-supplied transcripts Dataset
-   on the answers path.
 """
 
 import os
 
-import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 import pytest
 
 
@@ -32,6 +28,8 @@ def ref_paths(ray_session, ref_corpus):
 
 def test_parity_gate(ref_paths):
     """Exact parity, over exactly the conversations the oracle covers."""
+    import pyarrow.parquet as pq
+
     from naer_ray.pipelines.evaluate import eval_vs_expected
     from naer_ray.pipelines.kg import build_triples, split_errors
 
@@ -96,6 +94,8 @@ def test_reference_gold_eval_reported(ref_paths):
 
 
 def test_validation_quarantine(ray_session, tmp_path):
+    import pyarrow as pa
+    import pyarrow.parquet as pq
     import ray
 
     from naer_ray import schema
@@ -166,6 +166,8 @@ def test_corpus_manifest_reports_reference_projects(ref_corpus):
     a corpus built without the reference tree is visibly synthetic-only."""
     import json
 
+    import pyarrow.parquet as pq
+
     from naer_ray.testdata import load_reference_projects
 
     with open(os.path.join(ref_corpus, "manifest.json")) as f:
@@ -174,71 +176,3 @@ def test_corpus_manifest_reports_reference_projects(ref_corpus):
     convs = pq.read_table(os.path.join(ref_corpus, "transcripts"), columns=["conv_id"])
     ref_convs = {c for c in convs["conv_id"].to_pylist() if c.startswith("ref:")}
     assert len(ref_convs) == manifest["n_reference_projects"]
-
-
-def test_conform_batch_fill_cast_drop():
-    from naer_ray.sources.transcripts import conform_batch
-
-    schema = pa.schema(
-        [pa.field("a", pa.int64()), pa.field("b", pa.string())]
-    )
-    batch = pa.table(
-        {"a": pa.array([1, 2], pa.int32()), "extra": pa.array(["x", "y"])}
-    )
-    out = conform_batch(batch, schema)
-    assert out.schema == schema  # cast a, drop extra
-    assert out["a"].to_pylist() == [1, 2]
-    assert out["b"].null_count == 2  # typed-null fill
-
-
-class TestJsonlAnswersPath:
-    def test_build_triples_answers_honors_transcripts_ds(self, ray_session, tmp_path):
-        """ADVICE r3 (medium): extractor='answers' ignored the caller's
-        transcripts_ds, so input_format='jsonl' crashed in the parquet
-        reader.  Now a supplied Dataset is used directly."""
-        import json as _json
-
-        import ray.data
-
-        from naer_ray.pipelines.kg import build_triples
-
-        # transcripts as JSONL (the non-parquet source format)
-        rows = [
-            {"conv_id": "c1", "turn_idx": 1, "role": "user",
-             "text": "The storage service is big.", "tool": "",
-             "ts": "2026-01-01T00:00:00"},
-        ]
-        jsonl = tmp_path / "transcripts.jsonl"
-        with open(jsonl, "w") as f:
-            for r in rows:
-                f.write(_json.dumps(r) + "\n")
-
-        # one recorded structured-text answer for c1
-        answers = pa.table(
-            {
-                "conv_id": pa.array(["c1"], pa.string()),
-                "answer": pa.array(
-                    [
-                        "COMPONENT entities recognized:\n"
-                        "storage service, 'The storage service is big.'"
-                    ],
-                    pa.string(),
-                ),
-                "format": pa.array(["structured-text"], pa.string()),
-            }
-        )
-        ans_path = tmp_path / "answers.parquet"
-        pq.write_table(answers, str(ans_path))
-
-        from naer_ray.sources.transcripts import read_transcripts_jsonl
-
-        src = read_transcripts_jsonl(str(jsonl))
-        triples = build_triples(
-            str(jsonl),  # NOT a parquet path — must not be read
-            None,
-            extractor="answers",
-            answers_path=str(ans_path),
-            transcripts_ds=src,
-        ).to_pandas()
-        assert len(triples) > 0
-        assert (triples["conv_id"] == "c1").all()
