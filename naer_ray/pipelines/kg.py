@@ -29,7 +29,8 @@ it needs for triples, nodes, quarantine and evaluation::
          nodes), quarantine/bucket=b (its invalid turns, if any), and in
          the summary row its (name, type) entity pairs and per-gate
          tp/fp/fn
-    then: one entity-node file nodes/bucket=<n_buckets>; metrics.json
+    then, in the driver: one entity-node file nodes/bucket=<n_buckets>;
+    canonical_labels and canon from that file (optional); metrics.json
 
 Finished buckets are dropped right after ``add_bucket`` (before any
 extraction), and the worker that assembled a bucket sorts and writes
@@ -90,8 +91,6 @@ def bucketed_extraction(
     extractor: str = "gazetteer",
     answers_path: str | None = None,
     validate: str | None = "quarantine",
-    batch_size: int | None = None,
-    dict_ref=None,
     transcripts_ds: "ray.data.Dataset | None" = None,
     dict_rows: list[dict] | None = None,
     n_buckets: int | None = None,
@@ -112,18 +111,13 @@ def bucketed_extraction(
     nothing.  The answers path never validates.
 
     extractor="gazetteer": broadcast-dictionary mention detection (the
-    production path; dictionary_path, dict_rows or a pre-``ray.put``
-    dict_ref required).  extractor="answers": recorded structured-text/
-    JSON answers parsed with exact reference semantics (parity path;
-    answers_path required).  extractor="llm": chat-model recognition per
-    conversation (chat_fn_factory required; ``prompt_template``, a
-    pre-built Prompt/TwoPartPrompt, replaces the one built from
-    ``prompt_text`` and ``answer_format``; see
-    :func:`make_llm_bucket_extractor`).
-
-    batch_size=None (default) processes whole read blocks — the read is
-    already sized to ~64 MB blocks (sources.transcripts.auto_num_blocks),
-    so re-slicing into small batches only adds overhead.
+    production path; dictionary_path or dict_rows required).
+    extractor="answers": recorded structured-text/JSON answers parsed
+    with exact reference semantics (parity path; answers_path required).
+    extractor="llm": chat-model recognition per conversation
+    (chat_fn_factory required; ``prompt_template``, a pre-built
+    Prompt/TwoPartPrompt, replaces the one built from ``prompt_text`` and
+    ``answer_format``; see :func:`make_llm_bucket_extractor`).
 
     n_buckets=None sizes the exchange to the cluster (auto_n_buckets):
     with only ~2 buckets/core the largest bucket straggles its kernel
@@ -176,18 +170,17 @@ def bucketed_extraction(
 
     if extractor != "gazetteer":
         raise ValueError(f"unknown extractor {extractor!r}")
-    if dict_ref is None:
-        if dict_rows is not None:
-            dict_ref = ray.put(dict_rows)
-        elif dictionary_path is not None:
-            dict_ref = ray.put(load_dictionary_rows(dictionary_path))
-        else:
-            raise ValueError("dictionary_path, dict_rows or dict_ref required")
-    # elastic stateless tasks; the matcher is cached per worker process
+    if dict_rows is None:
+        if dictionary_path is None:
+            raise ValueError("dictionary_path or dict_rows required")
+        dict_rows = load_dictionary_rows(dictionary_path)
+    dict_ref = ray.put(dict_rows)
+    # elastic stateless tasks over whole read blocks (the read is already
+    # sized by sources.transcripts.auto_num_blocks); the matcher is cached
+    # per worker process
     mentions = bucketed(transcripts()).map_batches(
         make_mention_detector(dict_ref, quarantine=quarantine),
         batch_format="pyarrow",
-        batch_size=batch_size,
     )
     return mentions, make_conversation_assembler(dict_ref)
 
@@ -439,8 +432,9 @@ def run_kg_job(
     their counts come from their marks and their entity pairs from their
     own triples files.  ``resume=False`` forgets every stage of an
     earlier run first.
-    Canonicalization (optional) is one more execution, over the
-    entity-node file.
+    Canonicalization (optional) runs in this process on the entity-node
+    file's names (``stages/canon.canonical_labels``), the same way on a
+    fresh run and on a resume, and starts no Ray Data execution.
 
     At 100 TB scale the same layout holds: buckets are key ranges of
     conv hash, each an independent re-runnable unit.
@@ -613,19 +607,15 @@ def run_kg_job(
 
     # stage 3 (optional): cross-corpus canonicalization of the node
     # table's entity names — union-find over name-pool similarity edges,
-    # one execution; the driver writes its labels (one row per name) and
-    # the (node, sameAs, label) edges of the non-identity labels
+    # in this process, which wrote those names; it writes the labels (one
+    # row per name) and the (node, sameAs, label) edges of the
+    # non-identity labels
     if canonicalize and 0 not in manifest.done_buckets("canon"):
         from ..stages.canon import canonical_labels
 
-        entities = manifest.stage("nodes")["buckets"][str(n_buckets)]
-        names_ds = (
-            ray.data.read_parquet(bucket_dir(out_root, "nodes", n_buckets), columns=["name"])
-            if entities["rows"]
-            else ray.data.from_arrow(pa.table({"name": pa.array([], pa.string())}))
+        labels = canonical_labels(
+            pq.read_table(bucket_dir(out_root, "nodes", n_buckets), columns=["name"])
         )
-        refs = canonical_labels(names_ds).materialize().to_arrow_refs()
-        labels = pa.concat_tables(ray.get(refs)).sort_by("node")
         same = labels.filter(pc.not_equal(labels["node"], labels["label"]))
         n = same.num_rows
         same_as = pa.table(

@@ -256,23 +256,18 @@ FROM occ
 
 
 def c01_canonical_labels(sf_dir: str):
-    """Distributed canonicalization (pool explode -> exact edges ->
-    union-find) over part names ∪ their UPPER variants; oracle: each
-    name labels with least(name, UPPER(name)).  Fuzzy JW disabled so the
-    exact-edge + label-propagation path is SQL-checkable."""
-    import ray.data
+    """Canonicalization (pool explode -> exact edges -> union-find) over
+    part names ∪ their UPPER variants; oracle: each name labels with
+    least(name, UPPER(name)).  Fuzzy JW disabled so the exact-edge path
+    is SQL-checkable."""
+    import pyarrow.parquet as pq
 
     from ..stages.canon import canonical_labels
 
-    ds = _read(sf_dir, "part", ["p_name"])
-
-    def variants(batch: pa.Table) -> pa.Table:
-        names = sorted(set(batch["p_name"].to_pylist()))
-        out = names + [n.upper() for n in names]
-        return pa.table({"name": pa.array(out, pa.string())})
-
-    names_ds = ds.map_batches(variants, batch_format="pyarrow")
-    return canonical_labels(names_ds, jw_threshold=1.01)
+    part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_name"])
+    names = sorted(set(part["p_name"].to_pylist()))
+    out = names + [n.upper() for n in names]
+    return canonical_labels(pa.table({"name": pa.array(out, pa.string())}), jw_threshold=1.01)
 
 
 C01_SQL = """
@@ -296,15 +291,12 @@ def c02_fuzzy_canonical_labels(sf_dir: str):
     """Fuzzy canonicalization end-to-end at the REAL 0.93 JW threshold
     (c01 disables fuzzy): planted typo pairs (name, name-minus-last-char)
     must cluster, label = the lexicographic min (= the typo).  Exercises
-    pool explode -> blocking -> blocked JW edges -> union-find as one
-    distributed DAG (stages/canon.py)."""
-    import ray.data
-
+    pool explode -> blocking -> blocked JW edges -> union-find
+    (stages/canon.py)."""
     from ..stages.canon import canonical_labels
 
     names = sorted(C02_NAMES + [n[:-1] for n in C02_NAMES])
-    ds = ray.data.from_arrow(pa.table({"name": pa.array(names, pa.string())}))
-    return canonical_labels(ds, jw_threshold=0.93)
+    return canonical_labels(pa.table({"name": pa.array(names, pa.string())}), jw_threshold=0.93)
 
 
 C02_SQL = (
@@ -314,6 +306,36 @@ C02_SQL = (
     )
     + ") AS t(node, label)"
 )
+
+
+def _sampled_transcripts(sf_dir: str):
+    """The derived transcripts of the first 2000 docs (q27, q28; their SQL
+    applies the same ``doc_id < 2000`` cut): the oracle is a correctness
+    gate for the chat->parse->triples path, and per-occurrence fuzzy line
+    resolution over every derived conv made it the slowest suite entry
+    for no added coverage."""
+    return _derive_transcripts(sf_dir).map_batches(
+        lambda t: t.filter(pc.less(pc.cast(t["conv_id"], pa.int64()), 2000)),
+        batch_format="pyarrow",
+    )
+
+
+def _conv_entities(triples):
+    """The (subj, conv_id) rows of the hasType triples, sorted — the
+    conversation grain that q27 and q28 are oracled at."""
+
+    def conv_entities(batch: pa.Table) -> pa.Table:
+        sel = batch.filter(pc.equal(batch["pred"], "hasType"))
+        return pa.table(
+            {
+                "subj": sel["subj"].cast(pa.string()),
+                "conv_id": sel["conv_id"].cast(pa.string()),
+            }
+        )
+
+    return triples.map_batches(conv_entities, batch_format="pyarrow").sort(
+        ["subj", "conv_id"]
+    )
 
 
 def _llm_fake_chat(system: str, prompt: str) -> str:
@@ -355,38 +377,16 @@ def q27_llm_extract(sf_dir: str):
     (covered instead by the refsem parity tests on real SADs)."""
     from .kg import build_triples
 
-    # sample: first 2000 docs — the oracle is a correctness gate for the
-    # chat->parse->triples path, and per-occurrence fuzzy line resolution
-    # over every derived conv made it the slowest suite entry for no
-    # added coverage (the SQL applies the same doc_id < 2000 cut)
-    sampled = _derive_transcripts(sf_dir).map_batches(
-        lambda t: t.filter(
-            pc.less(pc.cast(t["conv_id"], pa.int64()), 2000)
-        ),
-        batch_format="pyarrow",
-    )
     triples = build_triples(
         None,
         extractor="llm",
         chat_fn_factory=lambda: _llm_fake_chat,
         answer_format="json",
-        transcripts_ds=sampled,
+        transcripts_ds=_sampled_transcripts(sf_dir),
         validate=None,
         n_buckets=32,
     )
-
-    def conv_entities(batch: pa.Table) -> pa.Table:
-        sel = batch.filter(pc.equal(batch["pred"], "hasType"))
-        return pa.table(
-            {
-                "subj": sel["subj"].cast(pa.string()),
-                "conv_id": sel["conv_id"].cast(pa.string()),
-            }
-        )
-
-    return triples.map_batches(conv_entities, batch_format="pyarrow").sort(
-        ["subj", "conv_id"]
-    )
+    return _conv_entities(triples)
 
 
 Q27_SQL = f"""
@@ -441,13 +441,6 @@ def q28_llm_two_part(sf_dir: str):
     from ..stages.llm import TwoPartPrompt
     from .kg import build_triples
 
-    sampled = _derive_transcripts(sf_dir).map_batches(
-        lambda t: t.filter(
-            pc.less(pc.cast(t["conv_id"], pa.int64()), 2000)
-        ),
-        batch_format="pyarrow",
-    )
-
     def factory():
         from naer_ray.pipelines.queries import _llm_two_part_chat
 
@@ -457,24 +450,12 @@ def q28_llm_two_part(sf_dir: str):
         None,
         extractor="llm",
         chat_fn_factory=factory,
-        transcripts_ds=sampled,
+        transcripts_ds=_sampled_transcripts(sf_dir),
         validate=None,
         n_buckets=32,
         prompt_template=TwoPartPrompt("Identify all components.", "Make JSON."),
     )
-
-    def conv_entities(batch: pa.Table) -> pa.Table:
-        sel = batch.filter(pc.equal(batch["pred"], "hasType"))
-        return pa.table(
-            {
-                "subj": sel["subj"].cast(pa.string()),
-                "conv_id": sel["conv_id"].cast(pa.string()),
-            }
-        )
-
-    return triples.map_batches(conv_entities, batch_format="pyarrow").sort(
-        ["subj", "conv_id"]
-    )
+    return _conv_entities(triples)
 
 
 Q28_SQL = Q27_SQL

@@ -40,10 +40,13 @@ _TARGET_BLOCK_BYTES = 64 * 1024 * 1024
 #: of 0.43 MB DOUBLED sf0.1 wall (2.7 -> 5.7 s)
 _FINE_WAVE_MIN_BYTES = 2 * 1024 * 1024
 
+#: smallest read block worth a task of its own
+_MIN_BLOCK_BYTES = 256 * 1024
 
-def auto_num_blocks(path: str, min_block_bytes: int = 256 * 1024) -> int:
+
+def auto_num_blocks(path: str) -> int:
     """Input-size-aware read parallelism:
-    ``clamp(max(wave_term, bytes/64MB), 1, bytes/min_block_bytes)``
+    ``clamp(max(wave_term, bytes/64MB), 1, bytes/256KB)``
     where ``wave_term`` is 4 x cluster CPUs when those blocks would be
     >= 2 MB each (4 finer waves smooth the wave-end stragglers before
     the sort barrier), else 2 x CPUs (don't shatter small corpora).
@@ -63,7 +66,7 @@ def auto_num_blocks(path: str, min_block_bytes: int = 256 * 1024) -> int:
         total = os.path.getsize(path)
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     wave_term = 4 * cpus if total >= 4 * cpus * _FINE_WAVE_MIN_BYTES else 2 * cpus
-    by_min_work = max(1, total // min_block_bytes)
+    by_min_work = max(1, total // _MIN_BLOCK_BYTES)
     return int(min(max(wave_term, total // _TARGET_BLOCK_BYTES or 1), by_min_work))
 
 
@@ -99,26 +102,23 @@ def stripped_read_schema(path: str, columns: list[str] | None) -> pa.Schema | No
 def read_transcripts(
     path: str,
     columns: list[str] | None = None,
-    num_blocks: int | str | None = "auto",
 ) -> ray.data.Dataset:
     """read_parquet over a transcripts file/dir, pruning to ``columns``.
 
     ``columns`` defaults to the three columns the KG pipeline needs —
-    never read role/tool/ts unless asked (prune at the read).
-    ``num_blocks="auto"`` sizes read blocks by input bytes and cluster
-    CPUs (:func:`auto_num_blocks`); None keeps Ray's default.
+    never read role/tool/ts unless asked (prune at the read).  Read
+    blocks are sized by input bytes and cluster CPUs
+    (:func:`auto_num_blocks`).
     """
     if os.path.isdir(path):
         tdir = os.path.join(path, "transcripts")
         if os.path.isdir(tdir):
             path = tdir
-    if num_blocks == "auto":
-        num_blocks = auto_num_blocks(path)
     cols = columns or list(CORE_COLUMNS)
     return ray.data.read_parquet(
         path,
         columns=cols,
-        override_num_blocks=num_blocks,
+        override_num_blocks=auto_num_blocks(path),
         schema=stripped_read_schema(path, cols),
     )
 

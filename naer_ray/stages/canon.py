@@ -1,34 +1,28 @@
-"""Distributed entity canonicalization (the north-star wide step).
+"""Entity canonicalization over the job's entity names.
 
 Generalizes the reference's name-pool matching + rename-unify
 (TestProjectEvaluator.matchComponentNames:209-239, NamedEntity.changeName:77-80)
-to corpus scale in one map, one exchange and one union-find
-(:func:`canonical_labels`):
+as one in-process pass over the distinct entity names
+(:func:`canonical_labels`) — the job's driver already holds them, so
+there is nothing to move:
 
-1. map: every observed entity name explodes into its name pool —
+1. explode: every entity name becomes its name pool —
    {cleanComponentName(name)} ∪ aliases, all normalized surface forms
-   (names.normalize_surface: lowercase, camelCase split) — as the
-   batch's distinct (pool_key, name) pairs, each tagged with the hash
-   bucket of its blocking key (first two characters + length band of
-   the space-collapsed pool key);
-2. exchange: one group-by on that bucket.  A space-collapsed key
-   determines its block, so each bucket kernel holds every pair its
-   edges need and emits (a) a self edge per name, so the labelling is
-   total, (b) exact edges between names sharing a collapsed pool key,
-   and (c) Jaro-Winkler >= threshold edges between pool keys of one
-   block (the documented partitioning assumption: names in different
-   blocks are never fuzzy-compared);
-3. union-find: connected components (:func:`connected_components`),
-   labelled by the component's lexicographically-smallest member —
-   deterministic under any parallelism, mirroring the reference's
-   rename-unify where the matching pool name wins.
+   (names.normalize_surface: lowercase, camelCase split) — as distinct
+   (pool_key, name) pairs;
+2. edges: (a) a self edge per name, so the labelling is total, (b) exact
+   edges between names sharing a space-collapsed pool key, and (c)
+   Jaro-Winkler >= threshold edges between pool keys of one block (first
+   two characters + length band of the collapsed key; the documented
+   partitioning assumption: names in different blocks are never
+   fuzzy-compared);
+3. union-find (:func:`_union_find`), labelled by the component's
+   lexicographically-smallest member — deterministic, mirroring the
+   reference's rename-unify where the matching pool name wins.
 
-Skew: a hot surface form ("WebUI" in a large share of conversations)
-crosses the exchange as per-batch DISTINCT (pool_key, name) pairs, and
-its bucket kernel deduplicates them again before any edge is built, so
-a key costs its distinct names, not its corpus frequency — the salting
-analogue for this workload.  A block's pairwise comparisons are capped
-at :data:`MAX_BLOCK` rows.
+A block's pairwise comparisons are capped at :data:`MAX_BLOCK` rows.
+:func:`connected_components` is the Dataset form of step 3, with a
+distributed label-propagation path for graphs that outgrow one process.
 """
 
 from __future__ import annotations
@@ -47,8 +41,8 @@ from ..names import clean_component_name, normalize_surface
 #: most (pool_key, name) rows one block compares pairwise; the sorted
 #: head is kept and the rest lose their fuzzy candidate pairs
 MAX_BLOCK = 500
-#: buckets of the canonicalization exchange
-_N_BUCKETS = 64
+#: schema of the (node, label) table of :func:`canonical_labels`
+_LABELS = pa.schema([("node", pa.string()), ("label", pa.string())])
 
 
 def jaro(s1: str, s2: str) -> float:
@@ -108,25 +102,11 @@ def _block_key(norm_name: str) -> str:
     return f"{collapsed[:2]}|{len(collapsed) // 4}"
 
 
-def _edge_table(rows: list[tuple[str, str]]) -> pa.Table:
-    """(a, b) pairs -> typed Arrow edge table.
-
-    Typed even when empty: a zero-row pandas object column trips Ray's
-    block size estimator (np.vectorize on size-0 input) into per-block
-    error logs; pa.string() carries the type regardless of length."""
-    return pa.table(
-        {
-            "id_a": pa.array([r[0] for r in rows], pa.string()),
-            "id_b": pa.array([r[1] for r in rows], pa.string()),
-        }
-    )
-
-
 def _block_edges(block: list[tuple[str, str]], jw_threshold: float) -> list[tuple[str, str]]:
     """Jaro-Winkler >= threshold edges between the sorted (pool_key, name)
     rows of one block.  Oversized blocks are capped deterministically
     (sorted head); rows beyond the cap lose fuzzy candidate pairs,
-    reported via a worker-side RuntimeWarning with the dropped-row count."""
+    reported via a RuntimeWarning with the dropped-row count."""
     if len(block) > MAX_BLOCK:
         warnings.warn(
             f"canonicalization block capped: {len(block) - MAX_BLOCK} rows beyond "
@@ -141,6 +121,33 @@ def _block_edges(block: list[tuple[str, str]], jw_threshold: float) -> list[tupl
             if key_i != key_j and jaro_winkler(key_i, key_j) >= jw_threshold:
                 rows.append((min(name_i, name_j), max(name_i, name_j)))
     return rows
+
+
+def _union_find(id_a: pd.Series, id_b: pd.Series) -> pd.DataFrame:
+    """(node, label) of the graph whose edges are ``zip(id_a, id_b)``,
+    sorted by node; label = the smallest node of the component.  Classic
+    union-find in this process."""
+    parent: dict = {}
+
+    def find(x):
+        root = x
+        while parent.get(root, root) != root:
+            root = parent[root]
+        while parent.get(x, x) != x:
+            parent[x], x = root, parent[x]
+        return root
+
+    for a, b in zip(id_a, id_b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            # always attach under the smaller root -> final root is the
+            # component min, matching the distributed min-label semantics
+            lo, hi = (ra, rb) if ra <= rb else (rb, ra)
+            parent[hi] = lo
+    nodes = pd.unique(pd.concat([id_a, id_b], ignore_index=True))
+    return pd.DataFrame(
+        {"node": nodes, "label": [find(n) for n in nodes]}
+    ).sort_values("node").reset_index(drop=True)
 
 
 def connected_components(
@@ -182,28 +189,7 @@ def connected_components(
         )
     if n_edges <= driver_threshold:
         df = pairs.to_pandas()
-        parent: dict = {}
-
-        def find(x):
-            root = x
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(x, x) != x:
-                parent[x], x = root, parent[x]
-            return root
-
-        for a, b in zip(df["id_a"], df["id_b"]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                # always attach under the smaller root -> final root is the
-                # component min, matching the distributed min-label semantics
-                lo, hi = (ra, rb) if ra <= rb else (rb, ra)
-                parent[hi] = lo
-        nodes = pd.unique(pd.concat([df["id_a"], df["id_b"]], ignore_index=True))
-        labels = pd.DataFrame(
-            {"node": nodes, "label": [find(n) for n in nodes]}
-        ).sort_values("node").reset_index(drop=True)
-        return ray.data.from_pandas(labels)
+        return ray.data.from_pandas(_union_find(df["id_a"], df["id_b"]))
 
     # ---- distributed rounds, Arrow-native end to end: one shared
     # schema S = (node, other?, label?, is_old, changed, bucket) for
@@ -341,82 +327,40 @@ def connected_components(
     return labels.select_columns(["node", "label"])
 
 
-def canonical_labels(names_ds, name_col: str = "name", aliases_col: str | None = None,
-                     jw_threshold: float = 0.93):
-    """names -> Dataset (node=name, label=canonical name).
+def canonical_labels(names: pa.Table, aliases_col: str | None = None,
+                     jw_threshold: float = 0.93) -> pa.Table:
+    """``name`` column (plus an optional ``aliases_col`` of name lists) ->
+    the (node=name, label=canonical name) table, sorted by node.
 
-    One map, one exchange, one union-find (module docstring); the label
-    is the lexicographically smallest name in the component
-    (deterministic).  ``jw_threshold > 1.0`` disables the fuzzy edges."""
-
-    def explode(batch: pa.Table) -> pa.Table:
-        names = batch[name_col].to_pylist()
-        aliases = (
-            batch[aliases_col].to_pylist()
-            if aliases_col and aliases_col in batch.column_names
-            else [None] * len(names)
-        )
-        pairs: set[tuple[str, str]] = set()
-        for name, alts in zip(names, aliases):
-            pool = {normalize_surface(clean_component_name(name))}
-            pool.update(normalize_surface(a) for a in alts or [])
-            pool.discard("")
-            pairs.update((key, name) for key in pool)
-        keys = [k for k, _ in pairs]
-        blocks = pa.array([_block_key(k) for k in keys], pa.string())
-        return pa.table(
-            {
-                "pool_key": pa.array(keys, pa.string()),
-                "name": pa.array([n for _, n in pairs], pa.string()),
-                "bucket": pa.array(
-                    (_fnv64_arr(blocks) % np.uint64(_N_BUCKETS)).astype(np.int32), pa.int32()
-                ),
-            }
-        )
-
-    def bucket_edges(group: pa.Table) -> pa.Table:
-        pairs = sorted(set(zip(group["pool_key"].to_pylist(), group["name"].to_pylist())))
-        # a self edge per name makes the labelling total
-        rows = [(n, n) for n in sorted({n for _, n in pairs})]
-        by_collapsed: dict[str, set[str]] = defaultdict(set)
-        blocks: dict[str, list[tuple[str, str]]] = defaultdict(list)
-        for key, name in pairs:
-            by_collapsed[key.replace(" ", "")].add(name)
-            blocks[_block_key(key)].append((key, name))
-        for names in by_collapsed.values():
-            first, *rest = sorted(names)
-            rows += [(first, other) for other in rest]
-        if jw_threshold <= 1.0:
-            for block in blocks.values():
-                rows += _block_edges(block, jw_threshold)
-        return _edge_table(rows)
-
-    edges = (
-        names_ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_edges, batch_format="pyarrow")
+    Explode, edges and union-find in this process (module docstring); the
+    label is the lexicographically smallest name in the component
+    (deterministic).  A name whose pool is empty gets no row.
+    ``jw_threshold > 1.0`` disables the fuzzy edges."""
+    aliases = (
+        names[aliases_col].to_pylist()
+        if aliases_col and aliases_col in names.column_names
+        else [None] * names.num_rows
     )
-    return connected_components(edges)
-
-
-def apply_canonical_labels(triples_ds, labels_ds, col: str = "subj"):
-    """Rewrite a triple column through the (node -> label) mapping.
-
-    The label table is the SMALL side (distinct entity names), so it is
-    broadcast — ray.put once; each batch dictionary-encodes the column,
-    remaps only its distinct values and takes them back per row."""
-    import ray
-
-    labels_df = labels_ds.to_pandas()  # one execution feeds both columns
-    map_ref = ray.put(dict(zip(labels_df["node"], labels_df["label"])))
-
-    def relabel(batch: pa.Table) -> pa.Table:
-        m = ray.get(map_ref)
-        encoded = batch[col].combine_chunks().dictionary_encode()
-        values = pa.array(
-            [m.get(v, v) for v in encoded.dictionary.to_pylist()], encoded.dictionary.type
-        )
-        i = batch.column_names.index(col)
-        return batch.set_column(i, col, values.take(encoded.indices))
-
-    return triples_ds.map_batches(relabel, batch_format="pyarrow", batch_size=65536)
+    pairs: set[tuple[str, str]] = set()
+    for name, alts in zip(names["name"].to_pylist(), aliases):
+        pool = {normalize_surface(clean_component_name(name))}
+        pool.update(normalize_surface(a) for a in alts or [])
+        pool.discard("")
+        pairs.update((key, name) for key in pool)
+    # a self edge per name makes the labelling total
+    edges = [(n, n) for n in sorted({n for _, n in pairs})]
+    by_collapsed: dict[str, set[str]] = defaultdict(set)
+    blocks: dict[str, list[tuple[str, str]]] = defaultdict(list)
+    for key, name in sorted(pairs):
+        by_collapsed[key.replace(" ", "")].add(name)
+        blocks[_block_key(key)].append((key, name))
+    for same in by_collapsed.values():
+        first, *rest = sorted(same)
+        edges += [(first, other) for other in rest]
+    if jw_threshold <= 1.0:
+        for block in blocks.values():
+            edges += _block_edges(block, jw_threshold)
+    df = pd.DataFrame(edges, columns=["id_a", "id_b"], dtype=object)
+    return pa.Table.from_pandas(
+        _union_find(df["id_a"], df["id_b"]), schema=_LABELS, preserve_index=False
+    )

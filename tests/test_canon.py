@@ -1,4 +1,5 @@
-"""Canonicalization: Jaro-Winkler conformance + distributed union-find labels."""
+"""Canonicalization: Jaro-Winkler conformance, in-process labels, and the
+distributed union-find of ``connected_components``."""
 
 import numpy as np
 import pyarrow as pa
@@ -17,12 +18,10 @@ class TestJaroWinkler:
         assert jaro_winkler("abc", "xyz") == 0.0
 
 
-def test_canonical_labels_cluster(ray_session):
-    import ray.data
-
+def test_canonical_labels_cluster():
     from naer_ray.stages.canon import canonical_labels
 
-    names = ray.data.from_items(
+    names = pa.Table.from_pylist(
         [
             {"name": "WebUI"},
             {"name": "Web UI"},
@@ -40,31 +39,11 @@ def test_canonical_labels_cluster(ray_session):
     assert lbl.get("Recommender", "solo") not in {lbl["WebUI"], lbl["Database"]}
 
 
-def test_apply_canonical_labels(ray_session):
-    import ray.data
-
-    from naer_ray.stages.canon import apply_canonical_labels
-
-    triples = ray.data.from_items(
-        [
-            {"subj": "Web UI", "pred": "mentionedIn", "obj": "c1"},
-            {"subj": "Other", "pred": "mentionedIn", "obj": "c2"},
-        ]
-    )
-    labels = ray.data.from_items(
-        [{"node": "Web UI", "label": "WebUI"}, {"node": "WebUI", "label": "WebUI"}]
-    )
-    out = apply_canonical_labels(triples, labels).to_pandas()
-    assert set(out["subj"]) == {"WebUI", "Other"}
-
-
-def test_alias_pools_join_entities(ray_session):
+def test_alias_pools_join_entities():
     """Aliases bridge differently-named entities (J3 generalized)."""
-    import ray.data
-
     from naer_ray.stages.canon import canonical_labels
 
-    names = ray.data.from_items(
+    names = pa.Table.from_pylist(
         [
             {"name": "GUI", "aliases": ["frontend"]},
             {"name": "Frontend", "aliases": []},
@@ -140,13 +119,11 @@ def test_connected_components_empty_edges(ray_session):
     assert connected_components(shuffled).count() == 0
 
 
-def test_canonical_labels_without_alias_edges(ray_session):
+def test_canonical_labels_without_alias_edges():
     """Names that share no pool key or fuzzy block label themselves."""
-    import ray.data
-
     from naer_ray.stages.canon import canonical_labels
 
-    names = ray.data.from_items([{"name": "Alpha"}, {"name": "Zeta"}])
+    names = pa.table({"name": ["Alpha", "Zeta"]})
     labels = canonical_labels(names).to_pandas()
     assert dict(zip(labels["node"], labels["label"])) == {"Alpha": "Alpha", "Zeta": "Zeta"}
 
@@ -254,38 +231,9 @@ def _reference_labels(rows: list[dict], jw_threshold: float, cap: int = 500) -> 
     return {n: find(n) for n in parent}
 
 
-def _record_worker_warnings(monkeypatch, out_dir: str) -> None:
-    """Wrap every map_groups kernel so the RuntimeWarnings it raises in a
-    Ray worker are written, one file per kernel call, under ``out_dir``."""
-    from ray.data.grouped_data import GroupedData
-
-    map_groups = GroupedData.map_groups
-
-    def recording(self, fn, *args, **kwargs):
-        def kernel(group, *a, **kw):
-            import os
-            import uuid
-            import warnings
-
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                out = fn(group, *a, **kw)
-            msgs = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
-            if msgs:
-                with open(os.path.join(out_dir, uuid.uuid4().hex), "w") as f:
-                    f.write("\n".join(msgs))
-            return out
-
-        return map_groups(self, kernel, *args, **kwargs)
-
-    monkeypatch.setattr(GroupedData, "map_groups", recording)
-
-
 @pytest.mark.parametrize("jw_threshold", [0.93, 1.01])
-def test_canonical_labels_matches_reference(ray_session, tmp_path, monkeypatch, jw_threshold):
-    import os
-
-    import ray.data
+def test_canonical_labels_matches_reference(jw_threshold):
+    import warnings
 
     from naer_ray.stages.canon import canonical_labels
 
@@ -299,43 +247,47 @@ def test_canonical_labels_matches_reference(ray_session, tmp_path, monkeypatch, 
         (typo,) = {r["name"] for r in rows if r["name"] != base and sorted(r["name"]) == sorted(base)}
         assert (want[typo] == want[base]) == (jw_threshold <= 1.0)
 
-    warn_dir = tmp_path / "warnings"
-    warn_dir.mkdir()
-    _record_worker_warnings(monkeypatch, str(warn_dir))
     table = pa.Table.from_pylist(
         rows, schema=pa.schema([("name", pa.string()), ("aliases", pa.list_(pa.string()))])
     )
-    parts = [table.slice(i, 150) for i in range(0, table.num_rows, 150)]
-    got = canonical_labels(
-        ray.data.from_arrow(parts), aliases_col="aliases", jw_threshold=jw_threshold
-    ).to_pandas()
+    if jw_threshold <= 1.0:
+        with pytest.warns(RuntimeWarning, match="canonicalization block capped"):
+            got = canonical_labels(table, aliases_col="aliases", jw_threshold=jw_threshold)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = canonical_labels(table, aliases_col="aliases", jw_threshold=jw_threshold)
+    got = got.to_pandas()
     assert len(got) == len(set(got["node"]))
+    assert list(got["node"]) == sorted(got["node"])
     assert dict(zip(got["node"], got["label"])) == want
 
-    warned = "\n".join(open(warn_dir / f).read() for f in os.listdir(warn_dir))
-    if jw_threshold <= 1.0:
-        assert "canonicalization block capped" in warned, warned
-    else:
-        assert warned == ""
 
-
-def test_canonical_labels_is_one_exchange(ray_session, monkeypatch):
-    """Pool explode, exact and fuzzy edges share one group-by; the
-    union-find of a small graph runs on the driver."""
-    import ray.data
-    from ray.data.grouped_data import GroupedData
+def test_canonical_labels_starts_no_execution(ray_session, monkeypatch):
+    """Pool explode, edges and union-find run in this process: with a Ray
+    session up, ``canonical_labels`` starts no Ray Data execution."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     from naer_ray.stages.canon import canonical_labels
 
     calls = []
-    map_groups = GroupedData.map_groups
+    execute = StreamingExecutor.execute
 
-    def counting(self, fn, *args, **kwargs):
-        calls.append(fn)
-        return map_groups(self, fn, *args, **kwargs)
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return execute(self, *args, **kwargs)
 
-    monkeypatch.setattr(GroupedData, "map_groups", counting)
-    names = ray.data.from_items([{"name": n} for n in ["WebUI", "Web UI", "Webui2", "Cart"]])
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    names = pa.table({"name": ["WebUI", "Web UI", "Webui2", "Cart"]})
     labels = canonical_labels(names).to_pandas()
     assert dict(zip(labels["node"], labels["label"]))["WebUI"] == "Web UI"
-    assert len(calls) == 1, [getattr(f, "__qualname__", f) for f in calls]
+    assert calls == []
+
+
+def test_canonical_labels_of_no_names():
+    """No names -> a typed empty (node, label) table."""
+    from naer_ray.stages.canon import canonical_labels
+
+    labels = canonical_labels(pa.table({"name": pa.array([], pa.string())}))
+    assert labels.num_rows == 0
+    assert labels.schema.types == [pa.string(), pa.string()]

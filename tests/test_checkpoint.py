@@ -138,8 +138,9 @@ def test_kg_job_triples_stage_is_one_exchange(ray_session, ref_corpus, tmp_path,
 
 
 def test_kg_job_canon_stage_is_one_exchange(ray_session, ref_corpus, tmp_path, monkeypatch):
-    """Triples and canon group once each, and canon reads its names from
-    the node table: nothing reads the written triples back."""
+    """A canonicalizing job groups once, by job bucket: canon runs in the
+    driver on the node table's entity names, and nothing reads the
+    written triples back."""
     import ray.data
     from ray.data.grouped_data import GroupedData
 
@@ -162,10 +163,43 @@ def test_kg_job_canon_stage_is_one_exchange(ray_session, ref_corpus, tmp_path, m
     transcripts, dictionary = _corpus_paths(ref_corpus)
     out = str(tmp_path / "kg")
     run_kg_job(transcripts, dictionary, out, n_buckets=4, canonicalize=True)
-    assert len(calls) == 2, [getattr(f, "__qualname__", f) for f in calls]
+    assert len(calls) == 1, [getattr(f, "__qualname__", f) for f in calls]
     triples_dir = os.path.join(out, "triples")
     assert not any(p.startswith(triples_dir) for r in reads for p in r), reads
     assert pq.read_table(os.path.join(out, "canonical_labels")).num_rows > 0
+
+
+def test_kg_job_resume_canonicalizes_without_execution(ray_session, tmp_path, monkeypatch):
+    """A finished job resumed with ``canonicalize=True`` starts no Ray Data
+    execution, and writes the canon outputs byte-identical to a clean
+    canonicalizing run (on a gazetteer_dense input, whose entity names
+    have near-duplicates)."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from naer_ray.pipelines.kg import run_kg_job
+    from perfbench import gen
+
+    in_dir = str(tmp_path / "in")
+    spec = gen.generate("gazetteer_dense", 1, in_dir, scale=0.1)
+    transcripts = os.path.join(in_dir, spec["transcripts"])
+    dictionary = os.path.join(in_dir, spec["dictionary"])
+    clean, resumed = str(tmp_path / "clean"), str(tmp_path / "resumed")
+    run_kg_job(transcripts, dictionary, clean, n_buckets=4, canonicalize=True)
+    run_kg_job(transcripts, dictionary, resumed, n_buckets=4)
+
+    calls = []
+    execute = StreamingExecutor.execute
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    counters = run_kg_job(transcripts, dictionary, resumed, n_buckets=4, canonicalize=True)
+    assert counters["buckets_computed"] == 0 and calls == []
+    for stage in ("canonical_labels", "canon"):
+        want = _bucket_sha256(clean, stage)
+        assert want and _bucket_sha256(resumed, stage) == want, stage
 
 
 def test_kg_job_canonicalize_without_entities(ray_session, tmp_path):
@@ -303,12 +337,12 @@ def test_answers_path_job_and_dead_letter(ray_session, ref_corpus, tmp_path):
     assert preds.count("occursIn") > 100
 
 
-@pytest.mark.parametrize("job, executions", [("answers", 1), ("gazetteer", 1), ("canon", 2)])
+@pytest.mark.parametrize("job, executions", [("answers", 1), ("gazetteer", 1), ("canon", 1)])
 def test_kg_job_executions(ray_session, ref_corpus, tmp_path, monkeypatch, job, executions):
     """One Ray Data execution writes the triples, the nodes, the quarantine
-    and the evaluation counts: an answers job with expected triples and a
-    gazetteer job run exactly one, and canonicalization one more.  A job
-    reads its transcripts once and never reads the written triples back."""
+    and the evaluation counts: an answers job with expected triples, a
+    gazetteer job and a canonicalizing one run exactly one.  A job reads
+    its transcripts once and never reads the written triples back."""
     import pyarrow.parquet as pq_mod
     import ray.data
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
