@@ -47,7 +47,7 @@ import ray.data
 
 from .. import schema
 from ..hashing import hash_u32
-from ..sources.gazetteer import load_dictionary_rows
+from ..sources.gazetteer import DictionaryRef, load_dictionary_rows
 from ..sources.transcripts import (
     QUARANTINED,
     conform_batch,
@@ -174,10 +174,10 @@ def bucketed_extraction(
         if dictionary_path is None:
             raise ValueError("dictionary_path or dict_rows required")
         dict_rows = load_dictionary_rows(dictionary_path)
-    dict_ref = ray.put(dict_rows)
+    dict_ref = DictionaryRef(dict_rows)
     # elastic stateless tasks over whole read blocks (the read is already
     # sized by sources.transcripts.auto_num_blocks); the matcher is cached
-    # per worker process
+    # per worker process by the dictionary's content, across jobs
     mentions = bucketed(transcripts()).map_batches(
         make_mention_detector(dict_ref, quarantine=quarantine),
         batch_format="pyarrow",

@@ -4,8 +4,9 @@ The reference injects a ``Map<type, Set<name>>`` of candidate entity
 names into recognition (NamedEntityRecognizer.java:95-98, Prompt.java:56-85,
 loaded from CSV in GoldstandardParser.java:65-114).  Here the gazetteer
 is a small dimension table broadcast once via ``ray.put`` and expanded
-into a token-n-gram index inside each worker (built once per process,
-cached by ObjectRef — the actor-pool / broadcast-small-side pattern).
+into a token-n-gram index inside each worker (built once per process
+and dictionary, cached by the rows' content digest — the actor-pool /
+broadcast-small-side pattern).
 
 Matching semantics (engine-native, per the north star's
 camelCase/abbreviation normalization): a dictionary surface form
@@ -132,6 +133,47 @@ class GazetteerMatcher:
             self.by_first.setdefault(key[0], []).append((len(key), key, ids))
         for cands in self.by_first.values():
             cands.sort(key=lambda t: (-t[0], t[1]))
+        self._build_code_space()
+
+    def _build_code_space(self) -> None:
+        """The batch matcher's fixed token-code space (see match_batch).
+
+        Dictionary tokens get codes 0..T-1 in sorted order and every other
+        token the single code T, which no surface contains.  Each surface
+        is packed once into an int64 key in base T+1; ``_surfaces`` maps
+        a surface length to its sorted keys and the CSR of their entity
+        codes, or is None when the longest surface would overflow the
+        packing (match_batch then walks per text).
+        """
+        tokens = sorted({t for key in self.index for t in key})
+        self._tokens = pa.array(tokens, pa.string())
+        self._token_code = {t: c for c, t in enumerate(tokens)}
+        base = len(tokens) + 1
+        self._base = base
+        self._is_first = np.zeros(base, bool)
+        max_n = self.lengths[0] if self.lengths else 0
+        if max_n > 8 or float(base) ** max_n >= float(2**62):
+            self._surfaces = None
+            return
+        by_len: dict[int, list[tuple[int, list[int]]]] = {}
+        for key, ids in self.index.items():
+            packed = 0
+            for t in key:
+                packed = packed * base + self._token_code[t]
+            self._is_first[self._token_code[key[0]]] = True
+            by_len.setdefault(len(key), []).append(
+                (packed, [self.eid_index[e] for e in ids])
+            )
+        self._surfaces = {}
+        for n, entries in sorted(by_len.items()):
+            entries.sort(key=lambda e: e[0])
+            counts = np.array([len(e[1]) for e in entries], np.int64)
+            self._surfaces[n] = (
+                np.array([e[0] for e in entries], np.int64),
+                counts,
+                np.cumsum(counts) - counts,
+                np.array([c for e in entries for c in e[1]], np.int64),
+            )
 
     def match_tokens(self, tokens: list[str]) -> list[tuple[int, str]]:
         """(token_pos, entity_id) n-gram hits with longest-match suppression.
@@ -170,13 +212,18 @@ class GazetteerMatcher:
     #
     # match_tokens above is the per-text semantics reference; match_batch
     # is its numpy twin over a whole Arrow string array (the detect hot
-    # path runs ~35k near-distinct texts per block, and the Python walk's
-    # ~15us/text dominated the stage).  Token split runs in Arrow C++,
-    # camelCase-split runs once per VOCAB token (not per occurrence),
-    # n-gram surfaces become packed int64 keys matched via searchsorted,
-    # and longest-match suppression becomes a windowed cumsum check.
-    # tests/test_match_batch.py asserts hit-set equality vs match_tokens
-    # on the corpus and on adversarial random texts.
+    # path runs thousands of near-distinct texts per block, and the Python
+    # walk's ~15us/text dominated the stage).  A batch costs one Arrow
+    # word split (_word_split: a byte table, then ascii_split_whitespace)
+    # plus work on the few token positions that can start a surface:
+    # tokens are coded in the matcher's fixed code space
+    # (_build_code_space), simple tokens ([A-Z]?[a-z]*, whose camelCase
+    # split is just lower()) in Arrow and only the other distinct tokens
+    # through the memoized _split_token; n-gram keys are packed only where
+    # the token starts some surface (the vectorized by_first probe) and
+    # looked up by searchsorted; longest-match suppression compares the
+    # hits only.  tests/test_match_batch.py asserts layout equality with
+    # match_tokens on the corpus and on adversarial and random texts.
 
     def match_batch(self, texts: "pa.Array"):
         """Vectorized hits for a batch of non-null texts.
@@ -195,128 +242,117 @@ class GazetteerMatcher:
             np.empty(0, np.int32),
             np.empty(0, np.int32),
         )
-        if n_texts == 0:
+        if n_texts == 0 or not self.lengths:
             return empty
-        norm_counts, stream, vocab = _tokenize_batch(texts)
-        total = int(len(stream))
-        if total == 0 or not self.lengths:
+        if self._surfaces is None:
+            return self._match_batch_fallback(texts)
+        norm_counts, stream = self._code_stream(texts)
+        cand = np.flatnonzero(self._is_first[stream])
+        if not len(cand):
             return empty
-        V = max(len(vocab), 1)
-        max_n = self.lengths[0]
-        if max_n > 8 or float(V) ** max_n >= float(2**62):
-            return self._match_batch_fallback(texts, norm_counts)
-
-        # surface tables per n-gram length, in this batch's code space
-        # (a surface with any token absent from the batch vocab cannot
-        # match); keys are unique per length by construction of index
-        tabs: dict[int, list[tuple[int, list[int]]]] = {}
-        eid_index = self.eid_index
-        for key, ids in self.index.items():
-            packed = 0
-            for t in key:
-                c = vocab.get(t)
-                if c is None:
-                    packed = -1
-                    break
-                packed = packed * V + c
-            if packed < 0:
-                continue
-            tabs.setdefault(len(key), []).append(
-                (packed, [eid_index[e] for e in ids])
-            )
-        if not tabs:
-            return empty
-
-        within = _ranges(norm_counts)
-        tlen_rep = np.repeat(norm_counts, norm_counts)
-        text_of = np.repeat(np.arange(n_texts, dtype=np.int64), norm_counts)
-        text_start = np.cumsum(norm_counts) - norm_counts
-
-        k = stream.astype(np.int64, copy=False)
-        keys_by_n: dict[int, np.ndarray] = {1: k}
-        prev = k
-        for nn in range(2, max_n + 1):
-            prev = prev[:-1] * V + k[nn - 1 :]
-            keys_by_n[nn] = prev
+        text_end = np.cumsum(norm_counts)
+        room = text_end[np.searchsorted(text_end, cand, side="right")] - cand
 
         # raw hits per length: starts into the stream + surface row ids
-        hit_starts: dict[int, np.ndarray] = {}
-        hit_sid: dict[int, np.ndarray] = {}
-        surf_eids: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        present = sorted(tabs)
-        for nn in present:
-            entries = tabs[nn]
-            entries.sort(key=lambda t: t[0])
-            skeys = np.array([e[0] for e in entries], np.int64)
-            counts = np.array([len(e[1]) for e in entries], np.int64)
-            offs = np.cumsum(counts) - counts
-            flat = np.array(
-                [c for e in entries for c in e[1]], np.int64
-            )
-            surf_eids[nn] = (counts, offs, flat)
-            L = total - nn + 1
-            if L <= 0:
-                hit_starts[nn] = np.empty(0, np.int64)
-                hit_sid[nn] = np.empty(0, np.int64)
-                continue
-            valid = within[:L] + nn <= tlen_rep[:L]
-            cand = np.flatnonzero(valid)
-            ck = keys_by_n[nn][cand]
-            loc = np.searchsorted(skeys, ck)
+        base = self._base
+        hits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for nn, (skeys, _counts, _offs, _flat) in self._surfaces.items():
+            starts = cand[room >= nn]
+            key = stream[starts]
+            for j in range(1, nn):
+                key = key * base + stream[starts + j]
+            loc = np.searchsorted(skeys, key)
             np.clip(loc, 0, len(skeys) - 1, out=loc)
-            hit = skeys[loc] == ck
-            hit_starts[nn] = cand[hit]
-            hit_sid[nn] = loc[hit]
+            hit = skeys[loc] == key
+            hits[nn] = (starts[hit], loc[hit])
 
         # longest-match suppression: a hit (s, n) is dropped iff ANY raw
         # hit (s', l>n) spans it (s' <= s, s+n <= s'+l); equivalent to the
-        # walk's kept-longer-span rule by induction on length.  Windowed
-        # existence check via cumsum over per-length start flags.
-        cums: dict[int, np.ndarray] = {}
-        for nn in present:
-            S = np.zeros(total + 1, np.int64)
-            if len(hit_starts[nn]):
-                flags = np.zeros(total, bool)
-                flags[hit_starts[nn]] = True
-                S[1:] = np.cumsum(flags)
-            cums[nn] = S
-
-        out_pos_stream: list[np.ndarray] = []
+        # walk's kept-longer-span rule by induction on length.  Starts of
+        # each length are ascending, so the check is two searchsorted.
+        out_starts: list[np.ndarray] = []
         out_codes: list[np.ndarray] = []
-        for nn in present:
-            starts = hit_starts[nn]
-            if not len(starts):
-                continue
+        for nn, (starts, sid) in hits.items():
             dropped = np.zeros(len(starts), bool)
-            for ll in present:
-                if ll <= nn:
-                    continue
-                C = cums[ll]
-                a = np.maximum(starts + nn - ll, 0)
-                dropped |= (C[starts + 1] - C[a]) > 0
+            for ll, (longer, _sid) in hits.items():
+                if ll > nn and len(longer):
+                    dropped |= np.searchsorted(longer, starts, "right") > np.searchsorted(
+                        longer, starts + nn - ll, "left"
+                    )
             keep = ~dropped
-            starts_k = starts[keep]
-            sid_k = hit_sid[nn][keep]
-            counts, offs, flat = surf_eids[nn]
-            ec = counts[sid_k]
-            out_pos_stream.append(np.repeat(starts_k, ec))
-            out_codes.append(flat[np.repeat(offs[sid_k], ec) + _ranges(ec)])
+            starts, sid = starts[keep], sid[keep]
+            _skeys, counts, offs, flat = self._surfaces[nn]
+            ec = counts[sid]
+            out_starts.append(np.repeat(starts, ec))
+            out_codes.append(flat[np.repeat(offs[sid], ec) + _ranges(ec)])
 
-        if not out_pos_stream:
+        all_starts = np.concatenate(out_starts)
+        if not len(all_starts):
             return empty
-        all_stream = np.concatenate(out_pos_stream)
         all_codes = np.concatenate(out_codes)
-        tx = text_of[all_stream]
-        pos = all_stream - text_start[tx]
-        order = np.lexsort((all_codes, pos, tx))
-        hit_counts = np.bincount(tx, minlength=n_texts).astype(np.int64)
+        order = np.lexsort((all_codes, all_starts))
+        all_starts = all_starts[order]
+        tx = np.searchsorted(text_end, all_starts, side="right")
+        pos = all_starts - (text_end[tx] - norm_counts[tx])
         return (
-            hit_counts,
-            pos[order].astype(np.int32),
+            np.bincount(tx, minlength=n_texts).astype(np.int64),
+            pos.astype(np.int32),
             all_codes[order].astype(np.int32),
         )
 
-    def _match_batch_fallback(self, texts: "pa.Array", norm_counts=None):
+    def _code_stream(self, texts: "pa.Array"):
+        """:func:`tokenize` of a batch of non-null texts, in token codes.
+
+        Returns ``(norm_counts, stream)``: per-text normalized-token
+        counts and the concatenated normalized-token codes (both int64)
+        in the matcher's code space.  Distinct raw tokens of the form
+        [A-Z]?[a-z]* are lowercased and coded in Arrow; only the other
+        distinct raw tokens (camelCase, digits) are split in Python, and
+        their extra parts are spliced into the stream.
+        """
+        raw_tokens, token_offsets = _word_split(texts)
+        enc = raw_tokens.dictionary_encode()
+        raw_codes = enc.indices.to_numpy()
+        raw = enc.dictionary
+        other = self._base - 1
+        head = pc.fill_null(
+            pc.index_in(pc.ascii_lower(raw), value_set=self._tokens), other
+        ).to_numpy().astype(np.int64)
+        # parts per distinct raw token; the empty token that a leading or
+        # trailing separator leaves has none
+        parts_counts = pc.binary_length(raw).to_numpy().astype(bool).astype(np.int64)
+        simple = pc.match_substring_regex(raw, "^[A-Z]?[a-z]*$")
+        split_ids = np.flatnonzero(~simple.to_numpy(zero_copy_only=False))
+        code_of = self._token_code
+        split_codes = [
+            [code_of.get(p, other) for p in _split_token(tok)]
+            for tok in raw.take(split_ids).to_pylist()
+        ]
+        split_counts = np.array([len(c) for c in split_codes], np.int64)
+        parts_counts[split_ids] = split_counts
+        head[split_ids] = [c[0] for c in split_codes]
+        # the parts after the head, CSR by distinct raw token
+        rest_offsets = np.zeros(len(raw), np.int64)
+        rest_offsets[split_ids] = np.cumsum(split_counts - 1) - (split_counts - 1)
+        rest_flat = np.array([c for codes in split_codes for c in codes[1:]], np.int64)
+
+        tok_counts = parts_counts[raw_codes]
+        stream = np.repeat(head[raw_codes], tok_counts)
+        ends = np.cumsum(tok_counts)
+        multi = np.flatnonzero(tok_counts > 1)
+        if len(multi):
+            extra = tok_counts[multi] - 1
+            within = _ranges(extra)
+            stream[np.repeat(ends[multi] - extra, extra) + within] = rest_flat[
+                np.repeat(rest_offsets[raw_codes[multi]], extra) + within
+            ]
+        # normalized tokens before each text's first raw token
+        before = np.zeros(len(token_offsets), np.int64)
+        nz = token_offsets > 0
+        before[nz] = ends[token_offsets[nz] - 1]
+        return np.diff(before), stream
+
+    def _match_batch_fallback(self, texts: "pa.Array"):
         """Per-text reference walk (packing-overflow guard path)."""
         pos_parts: list[np.ndarray] = []
         code_parts: list[np.ndarray] = []
@@ -344,54 +380,37 @@ def _ranges(counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(starts_at, counts)
 
 
-def _tokenize_batch(texts: "pa.Array"):
-    """Vectorized :func:`tokenize` over a batch of non-null texts.
+#: byte -> itself for [A-Za-z0-9], else a space: the _WORD_RE token rule as
+#: a bytes.translate table (every byte of a multibyte UTF-8 character is a
+#: separator, as it is for the regex)
+_WORD_BYTES = bytes(b if bytes([b]).isalnum() else 0x20 for b in range(256))
 
-    Word split runs in Arrow C++ (same [A-Za-z0-9]+ token rule as
-    _WORD_RE, expressed as a split on the complement), camelCase-split
-    runs once per distinct RAW token (the batch vocabulary, via the
-    memoized _split_token), and the normalized token stream is expanded
-    with CSR arithmetic.  Returns ``(norm_counts, stream, vocab)``:
-    per-text normalized-token counts (int64), the concatenated
-    normalized-token code stream (int64), and the code vocabulary
-    ``{normalized_token: code}``.
+
+def _word_split(texts: "pa.Array"):
+    """The raw tokens of a batch of non-null texts, split in Arrow C++.
+
+    Translates the batch's bytes through _WORD_BYTES (only the
+    ``[offsets[0], offsets[-1])`` range: a sliced array keeps its
+    parent's whole data buffer), then splits on the spaces.  Returns
+    ``(tokens, token_offsets)``: the [A-Za-z0-9]+ tokens, plus the empty
+    tokens that leading and trailing separators leave, and each text's
+    token range (int64, len(texts) + 1).
     """
-    n = len(texts)
     if isinstance(texts, pa.ChunkedArray):
         texts = texts.combine_chunks()
-    toks = pc.split_pattern_regex(texts, pattern="[^A-Za-z0-9]+")
-    flat = pc.list_flatten(toks)
-    raw_counts = pc.list_value_length(toks).to_numpy(zero_copy_only=False).astype(np.int64)
-    text_ids = np.repeat(np.arange(n, dtype=np.int64), raw_counts)
-    nonempty = pc.greater(pc.binary_length(flat), 0)
-    mask = nonempty.to_numpy(zero_copy_only=False)
-    flat = flat.filter(nonempty)
-    text_ids = text_ids[mask]
-    if len(flat) == 0:
-        return np.zeros(n, np.int64), np.empty(0, np.int64), {}
-    enc = flat.dictionary_encode()
-    raw_codes = enc.indices.to_numpy().astype(np.int64, copy=False)
-    raw_vocab = enc.dictionary.to_pylist()
-    vocab: dict[str, int] = {}
-    parts_counts = np.empty(len(raw_vocab), np.int64)
-    parts_flat_list: list[int] = []
-    for v, tok in enumerate(raw_vocab):
-        parts = _split_token(tok)
-        parts_counts[v] = len(parts)
-        for p in parts:
-            c = vocab.get(p)
-            if c is None:
-                c = len(vocab)
-                vocab[p] = c
-            parts_flat_list.append(c)
-    parts_flat = np.asarray(parts_flat_list, np.int64)
-    parts_offsets = np.cumsum(parts_counts) - parts_counts
-    tok_counts = parts_counts[raw_codes]
-    idx = np.repeat(parts_offsets[raw_codes], tok_counts) + _ranges(tok_counts)
-    stream = parts_flat[idx]
-    stream_text = np.repeat(text_ids, tok_counts)
-    norm_counts = np.bincount(stream_text, minlength=n).astype(np.int64)
-    return norm_counts, stream, vocab
+    if texts.type != pa.string():
+        texts = texts.cast(pa.string())
+    n = len(texts)
+    _validity, offsets_buf, data_buf = texts.buffers()
+    offsets = np.frombuffer(offsets_buf, np.int32, n + 1, texts.offset * 4)
+    lo, hi = int(offsets[0]), int(offsets[-1])
+    data = memoryview(data_buf)[lo:hi].tobytes() if hi > lo else b""
+    words = pa.StringArray.from_buffers(
+        n, pa.py_buffer(offsets - np.int32(lo)), pa.py_buffer(data.translate(_WORD_BYTES))
+    )
+    lists = pc.ascii_split_whitespace(words)
+    token_offsets = lists.offsets.to_numpy().astype(np.int64)
+    return pc.list_flatten(lists), token_offsets - token_offsets[0]
 
 
 # --- per-worker broadcast cache ------------------------------------------------
@@ -399,15 +418,36 @@ def _tokenize_batch(texts: "pa.Array"):
 _MATCHER_CACHE: dict[str, GazetteerMatcher] = {}
 
 
-def matcher_from_ref(rows_ref) -> GazetteerMatcher:
-    """Resolve a ``ray.put`` ObjectRef of dictionary rows to a worker-local
-    matcher, building the index at most once per worker process."""
+class DictionaryRef:
+    """A ``ray.put`` of dictionary rows plus the sha256 of their content.
+
+    Made once per job in the driver.  Workers cache their matcher by the
+    digest, so a later job that puts equal rows again reuses it, and
+    changed rows always build a new one.
+    """
+
+    __slots__ = ("ref", "digest")
+
+    def __init__(self, rows: list[dict]):
+        import hashlib
+        import json
+
+        import ray
+
+        self.ref = ray.put(rows)
+        self.digest = hashlib.sha256(
+            json.dumps(rows, sort_keys=True, default=repr).encode()
+        ).hexdigest()
+
+
+def matcher_from_ref(dict_ref: DictionaryRef) -> GazetteerMatcher:
+    """Resolve a :class:`DictionaryRef` to a worker-local matcher, building
+    the index at most once per worker process and dictionary content."""
     import ray
 
-    key = rows_ref.hex()
-    matcher = _MATCHER_CACHE.get(key)
+    matcher = _MATCHER_CACHE.get(dict_ref.digest)
     if matcher is None:
-        matcher = GazetteerMatcher(ray.get(rows_ref))
+        matcher = GazetteerMatcher(ray.get(dict_ref.ref))
         _MATCHER_CACHE.clear()  # at most one dictionary per job; avoid leaks
-        _MATCHER_CACHE[key] = matcher
+        _MATCHER_CACHE[dict_ref.digest] = matcher
     return matcher

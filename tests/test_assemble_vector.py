@@ -16,7 +16,11 @@ import pytest
 
 from naer_ray import schema
 from naer_ray.hashing import hash_u32
-from naer_ray.sources.gazetteer import load_dictionary_rows, matcher_from_ref
+from naer_ray.sources.gazetteer import (
+    DictionaryRef,
+    load_dictionary_rows,
+    matcher_from_ref,
+)
 from naer_ray.stages.extract import (
     MENTION_SCHEMA,
     MentionDetector,
@@ -168,12 +172,10 @@ def _assert_identical(py_out: pa.Table, vec_out: pa.Table):
 
 
 def test_ref_corpus_identical(ray_session, ref_corpus):
-    import ray
-
     rows = load_dictionary_rows(
         os.path.join(ref_corpus, "entity_dictionary.parquet")
     )
-    ref = ray.put(rows)
+    ref = DictionaryRef(rows)
     import pyarrow.parquet as pq
 
     turns = pq.read_table(os.path.join(ref_corpus, "transcripts"))
@@ -224,12 +226,10 @@ def _random_mentions(rng, n_convs, dict_rows, max_turns=12, max_rows=6):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 7])
 def test_random_mention_tables_identical(ray_session, ref_corpus, seed):
-    import ray
-
     rows = load_dictionary_rows(
         os.path.join(ref_corpus, "entity_dictionary.parquet")
     )
-    ref = ray.put(rows)
+    ref = DictionaryRef(rows)
     rng = np.random.default_rng(seed)
     mentions = _random_mentions(rng, n_convs=40, dict_rows=rows)
     py_fn, vec_fn = _assemblers(ref)
@@ -240,12 +240,10 @@ def test_property_random_tables_identical(ray_session, ref_corpus):
     """Hypothesis-style sweep: 30 random seeds with varied shape params —
     catches boundary interactions (single-row convs, all-pronoun heads,
     ghost-heavy tables) that the fixed seeds might miss."""
-    import ray
-
     rows = load_dictionary_rows(
         os.path.join(ref_corpus, "entity_dictionary.parquet")
     )
-    ref = ray.put(rows)
+    ref = DictionaryRef(rows)
     py_fn, vec_fn = _assemblers(ref)
     for seed in range(30):
         rng = np.random.default_rng(1000 + seed)
@@ -263,12 +261,10 @@ def test_property_random_tables_identical(ray_session, ref_corpus):
 
 
 def test_empty_group(ray_session, ref_corpus):
-    import ray
-
     rows = load_dictionary_rows(
         os.path.join(ref_corpus, "entity_dictionary.parquet")
     )
-    ref = ray.put(rows)
+    ref = DictionaryRef(rows)
     empty = pa.table(
         {f.name: pa.array([], f.type) for f in MENTION_SCHEMA}, schema=MENTION_SCHEMA
     )
@@ -278,12 +274,10 @@ def test_empty_group(ray_session, ref_corpus):
 
 def test_pronoun_only_conversation(ray_session, ref_corpus):
     """No DIRECT mention anywhere: pronouns must resolve to nothing."""
-    import ray
-
     rows = load_dictionary_rows(
         os.path.join(ref_corpus, "entity_dictionary.parquet")
     )
-    ref = ray.put(rows)
+    ref = DictionaryRef(rows)
     mentions = pa.table(
         {
             "bucket": pa.array([0, 0, 0], pa.int32()),
@@ -304,12 +298,10 @@ def test_pronoun_only_conversation(ray_session, ref_corpus):
 def test_cross_conversation_leak_blocked(ray_session, ref_corpus):
     """A pronoun in conv B's first turn must NOT inherit conv A's
     last DIRECT entity (the conv-equality check in the runmax trick)."""
-    import ray
-
     rows = load_dictionary_rows(
         os.path.join(ref_corpus, "entity_dictionary.parquet")
     )
-    ref = ray.put(rows)
+    ref = DictionaryRef(rows)
     mentions = pa.table(
         {
             "bucket": pa.array([0, 0], pa.int32()),
