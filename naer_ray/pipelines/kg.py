@@ -2,44 +2,53 @@
 
 Every extractor has one shape: rows that carry a ``bucket`` column,
 ``hash_u32(conv_id) % n_buckets`` computed once by :func:`add_bucket`,
-plus a per-bucket kernel that turns one bucket's rows into triples::
+plus a block kernel that turns a block of whole buckets into their
+triples, each row with its ``bucket``, in the bucket files' order
+(bucket, then every triple column)::
 
     gazetteer  read_parquet(transcripts, columns=3)   # prune at the read
                  -> add_bucket
                  -> mention detection map_batches     # per turn, NO shuffle;
                     it also tags the invalid turns (format rule)
-               kernel: per-bucket anaphora + triple assembly
-    answers    transcripts ∪ recorded answers -> add_bucket
+               kernel: anaphora + triple assembly, ordered by one sort
+                       of integer codes (stages/extract)
+    answers    transcripts -> add_bucket  ∪  recorded answers -> add_bucket
                kernel: parse_answer_group (reference parse/resolve/type)
     llm        transcripts -> tag invalid turns -> add_bucket
                kernel: chat + parse per conversation
 
-    rows.groupby("bucket").map_groups(kernel)         # the one exchange
+    rows.sort("bucket")                               # the one exchange
+        .map_batches(kernel, batch_size=None)         # one call per block
 
-Quarantined turns and, in a job, gold rows ride the exchange tagged in
-``schema.TAG``; kernels see only the untagged rows.  ``build_triples``
-returns the triples Dataset.  ``run_kg_job`` is the checkpointed job:
-it reads the transcripts once, and that exchange is the only execution
-it needs for triples, nodes, quarantine and evaluation::
+The sort's range partitioning never splits a bucket across blocks, so
+each block holds whole buckets (``GroupedData.map_groups`` builds the
+same plan, then splits every block into its groups).  Quarantined turns
+and, in a job, gold rows ride the exchange tagged in ``schema.TAG``;
+kernels see only the untagged rows.  ``build_triples`` returns the
+triples Dataset.  ``run_kg_job`` is the checkpointed job: it reads the
+transcripts once, and that exchange is the only execution it needs for
+triples, nodes, quarantine and evaluation::
 
-    rows ∪ gold rows of each gate (expected triples, annotations)
-         -> add_bucket -> drop finished buckets
-    rows.groupby("bucket").map_groups(make_bucket_writer(job_kernel))
-         per bucket: triples/bucket=b, nodes/bucket=b (its conversation
-         nodes), quarantine/bucket=b (its invalid turns, if any), and in
-         the summary row its (name, type) entity pairs and per-gate
-         tp/fp/fn
+    rows ∪ gold rows of each gate (expected triples, annotations),
+         each source bucketed, filtered and conformed before the union
+         (so those maps fuse into its reads); finished buckets dropped
+    rows.sort("bucket").map_batches(make_bucket_writer(job_kernel))
+         per block: the kernel once, then per bucket: triples/bucket=b,
+         nodes/bucket=b (its conversation nodes), quarantine/bucket=b
+         (its invalid turns, if any), and in the bucket's summary row
+         its (name, type) entity pairs and per-gate tp/fp/fn
     then, in the driver: one entity-node file nodes/bucket=<n_buckets>;
     canonical_labels and canon from that file (optional); metrics.json
 
 Finished buckets are dropped right after ``add_bucket`` (before any
-extraction), and the worker that assembled a bucket sorts and writes
-its outputs atomically; ``run_kg_job`` records per-bucket lineage and
-counts (state/checkpoint.py).
+extraction); the worker that assembled a block writes each of its
+buckets' outputs atomically, already in file order; ``run_kg_job``
+records per-bucket lineage and counts (state/checkpoint.py).
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -70,11 +79,17 @@ def build_triples(
     transcripts_path: str | None, dictionary_path: str | None = None, **options
 ) -> ray.data.Dataset:
     """Lazy triples Dataset for any extractor backend: the untagged rows
-    of :func:`bucketed_extraction` (which documents ``options``), grouped
-    by bucket, each bucket through the extractor's kernel — one exchange."""
+    of :func:`bucketed_extraction` (which documents ``options``), sorted
+    by bucket, each block through the extractor's kernel — one exchange."""
     rows, kernel = bucketed_extraction(transcripts_path, dictionary_path, **options)
+
+    def triples(block: pa.Table) -> pa.Table:
+        return kernel(block).drop_columns(["bucket"])
+
     untagged = rows.map_batches(_untagged, batch_format="pyarrow")
-    return untagged.groupby("bucket").map_groups(kernel, batch_format="pyarrow")
+    return untagged.sort("bucket").map_batches(
+        triples, batch_format="pyarrow", batch_size=None
+    )
 
 
 def _untagged(batch: pa.Table) -> pa.Table:
@@ -82,6 +97,53 @@ def _untagged(batch: pa.Table) -> pa.Table:
     if schema.TAG not in batch.column_names:
         return batch
     return batch.filter(pc.is_null(batch[schema.TAG])).drop_columns([schema.TAG])
+
+
+def file_order(table: pa.Table) -> pa.Table:
+    """``table`` sorted by every column, in column order: with ``bucket``
+    first, the order of the bucket files."""
+    return table.sort_by([(c, "ascending") for c in table.column_names])
+
+
+def conversation_kernel(walk):
+    """Block kernel of a per-conversation ``walk`` (rows -> triples): the
+    walk's triples of the block, each row with its conversation's bucket,
+    in file order (:func:`file_order`)."""
+
+    def block_kernel(block: pa.Table) -> pa.Table:
+        triples = walk(block)
+        enc = block["conv_id"].combine_chunks().dictionary_encode()
+        bucket_of = np.empty(len(enc.dictionary), np.int32)
+        bucket_of[enc.indices.to_numpy()] = block["bucket"].to_numpy()
+        at = pc.index_in(triples["conv_id"], value_set=enc.dictionary).to_numpy()
+        return file_order(triples.add_column(0, "bucket", pa.array(bucket_of[at], pa.int32())))
+
+    return block_kernel
+
+
+#: the DictionaryRef of the dictionary file a job read last, keyed by the
+#: file's sha256 and the Ray session and job that put it (an object ref
+#: does not outlive them)
+_DICTIONARY_REF: dict = {}
+
+
+def dictionary_ref(path: str) -> DictionaryRef:
+    """The :class:`DictionaryRef` of a dictionary file: loaded and put once
+    per file content and Ray session, so a later job of the session
+    neither re-reads the rows nor re-puts them."""
+    from ..state.checkpoint import content_sha256
+
+    if not ray.is_initialized():
+        # no session to key on yet; the ray.put starts one
+        return DictionaryRef(load_dictionary_rows(path))
+    ctx = ray.get_runtime_context()
+    key = (content_sha256(path), ctx.get_node_id(), ctx.get_job_id())
+    ref = _DICTIONARY_REF.get(key)
+    if ref is None:
+        ref = DictionaryRef(load_dictionary_rows(path))
+        _DICTIONARY_REF.clear()
+        _DICTIONARY_REF[key] = ref
+    return ref
 
 
 def bucketed_extraction(
@@ -99,16 +161,24 @@ def bucketed_extraction(
     answer_format: str = "structured-text",
     prompt_template=None,
     skip_buckets=(),
+    gold: dict | None = None,
 ):
     """``(rows, kernel)`` of one extractor: a lazy Dataset whose rows carry
-    the job-bucket column, and the kernel that turns one bucket's rows
-    (without that column) into triples.  Rows of ``skip_buckets`` are
-    dropped right after bucketing, so they cost no extraction.
+    the job-bucket column, and the block kernel that turns a block of
+    whole buckets into their triples, with ``bucket``, in file order.
+    Rows of ``skip_buckets`` are dropped right after bucketing, so they
+    cost no extraction.
 
     validate="quarantine" (default) keeps the gazetteer and llm paths'
     invalid turns as rows tagged QUARANTINED in ``schema.TAG`` (null on
     the rows the kernel takes); "strict" raises on one, None checks
     nothing.  The answers path never validates.
+
+    ``gold`` (``{gate: path}``) adds the gold rows of each gate
+    (``evaluate.gold_rows``), bucketed and filtered the same way; every
+    source is then conformed to one schema (the extractor's rows plus
+    ``evaluate.EVAL_SCHEMA``) before the one union, so the union never
+    has to unify two and each source's maps fuse into its read.
 
     extractor="gazetteer": broadcast-dictionary mention detection (the
     production path; dictionary_path or dict_rows required).
@@ -123,7 +193,7 @@ def bucketed_extraction(
     with only ~2 buckets/core the largest bucket straggles its kernel
     (measured 0-477k rows across 64 buckets at 12M turns — a 5.9s tail
     vs 2.6s mean task); ~8/core smooths the tail.  ``run_kg_job``
-    passes its own bucket count, so its bucket files are its groups.
+    passes its own bucket count, so its bucket files are its buckets.
     """
     if n_buckets is None:
         n_buckets = auto_n_buckets()
@@ -133,6 +203,24 @@ def bucketed_extraction(
 
     def bucketed(ds: ray.data.Dataset) -> ray.data.Dataset:
         return bucketed_rows(ds, n_buckets, skip_buckets)
+
+    def exchanged(*sources: ray.data.Dataset) -> ray.data.Dataset:
+        if gold:
+            from .evaluate import EVAL_SCHEMA, gold_rows
+
+            fields = row_schema(extractor)
+            both = pa.schema(
+                list(fields) + [f for f in EVAL_SCHEMA if f.name not in fields.names]
+            )
+
+            def conform(batch: pa.Table) -> pa.Table:
+                return conform_batch(batch, both)
+
+            sources = [
+                ds.map_batches(conform, batch_format="pyarrow")
+                for ds in (*sources, *(bucketed(gold_rows(g, p)) for g, p in gold.items()))
+            ]
+        return sources[0].union(*sources[1:]) if len(sources) > 1 else sources[0]
 
     def transcripts(columns=None) -> ray.data.Dataset:
         ds = transcripts_ds
@@ -152,7 +240,8 @@ def bucketed_extraction(
             )
         else:
             tds = read_transcripts(transcripts_path, columns=_ROLE_COLUMNS)
-        return bucketed(tds.union(answers_as_rows(answers_path))), parse_answer_group
+        rows = exchanged(bucketed(tds), bucketed(answers_as_rows(answers_path)))
+        return rows, conversation_kernel(parse_answer_group)
 
     if extractor == "llm":
         if chat_fn_factory is None:
@@ -166,15 +255,16 @@ def bucketed_extraction(
         rows = transcripts(_ROLE_COLUMNS)
         if quarantine:
             rows = validate_transcripts(rows, mode="tag")
-        return bucketed(rows), kernel
+        return exchanged(bucketed(rows)), conversation_kernel(kernel)
 
     if extractor != "gazetteer":
         raise ValueError(f"unknown extractor {extractor!r}")
-    if dict_rows is None:
-        if dictionary_path is None:
-            raise ValueError("dictionary_path or dict_rows required")
-        dict_rows = load_dictionary_rows(dictionary_path)
-    dict_ref = DictionaryRef(dict_rows)
+    if dict_rows is not None:
+        dict_ref = DictionaryRef(dict_rows)
+    elif dictionary_path is not None:
+        dict_ref = dictionary_ref(dictionary_path)
+    else:
+        raise ValueError("dictionary_path or dict_rows required")
     # elastic stateless tasks over whole read blocks (the read is already
     # sized by sources.transcripts.auto_num_blocks); the matcher is cached
     # per worker process by the dictionary's content, across jobs
@@ -182,7 +272,7 @@ def bucketed_extraction(
         make_mention_detector(dict_ref, quarantine=quarantine),
         batch_format="pyarrow",
     )
-    return mentions, make_conversation_assembler(dict_ref)
+    return exchanged(mentions), make_conversation_assembler(dict_ref)
 
 
 def make_llm_bucket_extractor(
@@ -192,12 +282,14 @@ def make_llm_bucket_extractor(
     answer_format: str = "structured-text",
     prompt_template=None,
 ):
-    """Per-bucket kernel of the llm extractor (reference main flow: SAD ->
-    chat-model recognizer -> entities, NamedEntityRecognizer.java:57-81).
+    """Per-conversation walk of the llm extractor (reference main flow:
+    SAD -> chat-model recognizer -> entities,
+    NamedEntityRecognizer.java:57-81); :func:`conversation_kernel` makes
+    it the extractor's block kernel.
 
     LLM extraction needs every turn's text per conversation, so full
     rows enter the exchange — inherent to the operator, and the reason
-    the gazetteer path is the default at scale.  Each bucket builds the
+    the gazetteer path is the default at scale.  Each block builds the
     chat backend ONCE via ``chat_fn_factory()`` (e.g. ``lambda:
     ChatModelFactory.with_provider(...).build()``) and walks its
     conversations; parse failures repair-retry once and then dead-letter
@@ -299,43 +391,23 @@ def row_schema(extractor: str) -> pa.Schema:
     return pa.schema(fields)
 
 
-def with_gold_rows(
-    rows: ray.data.Dataset, row_fields: pa.Schema, gates: dict, n_buckets: int, skip_buckets=()
-) -> ray.data.Dataset:
-    """``rows`` plus the gold rows of every gate (``{gate: path}``), bucketed
-    and filtered the same way.  Both sides are conformed to one schema
-    (``row_fields`` + ``evaluate.EVAL_SCHEMA``), so the union never has to
-    unify two."""
-    from .evaluate import EVAL_SCHEMA, gold_rows
-
-    both = pa.schema(
-        list(row_fields) + [f for f in EVAL_SCHEMA if f.name not in row_fields.names]
-    )
-
-    def conform(batch: pa.Table) -> pa.Table:
-        return conform_batch(batch, both)
-
-    out = rows.map_batches(conform, batch_format="pyarrow")
-    for gate, path in gates.items():
-        gold = bucketed_rows(gold_rows(gate, path), n_buckets, skip_buckets)
-        out = out.union(gold.map_batches(conform, batch_format="pyarrow"))
-    return out
-
-
 def conversation_nodes(triples: pa.Table) -> pa.Table:
-    """The conversation nodes of ``triples``: one per distinct
-    ``mentionedIn`` object."""
-    convs = pc.unique(triples.filter(pc.equal(triples["pred"], "mentionedIn"))["obj"])
-    n = len(convs)
-    return pa.table(
+    """The conversation nodes of bucketed ``triples``: one per distinct
+    ``mentionedIn`` object, with its bucket, in file order."""
+    mentioned = triples.filter(pc.equal(triples["pred"], "mentionedIn"))
+    convs = mentioned.group_by(["bucket", "obj"]).aggregate([])
+    n = convs.num_rows
+    nodes = pa.table(
         {
-            "node_id": pc.binary_join_element_wise("conv:", convs, ""),
+            "bucket": convs["bucket"],
+            "node_id": pc.binary_join_element_wise("conv:", convs["obj"], ""),
             "kind": pa.repeat(pa.scalar("conversation"), n),
-            "name": convs,
+            "name": convs["obj"],
             "type": pa.repeat(pa.scalar(""), n),
         },
-        schema=schema.NODES,
+        schema=schema.bucketed(schema.NODES),
     )
+    return file_order(nodes)
 
 
 def entity_nodes(pairs: pa.Table) -> pa.Table:
@@ -354,44 +426,74 @@ def entity_nodes(pairs: pa.Table) -> pa.Table:
     )
 
 
+def _by_bucket(table: pa.Table) -> pa.Table:
+    """``table``'s rows ordered by bucket (stable)."""
+    return table.take(np.argsort(table["bucket"].to_numpy(), kind="stable"))
+
+
 def make_job_kernel(kernel, gates):
-    """Per-bucket kernel of ``run_kg_job``, run by the bucket writer.
+    """Block kernel of ``run_kg_job``, run once per exchange block by the
+    bucket writer.
 
     The tagged rows (``schema.TAG``: quarantined turns, gold rows of each
-    gate) are split off first; ``kernel`` sees the untagged rows.  Returns
-    the bucket's triples, its conversation nodes, its quarantined turns
-    (``None``, no file, if none), its distinct ``hasType`` pairs as
-    ``entity_names``/``entity_types`` and, per gate, its ``<gate>_tp``,
-    ``_fp`` and ``_fn`` counted on the non-error triples."""
+    gate) are split off once per block; ``kernel`` sees the untagged
+    rows.  Returns, each with ``bucket`` and in file order, the block's
+    triples, its conversation nodes and its quarantined turns (a bucket
+    without any writes no file); and, one value per bucket of the block
+    (``checkpoint.block_buckets``), its distinct ``hasType`` pairs as
+    ``entity_names``/``entity_types`` lists and, per gate, its
+    ``<gate>_tp``, ``_fp`` and ``_fn`` counted on the bucket's non-error
+    triples."""
+    from ..state.checkpoint import block_buckets, bucket_bounds
     from .evaluate import GATES
 
-    def job_bucket(group: pa.Table) -> dict:
-        out, gold = {}, {}
-        if schema.TAG in group.column_names:
-            tags = group[schema.TAG]
-            quarantine = group.filter(pc.equal(tags, QUARANTINED))
-            quarantine = quarantine.select(schema.QUARANTINE.names).cast(schema.QUARANTINE)
-            out["quarantine"] = quarantine if quarantine.num_rows else None
+    quarantine_schema = schema.bucketed(schema.QUARANTINE)
+
+    def job_block(block: pa.Table) -> dict:
+        buckets = block_buckets(block)
+        quarantine, gold = quarantine_schema.empty_table(), {}
+        if schema.TAG in block.column_names:
+            tags = block[schema.TAG]
+            quarantine = block.filter(pc.equal(tags, QUARANTINED))
+            quarantine = quarantine.select(quarantine_schema.names).cast(quarantine_schema)
             gold = {
-                g: group.filter(pc.equal(tags, g)).select(schema.TRIPLES.names) for g in gates
+                g: _by_bucket(
+                    block.filter(pc.equal(tags, g)).select(schema.BUCKETED_TRIPLES.names)
+                )
+                for g in gates
             }
-            group = group.filter(pc.is_null(tags)).drop_columns([schema.TAG])
-        triples = kernel(group) if group.num_rows else schema.TRIPLES.empty_table()
-        ok = triples.filter(pc.not_equal(triples["pred"], "__error__"))
+            block = block.filter(pc.is_null(tags)).drop_columns([schema.TAG])
+        triples = kernel(block) if block.num_rows else schema.BUCKETED_TRIPLES.empty_table()
+        errors = pc.equal(triples["pred"], "__error__")
+        ok = triples.filter(pc.invert(errors)) if pc.any(errors).as_py() else triples
         types = ok.filter(pc.equal(ok["pred"], "hasType"))
-        pairs = types.group_by(["subj", "obj"]).aggregate([])
-        out.update(
-            triples=triples,
-            nodes=conversation_nodes(ok),
-            entity_names=pairs["subj"].combine_chunks(),
-            entity_types=pairs["obj"].combine_chunks(),
-        )
+        pairs = _by_bucket(types.group_by(["bucket", "subj", "obj"]).aggregate([]))
+        offsets = np.append(bucket_bounds(pairs, buckets)[0], pairs.num_rows)
+        offsets = pa.array(offsets, pa.int32())
+        out = {
+            "triples": triples,
+            "nodes": conversation_nodes(ok),
+            "quarantine": file_order(quarantine),
+            "entity_names": pa.ListArray.from_arrays(offsets, pairs["subj"].combine_chunks()),
+            "entity_types": pa.ListArray.from_arrays(offsets, pairs["obj"].combine_chunks()),
+        }
+        starts, ends = bucket_bounds(ok, buckets)
+        ok = ok.drop_columns(["bucket"])
         for g in gates:
-            tp, fp, fn = GATES[g](ok, gold[g])
-            out.update({f"{g}_tp": tp, f"{g}_fp": fp, f"{g}_fn": fn})
+            g_starts, g_ends = bucket_bounds(gold[g], buckets)
+            g_rows = gold[g].drop_columns(["bucket"])
+            counts = np.array(
+                [
+                    GATES[g](ok.slice(s, e - s), g_rows.slice(gs, ge - gs))
+                    for s, e, gs, ge in zip(starts, ends, g_starts, g_ends)
+                ],
+                np.int64,
+            ).reshape(-1, 3)
+            for k, col in zip(("tp", "fp", "fn"), counts.T):
+                out[f"{g}_{k}"] = pa.array(col, pa.int64())
         return out
 
-    return job_bucket
+    return job_block
 
 
 def run_kg_job(
@@ -414,9 +516,10 @@ def run_kg_job(
     """Checkpointed KG job: triples + nodes + quarantine + dead-letter,
     resumable per bucket, from one read of the transcripts.
 
-    Stage "triples": one exchange keyed by the job bucket.  Each bucket's
-    extraction kernel runs inside the writer (:func:`make_job_kernel`),
-    which writes the bucket's triples, its conversation nodes
+    Stage "triples": one exchange, a sort by the job bucket.  The
+    extraction kernel runs once per exchange block inside the writer
+    (:func:`make_job_kernel`), which writes each bucket's triples, its
+    conversation nodes
     (``nodes/bucket=b``) and, on the gazetteer and llm paths, its turns
     that fail the SAD format rule (``quarantine/bucket=b``, if any) to
     temp dirs, and counts its tp/fp/fn for each evaluation gate
@@ -528,22 +631,30 @@ def run_kg_job(
             transcripts_ds=transcripts_ds,
             n_buckets=n_buckets,
             skip_buckets=done,
+            gold=gates,
         )
-        if gates:
-            bucket_rows = with_gold_rows(
-                bucket_rows, row_schema(extractor), gates, n_buckets, done
-            )
-        # The one exchange: each bucket group is extracted, counted and
-        # written to temp dirs by the worker holding it.  This process only
-        # handles summary rows — renames + manifest marks, never triple
-        # data (at 100 TB the edge table is TBs; the round-1
+        # The one exchange: each block of whole buckets is extracted,
+        # counted and written to temp dirs by the worker holding it.  This
+        # process only handles summary rows — renames + manifest marks,
+        # never triple data (at 100 TB the edge table is TBs; the round-1
         # ray.get+concat path OOMs).
-        writes = bucket_rows.groupby("bucket").map_groups(
-            make_bucket_writer(out_root, "triples", make_job_kernel(kernel, gates)),
+        writes = bucket_rows.sort("bucket").map_batches(
+            make_bucket_writer(
+                out_root, "triples", make_job_kernel(kernel, gates), sparse=("quarantine",)
+            ),
             batch_format="pyarrow",
+            batch_size=None,
         )
         # a job without a single exchanged row yields no summary rows
-        summary = {int(r["bucket"]): r for r in writes.take_all()}
+        summary = {}
+        for r in writes.take_all():
+            b = int(r["bucket"])
+            if b in summary:
+                raise RuntimeError(
+                    f"bucket {b} left the exchange in two blocks; its outputs would "
+                    "be written twice"
+                )
+            summary[b] = r
         for b in todo:
             row = summary.get(b)
             if row is None:

@@ -57,6 +57,16 @@ TRIPLES = pa.schema(
     ]
 )
 
+
+def bucketed(table_schema: pa.Schema) -> pa.Schema:
+    """``table_schema`` behind a leading job-bucket column: the schema of a
+    block kernel's table (a bucket's file drops the column)."""
+    return pa.schema([pa.field("bucket", pa.int32()), *table_schema])
+
+
+#: a block kernel's triples: each row's job bucket, then the triple
+BUCKETED_TRIPLES = bucketed(TRIPLES)
+
 NODES = pa.schema(
     [
         ("node_id", pa.string()),

@@ -179,12 +179,12 @@ def triples_table(rows: list[dict]) -> pa.Table:
 
 
 def make_conversation_assembler(dict_ref):
-    """Bucket-group ``map_groups`` kernel: each group holds MANY
-    conversations (one conv-hash bucket); the kernel sorts by
-    (conv_id, turn_idx, pos) and processes conversation runs — Ray-level
-    group dispatch stays O(buckets).  The numpy kernel
-    :func:`_assemble_vectorized` is checked table-identical against a
-    per-conversation Python walk in tests/test_assemble_vector.py."""
+    """Block kernel of the gazetteer path: a block holds whole job buckets,
+    each of MANY conversations, in any row order, and the kernel returns
+    their triples with each row's ``bucket``, in the bucket files' order
+    (:func:`_assemble_vectorized`).  Ray-level dispatch stays O(blocks).
+    The numpy kernel is checked against a per-conversation Python walk
+    plus an Arrow sort in tests/test_assemble_vector.py."""
 
     def assemble_vector(group: pa.Table) -> pa.Table:
         matcher = matcher_from_ref(dict_ref)
@@ -193,10 +193,16 @@ def make_conversation_assembler(dict_ref):
     return assemble_vector
 
 
+def _dense_rank(arr: pa.Array) -> np.ndarray:
+    """0-based rank of each string of ``arr`` in Arrow's sort order; equal
+    strings share a rank."""
+    return _pc.rank(arr, "ascending", tiebreaker="dense").to_numpy().astype(np.int64) - 1
+
+
 def _matcher_lookup_arrays(matcher):
     """Per-matcher cached code-indexed lookup arrays (built once per
-    worker): Arrow name/type pools, flattened sorted interface names
-    with per-code offsets."""
+    worker): Arrow name/type pools with their dense ranks, flattened
+    sorted interface names (and their ranks) with per-code offsets."""
     cache = getattr(matcher, "_vec_lookup", None)
     if cache is None:
         by_id = matcher.by_id
@@ -212,47 +218,97 @@ def _matcher_lookup_arrays(matcher):
         if_counts = np.array([len(l) for l in if_lists], dtype=np.int64)
         if_starts = np.cumsum(if_counts) - if_counts
         if_flat_pa = pa.array([nm for l in if_lists for nm in l], pa.string())
-        cache = (names_pa, types_pa, if_counts, if_starts, if_flat_pa)
+        cache = (
+            (names_pa, _dense_rank(names_pa)),
+            (types_pa, _dense_rank(types_pa)),
+            (if_flat_pa, _dense_rank(if_flat_pa)),
+            if_counts,
+            if_starts,
+        )
         matcher._vec_lookup = cache
     return cache
 
 
+#: the predicates in byte order, so a predicate's index is its rank in the
+#: bucket files' order
+_PREDS = pa.array(["hasInterface", "hasType", "mentionedIn", "occursIn"], pa.string())
+_HAS_INTERFACE, _HAS_TYPE, _MENTIONED_IN, _OCCURS_IN = range(4)
+
+
+def _sort_order(keys) -> np.ndarray:
+    """Permutation that sorts rows by ``keys``, most significant first:
+    ``(values, bound)`` pairs of non-negative int64 arrays with
+    ``values < bound``.  Rows with equal keys come in any order, so every
+    caller's keys tell apart all rows that differ.  Keys are packed,
+    mixed-radix, into as few int64 words as hold them: one word takes
+    one ``np.argsort``, more take ``np.lexsort``."""
+    words, word, span = [], None, 1
+    for values, bound in keys:
+        if word is not None and span * bound < 2**63:
+            word, span = word * bound + values, span * bound
+        else:
+            if word is not None:
+                words.append(word)
+            word, span = values.astype(np.int64, copy=False), bound
+    words.append(word)
+    return np.argsort(word) if len(words) == 1 else np.lexsort(words[::-1])
+
+
+def _offset(values: np.ndarray) -> tuple:
+    """``values`` as a :func:`_sort_order` key: shifted to start at 0."""
+    low = int(values.min()) if len(values) else 0
+    return values - low, (int(values.max()) - low + 1 if len(values) else 1)
+
+
 def _assemble_vectorized(group: pa.Table, matcher) -> pa.Table:
     """Numpy twin of the per-conversation walk (``_assemble_one`` in
-    tests/test_assemble_vector.py, the semantics oracle) over a whole
-    bucket.
+    tests/test_assemble_vector.py, the semantics oracle) over a block of
+    whole buckets; returns :data:`schema.BUCKETED_TRIPLES` in file order.
 
     Anaphora resolution without the row loop: rows sorted by
-    (conv, turn, pos); per (conv, turn) group take the LAST direct
-    row's index (``np.maximum.reduceat``), running-max it across turn
-    groups shifted by one turn (``pending_direct`` promotes only at a
-    turn boundary), and validate the candidate
-    belongs to the same conversation (row indices grow monotonically,
-    so a leaked index from an earlier conversation fails the
-    conv-equality check exactly when the reference walk would have had
-    ``last_direct is None``).
-    """
-    import pandas as pd
+    (conv, turn, pos, eid code); per (conv, turn) group take the LAST
+    direct row's index (``np.maximum.reduceat``), running-max it across
+    turn groups shifted by one turn (``pending_direct`` promotes only at
+    a turn boundary), and validate the candidate belongs to the same
+    conversation (row indices grow monotonically, so a leaked index from
+    an earlier conversation fails the conv-equality check exactly when
+    the reference walk would have had ``last_direct is None``).
 
-    # eid_code tiebreak: two entities CAN match at the same (turn, pos)
-    # (equal-span ambiguous surfaces); without it their first-appearance
-    # order — and hence output row order — would depend on partition
-    # layout, breaking byte-identical resume
-    group = group.sort_by(
-        [("conv_id", "ascending"), ("turn_idx", "ascending"),
-         ("pos", "ascending"), ("eid_code", "ascending")]
-    )
+    File order, ``(bucket, subj, pred, obj, conv_id, turn_idx,
+    ref_type)`` as an Arrow sort puts it, comes from one sort of integer
+    keys (:func:`_sort_order`): the conversation's bucket; dense ranks of
+    the name, type and interface pools (cached per matcher); the
+    predicate's rank; the rank of the block's conv ids; the rank of the
+    ``conv#turn`` strings themselves (``"c#10" < "c#9"``, and a conv id
+    may hold bytes below ``#``); DIRECT < INDIRECT < null.  ``turn_idx``
+    needs no key: it is null off ``occursIn``, and on ``occursIn`` the
+    object ``conv#turn`` determines it.
+    """
     n = group.num_rows
     if n == 0:
-        return schema.TRIPLES.empty_table()
+        return schema.BUCKETED_TRIPLES.empty_table()
 
-    conv_codes, conv_uniq = pd.factorize(
-        group["conv_id"].to_pandas(), sort=False
+    enc = group["conv_id"].combine_chunks().dictionary_encode()
+    convs = enc.dictionary
+    conv_raw = enc.indices.to_numpy().astype(np.int64)
+    eid_raw = group["eid_code"].to_numpy().astype(np.int64, copy=False)
+    turn_raw = group["turn_idx"].to_numpy().astype(np.int64, copy=False)
+    pos_raw = group["pos"].to_numpy().astype(np.int64, copy=False)
+    pron_raw = group["is_pronoun"].to_numpy(zero_copy_only=False).astype(bool, copy=False)
+    conv_bucket = np.empty(len(convs), np.int64)
+    conv_bucket[conv_raw] = group["bucket"].to_numpy()
+    # eid_code tiebreak: two entities CAN match at the same (turn, pos)
+    # (equal-span ambiguous surfaces); the walk takes the last of them
+    order = _sort_order(
+        [
+            (conv_raw, len(convs)),
+            *(_offset(v) for v in (turn_raw, pos_raw, eid_raw)),
+            (pron_raw, 2),
+        ]
     )
-    conv_uniq = np.asarray(conv_uniq, dtype=object)
-    eid_codes = group["eid_code"].to_numpy().astype(np.int64, copy=False)
-    turn = group["turn_idx"].to_numpy().astype(np.int64, copy=False)
-    pron = group["is_pronoun"].to_numpy(zero_copy_only=False).astype(bool, copy=False)
+    conv_codes, eid_codes, turn, pron = (
+        conv_raw[order], eid_raw[order], turn_raw[order], pron_raw[order]
+    )
     idx = np.arange(n, dtype=np.int64)
 
     # ---- anaphora: last DIRECT entity of earlier turns, same conv ----
@@ -283,7 +339,7 @@ def _assemble_vectorized(group: pa.Table, matcher) -> pa.Table:
     orf = np.concatenate(
         [np.zeros(len(d_rows), np.int8), np.ones(len(pron_rows), np.int8)]
     )
-    order_occ = np.lexsort((orf, ot, oe, oc))
+    order_occ = _sort_order([(oc, len(convs)), _offset(oe), _offset(ot), (orf, 2)])
     oc, oe, ot, orf = oc[order_occ], oe[order_occ], ot[order_occ], orf[order_occ]
     keep = np.empty(len(oc), dtype=bool)
     if len(oc):
@@ -296,119 +352,85 @@ def _assemble_vectorized(group: pa.Table, matcher) -> pa.Table:
         )
     oc, oe, ot, orf = oc[keep], oe[keep], ot[keep], orf[keep]
 
-    # ---- first-appearance rank of each (conv, entity) pair ----
-    dc, de = conv_codes[d_rows], eid_codes[d_rows]
-    M = np.int64(max(len(matcher.eids), int(eid_codes.max()) + 1 if n else 1) + 1)
-    pair_key_all = dc.astype(np.int64) * M + de
-    first_pair = ~pd.Series(pair_key_all).duplicated().to_numpy()
-    fc, fe = dc[first_pair], de[first_pair]
-    # rows are conv-sorted and index-ascending, so fc is non-decreasing
-    # and within-conv order IS first-appearance order
-    n_pairs = len(fc)
-    conv_first = np.empty(n_pairs, dtype=bool)
-    if n_pairs:
-        conv_first[0] = True
-        conv_first[1:] = fc[1:] != fc[:-1]
-    seg_start = np.maximum.accumulate(
-        np.where(conv_first, np.arange(n_pairs, dtype=np.int64), 0)
+    # ---- emitted rows ----
+    # Codes outside the dictionary (possible only for hand-built mention
+    # tables) are skipped like the Python walk skips eids missing from
+    # by_id.  Strings stay in Arrow pools: every column below is a
+    # pa.Array.take over a small pool with int code arrays.
+    (names_pa, name_rank), (types_pa, type_rank), (if_flat_pa, if_rank), if_counts, if_starts = (
+        _matcher_lookup_arrays(matcher)
     )
-    rank = np.arange(n_pairs, dtype=np.int64) - seg_start
-    pair_key = fc.astype(np.int64) * M + fe
-    key_order = np.argsort(pair_key, kind="stable")
-    sorted_keys = pair_key[key_order]
-    sorted_rank = rank[key_order]
-
-    def rank_of(c, e):
-        pos = np.searchsorted(sorted_keys, c.astype(np.int64) * M + e)
-        return sorted_rank[pos]
-
-    # ---- dictionary lookups (eid code -> name/type/interfaces) ----
-    # Strings stay in Arrow pools; every large column below is built by
-    # pa.Array.take over small pools with int code arrays — no Python
-    # objects travel through the hot path (the first version used
-    # object-dtype np arrays and was no faster than the row loop).
-    # Pools are code-indexed and cached per matcher (built once per
-    # worker, _matcher_lookup_arrays).
-    names_pa, types_pa, if_counts, if_starts, if_flat_pa = _matcher_lookup_arrays(
-        matcher
-    )
-    n_known = len(matcher.eids)
-    conv_pa = pa.array(conv_uniq, pa.string())
-
-    # emission-filtered views (codes outside the dictionary — possible
-    # only for hand-built mention tables — are skipped like the Python
-    # walk skips eids missing from by_id)
-    pe_keep = (fe >= 0) & (fe < n_known)
-    pc_, pe = fc[pe_keep], fe[pe_keep]
-    oc_keep = (oe >= 0) & (oe < n_known)
-    oc2, oe2, ot2, orf2 = oc[oc_keep], oe[oc_keep], ot[oc_keep], orf[oc_keep]
-    # interface rows: one per (pair, iface)
+    n_known = max(len(matcher.eids), 1)
+    # distinct (conv, entity) pairs of DIRECT rows: one hasType, one
+    # mentionedIn and the hasInterface rows each
+    de = eid_codes[d_rows]
+    known = (de >= 0) & (de < len(matcher.eids))
+    pairs = np.unique(conv_codes[d_rows][known] * n_known + de[known])
+    pc_, pe = pairs // n_known, pairs % n_known
+    known = (oe >= 0) & (oe < len(matcher.eids))
+    oc, oe, ot, orf = oc[known], oe[known], ot[known], orf[known]
     pif_counts = if_counts[pe]
     ic = np.repeat(pc_, pif_counts)
     ie = np.repeat(pe, pif_counts)
-    ipos = _ranges(pif_counts)
-    if_take = np.repeat(if_starts[pe], pif_counts) + ipos
+    if_take = np.repeat(if_starts[pe], pif_counts) + _ranges(pif_counts)
 
-    # ---- build all rows + one global ordering sort ----
-    np_ = len(pc_)
-    no = len(oc2)
-    ni = len(ic)
-    k_conv = np.concatenate([pc_, pc_, oc2, ic])
-    k_rank = np.concatenate([rank_of(pc_, pe)] * 2 + [rank_of(oc2, oe2), rank_of(ic, ie)])
-    k_kind = np.concatenate(
-        [
-            np.zeros(np_, np.int8),
-            np.full(np_, 1, np.int8),
-            np.full(no, 2, np.int8),
-            np.full(ni, 3, np.int8),
-        ]
-    )
-    zero_p = np.zeros(np_, np.int64)
-    k_turn = np.concatenate([zero_p, zero_p, ot2, np.zeros(ni, np.int64)])
-    k_ref = np.concatenate(
-        [np.zeros(np_, np.int8), np.zeros(np_, np.int8), orf2, np.zeros(ni, np.int8)]
-    )
-    k_pos = np.concatenate([zero_p, zero_p, np.zeros(no, np.int64), ipos])
-    final = np.lexsort((k_pos, k_ref, k_turn, k_kind, k_rank, k_conv))
-    final_pa = pa.array(final, pa.int64())
-
-    occ_obj = _pc.binary_join_element_wise(
-        conv_pa.take(pa.array(oc2, pa.int64())),
-        _pc.cast(pa.array(ot2, pa.int64()), pa.string()),
+    # occursIn objects: one "conv#turn" string per distinct (conv, turn)
+    t0 = int(ot.min()) if len(ot) else 0
+    span = int(ot.max()) - t0 + 1 if len(ot) else 1
+    ct, occ_of = np.unique(oc * span + (ot - t0), return_inverse=True)
+    occ_pool = _pc.binary_join_element_wise(
+        convs.take(pa.array(ct // span)),
+        _pc.cast(pa.array(ct % span + t0), pa.string()),
         "#",
     )
+    occ_rank = _dense_rank(occ_pool)[occ_of]
 
-    subj_codes = np.concatenate([pe, pe, oe2, ie])
-    subj_col = names_pa.take(pa.array(subj_codes, pa.int64())).take(final_pa)
-    pred_col = pa.array(
-        ["hasType", "mentionedIn", "occursIn", "hasInterface"], pa.string()
-    ).take(pa.array(k_kind[final].astype(np.int64)))
+    n_p, n_o, n_i = len(pe), len(oe), len(ie)
+    kind = np.repeat(
+        np.array([_HAS_TYPE, _MENTIONED_IN, _OCCURS_IN, _HAS_INTERFACE], np.int64),
+        [n_p, n_p, n_o, n_i],
+    )
+    subj = np.concatenate([pe, pe, oe, ie])
+    conv = np.concatenate([pc_, pc_, oc, ic])
+    conv_rank = _dense_rank(convs)
+    obj_rank = np.concatenate([type_rank[pe], conv_rank[pc_], occ_rank, if_rank[if_take]])
+    # DIRECT, INDIRECT, then null (the rows that are not occursIn)
+    ref = np.concatenate([np.full(2 * n_p, 2), orf, np.full(n_i, 2)])
+    final = _sort_order(
+        [
+            (conv_bucket[conv], int(conv_bucket.max()) + 1),
+            (name_rank[subj], max(len(name_rank), 1)),
+            (kind, len(_PREDS)),
+            (obj_rank, int(obj_rank.max()) + 1 if len(obj_rank) else 1),
+            (conv_rank[conv], len(convs)),
+            (ref, 3),
+        ]
+    )
+    final_pa = pa.array(final)
+    kind, conv, ref = kind[final], conv[final], ref[final]
+    is_occ = kind == _OCCURS_IN
+    turns = np.concatenate([np.zeros(2 * n_p, np.int64), ot, np.zeros(n_i, np.int64)])[final]
     obj_col = _pa_concat(
         [
-            types_pa.take(pa.array(pe, pa.int64())),
-            conv_pa.take(pa.array(pc_, pa.int64())),
-            occ_obj,
-            if_flat_pa.take(pa.array(if_take, pa.int64())),
+            types_pa.take(pa.array(pe)),
+            convs.take(pa.array(pc_)),
+            occ_pool.take(pa.array(occ_of)),
+            if_flat_pa.take(pa.array(if_take)),
         ]
     ).take(final_pa)
-    conv_col = conv_pa.take(pa.array(k_conv[final], pa.int64()))
-    turn_sorted = k_turn[final]
-    is_occ = k_kind[final] == 2
-    ref_col = pa.array([None, "DIRECT", "INDIRECT"], pa.string()).take(
-        pa.array(np.where(is_occ, k_ref[final].astype(np.int64) + 1, 0))
-    )
     return pa.table(
         {
-            "subj": subj_col,
-            "pred": pred_col,
+            "bucket": pa.array(conv_bucket[conv], pa.int32()),
+            "subj": names_pa.take(pa.array(subj[final])),
+            "pred": _PREDS.take(pa.array(kind)),
             "obj": obj_col,
-            "conv_id": conv_col,
-            "turn_idx": pa.array(
-                np.where(is_occ, turn_sorted, -1), pa.int32(), mask=~is_occ
+            "conv_id": convs.take(pa.array(conv)),
+            "turn_idx": pa.array(turns, pa.int32(), mask=~is_occ),
+            "ref_type": pa.array(["DIRECT", "INDIRECT", None], pa.string()).take(
+                pa.array(ref)
             ),
-            "ref_type": ref_col,
         },
-        schema=schema.TRIPLES,
+        schema=schema.BUCKETED_TRIPLES,
     )
 
 

@@ -190,77 +190,86 @@ def finalize_bucket(root: str, stage: str, bucket: int, tmp: str, rows: int) -> 
     return rows
 
 
-def make_bucket_writer(root: str, stage: str, kernel):
-    """``map_groups`` kernel factory for DISTRIBUTED per-bucket writes.
+def block_buckets(block) -> "np.ndarray":
+    """The distinct job buckets of a block's rows, ascending."""
+    import numpy as np
 
-    Each group is one bucket: the writer takes its id from the group's
-    ``bucket`` column, runs ``kernel`` over the group's rows (without
-    that column) and writes the result from the WORKER that holds it —
-    the driver never sees triple data, only the (bucket, rows, errors,
-    tmp_path) summary rows (the round-1 driver-side
+    return np.unique(block["bucket"].to_numpy())
+
+
+def bucket_bounds(table, buckets) -> tuple:
+    """``(starts, ends)``: the rows of each of ``buckets`` in ``table``,
+    whose ``bucket`` column must be ascending (each bucket contiguous)."""
+    import numpy as np
+
+    col = table["bucket"].to_numpy()
+    if len(col) > 1 and (col[1:] < col[:-1]).any():
+        raise ValueError("a block kernel's table is not ordered by bucket")
+    return np.searchsorted(col, buckets, "left"), np.searchsorted(col, buckets, "right")
+
+
+def make_bucket_writer(root: str, stage: str, kernel, sparse=()):
+    """``map_batches`` kernel factory (``batch_size=None``) for
+    DISTRIBUTED per-bucket writes after ``sort("bucket")``.
+
+    Each block holds whole buckets: the writer runs ``kernel`` once over
+    the block and writes each bucket's outputs from the WORKER that
+    holds them — the driver never sees triple data, only one summary row
+    per bucket of the block (the round-1 driver-side
     ``ray.get(to_arrow_refs) + concat + write_table`` path OOMs the
     driver once the edge table is TBs).  Writes land in a dot-prefixed
     temp dir under the stage dir; the driver renames them into place
     (``finalize_bucket``) before marking the manifest, so a crash
-    mid-write never yields a half-complete marked bucket.  Rows are
-    sorted by all non-nested columns first → bucket files are
-    deterministic under any parallelism.
+    mid-write never yields a half-complete marked bucket.
 
-    ``kernel`` returns a dict that holds the bucket's table of ``stage``
-    under the key ``stage`` beside more outputs of the same bucket.
-    Every other table in the dict is sorted and written the same way,
-    into a temp dir under its own stage dir (the key), and comes back as
-    ``<key>_rows`` and ``<key>_tmp``; ``None`` is a table that writes no
-    file (0 rows, null temp dir).  Every other value is one more summary
-    column, a ``pa.Array`` as one list value.
+    ``kernel`` returns a dict that holds the block's table of ``stage``
+    under the key ``stage`` beside more outputs of the same buckets.
+    Every table in the dict carries the ``bucket`` column, ascending,
+    and within a bucket its rows are already in file order (sorted by
+    every column), so the bucket files are deterministic under any
+    parallelism and the writer never sorts: it slices each bucket's
+    rows, drops the column and writes them into a temp dir under the
+    table's own stage dir (the key).  A bucket's table comes back as
+    ``<key>_rows`` and ``<key>_tmp`` (``rows``/``tmp`` for ``stage``);
+    a bucket without rows in a table named in ``sparse`` writes no file
+    (null temp dir).  Every other value is one more summary column: an
+    array of one value per bucket of the block (:func:`block_buckets`).
 
     Assumes ``root`` is on storage reachable from every worker (true
     single-node; on a real cluster this is the shared object store /
     DFS output path).
     """
 
-    def write_group(group):
+    def write_block(block):
+        import numpy as np
         import pyarrow as pa
         import pyarrow.compute as pc
 
-        bucket = group["bucket"][0].as_py()
-        out = kernel(group.drop_columns(["bucket"]))
-        tbl = out[stage]
-        errors = 0
-        if "pred" in tbl.column_names and tbl.num_rows:
-            errors = int(
-                pc.sum(pc.equal(tbl["pred"], "__error__").cast(pa.int64())).as_py() or 0
-            )
-        summary = {
-            "bucket": pa.array([bucket], pa.int32()),
-            "errors": pa.array([errors], pa.int64()),
-        }
+        buckets = block_buckets(block)
+        out = kernel(block)
+        summary = {"bucket": pa.array(buckets, pa.int32())}
         for key, value in out.items():
-            if value is None or isinstance(value, pa.Table):
-                prefix = "" if key == stage else f"{key}_"
-                rows, tmp = 0, None
-                if value is not None:
-                    rows, tmp = value.num_rows, _write_sorted_tmp(value, root, key, bucket)
-                summary[prefix + "rows"] = pa.array([rows], pa.int64())
-                summary[prefix + "tmp"] = pa.array([tmp], pa.string())
-            elif isinstance(value, pa.Array):
-                summary[key] = pa.ListArray.from_arrays(
-                    pa.array([0, len(value)], pa.int32()), value
-                )
-            else:
-                summary[key] = pa.array([value])
+            if not isinstance(value, pa.Table):
+                summary[key] = value
+                continue
+            starts, ends = bucket_bounds(value, buckets)
+            rows = value.drop_columns(["bucket"])
+            tmps = [
+                None if s == e and key in sparse
+                else _write_tmp(rows.slice(s, e - s), root, key, b)
+                for b, s, e in zip(buckets.tolist(), starts, ends)
+            ]
+            if key == stage:
+                errors = np.zeros(rows.num_rows + 1, np.int64)
+                if "pred" in rows.column_names:
+                    np.cumsum(pc.equal(rows["pred"], "__error__").to_numpy(), out=errors[1:])
+                summary["errors"] = pa.array(errors[ends] - errors[starts], pa.int64())
+            prefix = "" if key == stage else f"{key}_"
+            summary[prefix + "rows"] = pa.array(ends - starts, pa.int64())
+            summary[prefix + "tmp"] = pa.array(tmps, pa.string())
         return pa.table(summary)
 
-    return write_group
-
-
-def _write_sorted_tmp(tbl, root: str, stage: str, bucket: int) -> str:
-    """Sort ``tbl`` by its non-nested columns and write it into a new temp
-    dir under the stage dir; returns that dir."""
-    import pyarrow as pa
-
-    keys = [(f.name, "ascending") for f in tbl.schema if not pa.types.is_nested(f.type)]
-    return _write_tmp(tbl.sort_by(keys) if keys else tbl, root, stage, bucket)
+    return write_block
 
 
 def _write_tmp(tbl, root: str, stage: str, bucket: int) -> str:

@@ -8413,14 +8413,19 @@ def _s07_write_pass(sf_dir: str, root: str, n_buckets: int) -> int:
         g = batch.groupby(["bucket", "lang"], as_index=False)["n"].sum()
         return g[~g["bucket"].isin(list(done))] if done else g
 
-    def reduce(group: pa.Table) -> dict:
-        df = group.to_pandas().groupby("lang", as_index=False)["n"].sum()
+    def reduce(block: pa.Table) -> dict:
+        df = block.to_pandas().groupby(["bucket", "lang"], as_index=False)["n"].sum()
+        df = df.sort_values(["bucket", "lang", "n"])
         return {"lang_counts": pa.Table.from_pandas(df, preserve_index=False)}
 
     summary = (
         ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("bucket")
-        .map_groups(make_bucket_writer(root, "lang_counts", reduce), batch_format="pyarrow")
+        .sort("bucket")
+        .map_batches(
+            make_bucket_writer(root, "lang_counts", reduce),
+            batch_format="pyarrow",
+            batch_size=None,
+        )
         .to_pandas()
     )
     for row in summary.itertuples():
@@ -8439,7 +8444,7 @@ def s07_resumable_write(sf_dir: str, n_buckets: int = 8):
     run reads the manifest and writes NOTHING — then the bucket files
     read back through Ray and re-aggregate to per-lang totals the
     SQL oracle checks.  Each bucket is written by the worker holding
-    it (distributed map_groups), never through the driver."""
+    it (a distributed block writer), never through the driver."""
     import os as _os
     import shutil
 

@@ -2,11 +2,15 @@
 
 The numpy kernel (stages/extract._assemble_vectorized) re-implements
 the per-conversation walk below (``_assemble_one``: anaphora resolution,
-occurrence-set dedup and emission ordering), which stays here as the
-semantics oracle; these tests compare both byte-for-byte on the real
-fixture corpus and on adversarial random mention tables (pronoun-only
-turns, pronoun-first conversations, duplicate mentions, entities
-missing from the dictionary)."""
+occurrence-set dedup and emission), which stays here as the semantics
+oracle; the kernel emits its rows in the bucket files' order from
+integer codes, so the oracle's rows get their bucket and one Arrow sort
+by every column (:func:`_in_file_order`).  These tests compare both
+byte-for-byte on the real fixture corpus, on adversarial random mention
+tables (pronoun-only turns, pronoun-first conversations, duplicate
+mentions, entities missing from the dictionary), on strings whose
+order the integer keys could get wrong, and through the bucket writer
+over blocks of whole buckets given in any row order."""
 
 import os
 
@@ -150,9 +154,18 @@ def _assemble_python(dict_ref, group: pa.Table) -> pa.Table:
     return out.table()
 
 
+def _in_file_order(triples: pa.Table, mentions: pa.Table) -> pa.Table:
+    """``triples`` with each conversation's bucket (from the mention rows),
+    sorted by every column: the bucket files' order."""
+    bucket_of = dict(zip(mentions["conv_id"].to_pylist(), mentions["bucket"].to_pylist()))
+    buckets = pa.array([bucket_of[c] for c in triples["conv_id"].to_pylist()], pa.int32())
+    out = triples.add_column(0, "bucket", buckets)
+    return out.sort_by([(c, "ascending") for c in out.column_names])
+
+
 def _assemblers(dict_ref):
     return (
-        lambda group: _assemble_python(dict_ref, group),
+        lambda group: _in_file_order(_assemble_python(dict_ref, group), group),
         make_conversation_assembler(dict_ref),
     )
 
@@ -320,3 +333,199 @@ def test_cross_conversation_leak_blocked(ray_session, ref_corpus):
     assert set(out_vec["conv_id"].to_pylist()) == {"a"}
     refs = [r for r in out_vec["ref_type"].to_pylist() if r]
     assert refs == ["DIRECT"]
+
+
+# ------------------------------------------------- file order from integer codes
+
+
+def _entity(eid, name, etype="COMPONENT", interface_of=None):
+    return {"entity_id": eid, "canonical_name": name, "type": etype, "aliases": [],
+            "interface_of": interface_of}
+
+
+#: names, types and interface names whose byte order differs from their
+#: entity ids' order: non-ASCII names, a name two entities share, a name
+#: that is a prefix of another
+_ODD_DICTIONARY = [
+    _entity("e0", "Zeta"),
+    _entity("e1", "Ärger"),
+    _entity("e2", "Ωmega", "CLASS"),
+    _entity("e3", "éclair"),
+    _entity("e4", "Zeta", "CLASS"),
+    _entity("e5", "Zet"),
+    _entity("i0", "Ärger-Port", "INTERFACE", "e1"),
+    _entity("i1", "Aerger-Port", "INTERFACE", "e1"),
+    _entity("i2", "ßPort", "INTERFACE", "e3"),
+]
+
+
+def _mention_table(rows) -> pa.Table:
+    """Mention rows from ``(bucket, conv_id, turn_idx, pos, eid_code)``
+    tuples; code -1 is a pronoun cue."""
+    cols = list(zip(*rows))
+    return pa.table(
+        {
+            "bucket": pa.array(cols[0], pa.int32()),
+            "conv_id": pa.array(cols[1], pa.string()),
+            "turn_idx": pa.array(cols[2], pa.int32()),
+            "pos": pa.array(cols[3], pa.int32()),
+            "eid_code": pa.array(cols[4], pa.int32()),
+            "is_pronoun": pa.array([c < 0 for c in cols[4]], pa.bool_()),
+        },
+        schema=MENTION_SCHEMA,
+    )
+
+
+def _codes(ref):
+    return matcher_from_ref(ref).eid_index
+
+
+def test_occurs_in_objects_sort_as_strings(ray_session):
+    """``conv#turn`` objects sort as strings, not as (conv, turn): turn 10
+    before turn 9, and conv ids that are prefixes of each other or hold
+    bytes below ``#`` (``"a!#1" < "a#1"`` although ``"a" < "a!"``)."""
+    ref = DictionaryRef(_ODD_DICTIONARY)
+    e5 = _codes(ref)["e5"]
+    convs = ["c", "a", "a!", "ab", "a#1", "a\x01", "a b"]
+    rows = [(0, c, t, 0, e5) for c in convs for t in (1, 9, 10)]
+    rows += [(0, c, t, -1, -1) for c in convs for t in (2, 11)]  # INDIRECT
+    mentions = _mention_table(rows)
+    py_fn, vec_fn = _assemblers(ref)
+    out = vec_fn(mentions)
+    _assert_identical(py_fn(mentions), out)
+    occ = out.filter(pa.compute.equal(out["pred"], "occursIn"))
+    objs = occ["obj"].to_pylist()
+    assert objs == sorted(objs) and len(objs) == len(convs) * 5
+    assert objs.index("c#10") < objs.index("c#9")
+    assert objs.index("a!#1") < objs.index("a#1") and objs.index("a#1") < objs.index("a#1#1")
+    assert [c for c in out["conv_id"].to_pylist()[:len(convs)]] == sorted(convs)
+
+
+def test_non_ascii_and_shared_names(ray_session):
+    """Subjects, types and interface names sort by their UTF-8 bytes, and
+    two entities of one name interleave by predicate and object."""
+    ref = DictionaryRef(_ODD_DICTIONARY)
+    codes = _codes(ref)
+    rows = []
+    for b, conv in ((0, "k1"), (0, "k2"), (1, "k3")):
+        for pos, eid in enumerate(("e0", "e1", "e2", "e3", "e4", "e5")):
+            rows.append((b, conv, pos % 3, pos, codes[eid]))
+        rows.append((b, conv, 3, -1, -1))
+    mentions = _mention_table(rows)
+    py_fn, vec_fn = _assemblers(ref)
+    out = vec_fn(mentions)
+    _assert_identical(py_fn(mentions), out)
+    for b in (0, 1):
+        part = out.filter(pa.compute.equal(out["bucket"], b))
+        subj = part["subj"].to_pylist()
+        assert subj == sorted(subj)
+        assert [s for i, s in enumerate(subj) if s not in subj[:i]] == [
+            "Zet", "Zeta", "Ärger", "éclair", "Ωmega"
+        ]
+    first = out.filter(pa.compute.equal(out["bucket"], 0))
+    ifaces = first.filter(pa.compute.equal(first["pred"], "hasInterface"))
+    assert list(zip(ifaces["obj"].to_pylist(), ifaces["conv_id"].to_pylist())) == [
+        ("Aerger-Port", "k1"), ("Aerger-Port", "k2"), ("Ärger-Port", "k1"),
+        ("Ärger-Port", "k2"), ("ßPort", "k1"), ("ßPort", "k2"),
+    ]
+
+
+def test_nulls_sort_last(ray_session):
+    """Arrow sorts nulls last: among one subject's rows the null
+    ``turn_idx``/``ref_type`` rows (hasInterface, hasType, mentionedIn)
+    come before occursIn only by predicate, and DIRECT comes before
+    INDIRECT of one turn; ``kg.file_order`` puts nulls after values."""
+    from naer_ray.pipelines.kg import file_order
+
+    ref = DictionaryRef(_ODD_DICTIONARY)
+    e1 = _codes(ref)["e1"]
+    # e1 direct in turns 1 and 2, and a pronoun in turn 2 -> INDIRECT
+    mentions = _mention_table([(0, "c", 1, 0, e1), (0, "c", 2, 3, e1), (0, "c", 2, -1, -1)])
+    py_fn, vec_fn = _assemblers(ref)
+    out = vec_fn(mentions)
+    _assert_identical(py_fn(mentions), out)
+    assert out.select(["pred", "turn_idx", "ref_type"]).to_pylist() == [
+        {"pred": "hasInterface", "turn_idx": None, "ref_type": None},
+        {"pred": "hasInterface", "turn_idx": None, "ref_type": None},
+        {"pred": "hasType", "turn_idx": None, "ref_type": None},
+        {"pred": "mentionedIn", "turn_idx": None, "ref_type": None},
+        {"pred": "occursIn", "turn_idx": 1, "ref_type": "DIRECT"},
+        {"pred": "occursIn", "turn_idx": 2, "ref_type": "DIRECT"},
+        {"pred": "occursIn", "turn_idx": 2, "ref_type": "INDIRECT"},
+    ]
+    t = pa.table({"bucket": pa.array([0, 0, 0], pa.int32()),
+                  "turn_idx": pa.array([None, 2, 1], pa.int32()),
+                  "ref_type": pa.array([None, "DIRECT", None], pa.string())})
+    assert file_order(t).to_pylist() == [
+        {"bucket": 0, "turn_idx": 1, "ref_type": None},
+        {"bucket": 0, "turn_idx": 2, "ref_type": "DIRECT"},
+        {"bucket": 0, "turn_idx": None, "ref_type": None},
+    ]
+
+
+def _block_writer(root, ref):
+    from naer_ray.pipelines.kg import make_job_kernel
+    from naer_ray.state.checkpoint import make_bucket_writer
+
+    return make_bucket_writer(
+        root, "triples", make_job_kernel(make_conversation_assembler(ref), {}),
+        sparse=("quarantine",),
+    )
+
+
+def test_property_block_writer_matches_oracle(ray_session, ref_corpus, tmp_path):
+    """The bucket files the writer makes from blocks of whole buckets, in
+    any row order, are byte-identical to the oracle's triples of each
+    bucket sorted by every column and written alone."""
+    import pyarrow.parquet as pq
+
+    rows = load_dictionary_rows(os.path.join(ref_corpus, "entity_dictionary.parquet"))
+    ref = DictionaryRef(rows)
+    for seed in range(8):
+        rng = np.random.default_rng(2000 + seed)
+        n_buckets = int(rng.integers(2, 9))
+        mentions = _random_mentions(rng, n_convs=int(rng.integers(5, 40)), dict_rows=rows)
+        mentions = mentions.set_column(
+            0, "bucket", pa.array([hash_u32(c) % n_buckets for c in mentions["conv_id"].to_pylist()],
+                                  pa.int32()))
+        # the buckets spread over 1-3 blocks, each block's rows shuffled
+        block_of = rng.integers(0, int(rng.integers(1, 4)), n_buckets)
+        root = str(tmp_path / f"s{seed}")
+        write = _block_writer(root, ref)
+        summaries = []
+        for blk in np.unique(block_of):
+            mask = np.isin(mentions["bucket"].to_numpy(), np.flatnonzero(block_of == blk))
+            block = mentions.filter(pa.array(mask))
+            block = block.take(pa.array(rng.permutation(block.num_rows)))
+            summaries += write(block).to_pylist()
+        assert sorted(s["bucket"] for s in summaries) == sorted(
+            set(mentions["bucket"].to_pylist())
+        )
+        for s in summaries:
+            part = mentions.filter(pa.compute.equal(mentions["bucket"], s["bucket"]))
+            want = _assemble_python(ref, part)
+            want = want.sort_by([(c, "ascending") for c in want.column_names])
+            oracle = str(tmp_path / "oracle.parquet")
+            pq.write_table(want, oracle)
+            got = os.path.join(s["tmp"], "part-0.parquet")
+            assert s["rows"] == want.num_rows
+            assert open(got, "rb").read() == open(oracle, "rb").read(), (seed, s["bucket"])
+
+
+def test_gazetteer_writer_sorts_no_triples(ray_session, ref_corpus, tmp_path, monkeypatch):
+    """The gazetteer path's block writer hands no table of triples to
+    Arrow's sort (``Table.sort_by`` goes through ``pc.sort_indices``)."""
+    rows = load_dictionary_rows(os.path.join(ref_corpus, "entity_dictionary.parquet"))
+    ref = DictionaryRef(rows)
+    mentions = _random_mentions(np.random.default_rng(5), n_convs=30, dict_rows=rows)
+    sorted_columns = []
+    sort_indices = pa.compute.sort_indices
+
+    def recording(data, *args, **kwargs):
+        sorted_columns.append(getattr(data, "column_names", None))
+        return sort_indices(data, *args, **kwargs)
+
+    monkeypatch.setattr(pa.compute, "sort_indices", recording)
+    summary = _block_writer(str(tmp_path), ref)(mentions)
+    assert summary.num_rows == 4 and sum(summary["rows"].to_pylist()) > 0
+    assert sorted_columns and not any(c and "subj" in c for c in sorted_columns), sorted_columns

@@ -108,23 +108,36 @@ def test_answers_job_resume_skips_done_buckets(ray_session, ref_corpus, tmp_path
     assert _bucket_sha256(out) == before
 
 
-@pytest.mark.parametrize("extractor", ["gazetteer", "answers"])
-def test_kg_job_triples_stage_is_one_exchange(ray_session, ref_corpus, tmp_path, monkeypatch, extractor):
-    """The triples stage groups once (by job bucket), and without
-    canonicalization that is the job's only group-by: its writer also
-    writes the node table."""
+def _count_exchanges(monkeypatch):
+    """Record every ``Dataset.sort`` and ``GroupedData.map_groups`` call of
+    the driver: ``{"sort": [keys], "map_groups": [fn]}``."""
+    import ray.data
     from ray.data.grouped_data import GroupedData
 
-    from naer_ray.pipelines.kg import run_kg_job
+    calls = {"sort": [], "map_groups": []}
+    sort, map_groups = ray.data.Dataset.sort, GroupedData.map_groups
 
-    calls = []
-    map_groups = GroupedData.map_groups
+    def counting_sort(self, key, *args, **kwargs):
+        calls["sort"].append(key)
+        return sort(self, key, *args, **kwargs)
 
-    def counting(self, fn, *args, **kwargs):
-        calls.append(fn)
+    def counting_map_groups(self, fn, *args, **kwargs):
+        calls["map_groups"].append(fn)
         return map_groups(self, fn, *args, **kwargs)
 
-    monkeypatch.setattr(GroupedData, "map_groups", counting)
+    monkeypatch.setattr(ray.data.Dataset, "sort", counting_sort)
+    monkeypatch.setattr(GroupedData, "map_groups", counting_map_groups)
+    return calls
+
+
+@pytest.mark.parametrize("extractor", ["gazetteer", "answers"])
+def test_kg_job_triples_stage_is_one_exchange(ray_session, ref_corpus, tmp_path, monkeypatch, extractor):
+    """The triples stage sorts once (by job bucket) and groups never, and
+    without canonicalization that is the job's only exchange: its writer
+    also writes the node table."""
+    from naer_ray.pipelines.kg import run_kg_job
+
+    calls = _count_exchanges(monkeypatch)
     transcripts, dictionary = _corpus_paths(ref_corpus)
     run_kg_job(
         transcripts,
@@ -134,39 +147,138 @@ def test_kg_job_triples_stage_is_one_exchange(ray_session, ref_corpus, tmp_path,
         answers_path=os.path.join(ref_corpus, "llm_answers.parquet"),
         n_buckets=4,
     )
-    assert len(calls) == 1, [getattr(f, "__qualname__", f) for f in calls]
+    assert calls == {"sort": ["bucket"], "map_groups": []}, calls
 
 
 def test_kg_job_canon_stage_is_one_exchange(ray_session, ref_corpus, tmp_path, monkeypatch):
-    """A canonicalizing job groups once, by job bucket: canon runs in the
-    driver on the node table's entity names, and nothing reads the
-    written triples back."""
+    """A canonicalizing job sorts once, by job bucket, and groups never:
+    canon runs in the driver on the node table's entity names, and
+    nothing reads the written triples back."""
     import ray.data
-    from ray.data.grouped_data import GroupedData
 
     from naer_ray.pipelines.kg import run_kg_job
 
-    calls, reads = [], []
-    map_groups = GroupedData.map_groups
+    calls = _count_exchanges(monkeypatch)
+    reads = []
     read_parquet = ray.data.read_parquet
-
-    def counting(self, fn, *args, **kwargs):
-        calls.append(fn)
-        return map_groups(self, fn, *args, **kwargs)
 
     def recording(paths, *args, **kwargs):
         reads.append([paths] if isinstance(paths, str) else list(paths))
         return read_parquet(paths, *args, **kwargs)
 
-    monkeypatch.setattr(GroupedData, "map_groups", counting)
     monkeypatch.setattr(ray.data, "read_parquet", recording)
     transcripts, dictionary = _corpus_paths(ref_corpus)
     out = str(tmp_path / "kg")
     run_kg_job(transcripts, dictionary, out, n_buckets=4, canonicalize=True)
-    assert len(calls) == 1, [getattr(f, "__qualname__", f) for f in calls]
+    assert calls == {"sort": ["bucket"], "map_groups": []}, calls
     triples_dir = os.path.join(out, "triples")
     assert not any(p.startswith(triples_dir) for r in reads for p in r), reads
     assert pq.read_table(os.path.join(out, "canonical_labels")).num_rows > 0
+
+
+@pytest.mark.parametrize("extractor", ["gazetteer", "answers"])
+def test_kg_job_one_kernel_call_per_exchange_block(
+    ray_session, ref_corpus, tmp_path, monkeypatch, extractor
+):
+    """The job kernel runs once per block that leaves the exchange, not
+    once per bucket, and every bucket still gets its own files."""
+    import ray.data
+
+    from naer_ray.pipelines import kg
+
+    blocks, calls_dir = [], tmp_path / "calls"
+    calls_dir.mkdir()
+    sort, make_job_kernel = ray.data.Dataset.sort, kg.make_job_kernel
+
+    def materialized_sort(self, *args, **kwargs):
+        ds = sort(self, *args, **kwargs).materialize()
+        blocks.extend(m.num_rows for b in ds.iter_internal_ref_bundles() for _, m in b.blocks)
+        return ds
+
+    def counting_job_kernel(kernel, gates):
+        job_block, calls = make_job_kernel(kernel, gates), str(calls_dir)
+
+        def counted(block):
+            import uuid
+
+            open(os.path.join(calls, uuid.uuid4().hex), "w").close()
+            return job_block(block)
+
+        return counted
+
+    monkeypatch.setattr(ray.data.Dataset, "sort", materialized_sort)
+    monkeypatch.setattr(kg, "make_job_kernel", counting_job_kernel)
+    transcripts, dictionary = _corpus_paths(ref_corpus)
+    out = str(tmp_path / "kg")
+    kg.run_kg_job(
+        transcripts,
+        dictionary if extractor == "gazetteer" else None,
+        out,
+        extractor=extractor,
+        answers_path=os.path.join(ref_corpus, "llm_answers.parquet"),
+        n_buckets=8,
+    )
+    calls = len(os.listdir(calls_dir))
+    assert 0 < calls == sum(1 for rows in blocks if rows) < 8, (calls, blocks)
+    assert len(_bucket_sha256(out)) == 8
+
+
+def test_kg_job_refuses_a_bucket_split_across_blocks(ray_session, ref_corpus, tmp_path, monkeypatch):
+    """An exchange that hands one bucket to two blocks would write the
+    bucket twice: the job raises on the second summary row of a bucket
+    instead of keeping one of them."""
+    import ray.data
+
+    from naer_ray.pipelines.kg import run_kg_job
+
+    def unsorted(self, *args, **kwargs):
+        return self.repartition(3)
+
+    monkeypatch.setattr(ray.data.Dataset, "sort", unsorted)
+    transcripts, dictionary = _corpus_paths(ref_corpus)
+    out = str(tmp_path / "kg")
+    with pytest.raises(RuntimeError, match="two blocks"):
+        run_kg_job(transcripts, dictionary, out, n_buckets=2)
+    manifest = json.load(open(os.path.join(out, "MANIFEST.json")))
+    assert not manifest["stages"].get("triples", {}).get("buckets")
+
+
+def test_kg_job_keeps_dictionary_between_jobs(ray_session, ref_corpus, tmp_path, monkeypatch):
+    """A later job of the session over the same dictionary file reads and
+    puts no dictionary rows; an edited file is read again, under a new
+    digest, and its triples follow the edit."""
+    from naer_ray.pipelines import kg
+
+    transcripts, dictionary = _corpus_paths(ref_corpus)
+    path = str(tmp_path / "dictionary.parquet")
+    shutil.copy(dictionary, path)
+    loads = []
+    load = kg.load_dictionary_rows
+
+    def counting(p):
+        loads.append(p)
+        return load(p)
+
+    monkeypatch.setattr(kg, "load_dictionary_rows", counting)
+
+    def job(name):
+        kg.run_kg_job(transcripts, path, str(tmp_path / name), n_buckets=2)
+        (ref,) = kg._DICTIONARY_REF.values()
+        subjects = set(pq.read_table(os.path.join(tmp_path, name, "triples"))["subj"].to_pylist())
+        return ref.digest, subjects
+
+    digest, subjects = job("first")
+    del loads[:]
+    assert job("second") == (digest, subjects)
+    assert loads == []
+
+    table = pq.read_table(path)
+    gone = table["canonical_name"][0].as_py()
+    assert gone in subjects
+    pq.write_table(table.slice(1), path)
+    new_digest, new_subjects = job("edited")
+    assert loads == [path]
+    assert new_digest != digest and gone not in new_subjects
 
 
 def test_kg_job_resume_canonicalizes_without_execution(ray_session, tmp_path, monkeypatch):
