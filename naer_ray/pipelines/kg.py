@@ -21,13 +21,14 @@ triples, each row with its ``bucket``, in the bucket files' order
         .map_batches(kernel, batch_size=None)         # one call per block
 
 The sort's range partitioning never splits a bucket across blocks, so
-each block holds whole buckets (``GroupedData.map_groups`` builds the
-same plan, then splits every block into its groups).  Quarantined turns
-and, in a job, gold rows ride the exchange tagged in ``schema.TAG``;
-kernels see only the untagged rows.  ``build_triples`` returns the
-triples Dataset.  ``run_kg_job`` is the checkpointed job: it reads the
-transcripts once, and that exchange is the only execution it needs for
-triples, nodes, quarantine and evaluation::
+each block holds whole buckets, and a kernel walks its conversations
+(``stages/extract.conversation_runs``) without any per-group Ray
+dispatch.  Quarantined turns and, in a job, gold rows ride the exchange
+tagged in ``schema.TAG``; kernels see only the untagged rows.
+``build_triples`` returns the triples Dataset.  ``run_kg_job`` is the
+checkpointed job: it reads the transcripts once, and that exchange is
+the only execution it needs for triples, nodes, quarantine and
+evaluation, the one place the gates are counted::
 
     rows ∪ gold rows of each gate (expected triples, annotations),
          each source bucketed, filtered and conformed before the union
@@ -66,6 +67,7 @@ from ..sources.transcripts import (
 from ..stages.answers import answers_as_rows, parse_answer_group
 from ..stages.extract import (
     TAGGED_MENTION_SCHEMA,
+    conversation_runs,
     make_conversation_assembler,
     make_mention_detector,
 )
@@ -171,8 +173,8 @@ def bucketed_extraction(
 
     validate="quarantine" (default) keeps the gazetteer and llm paths'
     invalid turns as rows tagged QUARANTINED in ``schema.TAG`` (null on
-    the rows the kernel takes); "strict" raises on one, None checks
-    nothing.  The answers path never validates.
+    the rows the kernel takes); None checks nothing.  The answers path
+    never validates.
 
     ``gold`` (``{gate: path}``) adds the gold rows of each gate
     (``evaluate.gold_rows``), bucketed and filtered the same way; every
@@ -197,7 +199,7 @@ def bucketed_extraction(
     """
     if n_buckets is None:
         n_buckets = auto_n_buckets()
-    if validate not in (None, "strict", "quarantine"):
+    if validate not in (None, "quarantine"):
         raise ValueError(f"unknown validate mode {validate!r}")
     quarantine = validate == "quarantine"
 
@@ -223,10 +225,9 @@ def bucketed_extraction(
         return sources[0].union(*sources[1:]) if len(sources) > 1 else sources[0]
 
     def transcripts(columns=None) -> ray.data.Dataset:
-        ds = transcripts_ds
-        if ds is None:
-            ds = read_transcripts(transcripts_path, columns=columns)
-        return validate_transcripts(ds, mode="strict") if validate == "strict" else ds
+        if transcripts_ds is not None:
+            return transcripts_ds
+        return read_transcripts(transcripts_path, columns=columns)
 
     if extractor == "answers":
         if answers_path is None:
@@ -304,20 +305,10 @@ def make_llm_bucket_extractor(
         # each Ray task deserializes its own copy of prompt_template
         prompt = prompt_template or Prompt(base_prompt, answer_format)
         ex = LLMExtractor(chat_fn, prompt)
-        group = group.sort_by(
-            [("conv_id", "ascending"), ("turn_idx", "ascending")]
-        )
-        conv = group["conv_id"].to_pylist()
-        texts = group["text"].to_pylist()
-        outs = []
-        i, n = 0, len(conv)
-        while i < n:
-            j = i
-            while j < n and conv[j] == conv[i]:
-                j += 1
-            lines = [t for t in texts[i:j] if t is not None]
-            outs.append(ex.extract(conv[i], lines))
-            i = j
+        outs = [
+            ex.extract(conv_id, [t for t in conv["text"].to_pylist() if t is not None])
+            for conv_id, conv in conversation_runs(group)
+        ]
         if not outs:
             return schema.TRIPLES.empty_table()
         return pa.concat_tables(outs)
@@ -325,21 +316,11 @@ def make_llm_bucket_extractor(
     return extract_bucket
 
 
-def split_errors(triples: ray.data.Dataset):
-    """(ok, dead_letter) split on the __error__ sentinel predicate."""
-    ok = triples.map_batches(
-        lambda t: t.filter(pc.not_equal(t["pred"], "__error__")), batch_format="pyarrow"
-    )
-    bad = triples.map_batches(
-        lambda t: t.filter(pc.equal(t["pred"], "__error__")), batch_format="pyarrow"
-    )
-    return ok, bad
-
-
 def auto_n_buckets() -> int:
     """Shuffle-bucket count sized to the cluster: ~8 buckets/core
     (tail-smoothing headroom), floor 64, capped at 4096 so the
-    groupby's dispatch stays O(thousands) even on a 256-node cluster."""
+    exchange's sort stays O(thousands) of buckets even on a 256-node
+    cluster."""
     cpus = 8.0
     if ray.is_initialized():
         cpus = ray.cluster_resources().get("CPU", 8.0)

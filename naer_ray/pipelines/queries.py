@@ -462,24 +462,30 @@ Q28_SQL = Q27_SQL
 
 
 def kg_parity_eval(sf_dir: str):
-    """The north-rule parity gate as a query: distributed pipeline over
-    recorded answers vs the sequential reference-semantics oracle's
-    expected triples; returns one row of P/R/F1 (rows-only check — the
-    values themselves are asserted >= 0.95 in pytest)."""
+    """The north-rule parity gate as a query: the checkpointed job over
+    recorded answers, counted against the sequential reference-semantics
+    oracle's expected triples; returns one row of P/R/F1 (rows-only check
+    — the values themselves are asserted >= 0.95 in pytest)."""
     import os
+    import shutil
+    import tempfile
 
     from ..testdata import corpus_dir
-    from .evaluate import eval_vs_expected
-    from .kg import build_triples, split_errors
+    from .kg import run_kg_job
 
     c = corpus_dir("ref")
-    triples = build_triples(
-        os.path.join(c, "transcripts"),
-        extractor="answers",
-        answers_path=os.path.join(c, "llm_answers.parquet"),
-    )
-    ok, _bad = split_errors(triples)
-    m = eval_vs_expected(ok, os.path.join(c, "expected_triples.parquet"))
+    out = tempfile.mkdtemp()
+    try:
+        m = run_kg_job(
+            os.path.join(c, "transcripts"),
+            None,
+            out,
+            extractor="answers",
+            answers_path=os.path.join(c, "llm_answers.parquet"),
+            expected_path=os.path.join(c, "expected_triples.parquet"),
+        )["metrics"]["parity_vs_expected"]
+    finally:
+        shutil.rmtree(out, ignore_errors=True)
     # P/R/F1 only: the gate is exactly 1.0 regardless of corpus tier, so
     # the SQL oracle can check it against a literal row (raw
     # tp counts vary with the fixture tier and stay in pytest)

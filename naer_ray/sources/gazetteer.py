@@ -17,6 +17,13 @@ This generalizes the reference's case-insensitive substring rule
 (NamedEntityParser.java:195-201) to word-boundary safety at corpus
 scale ("Persistence" still matches "PersistenceProvider" because the
 camel split exposes the token).
+
+``GazetteerMatcher.match_tokens`` is the per-text statement of that
+rule; ``match_batch`` is the one production path, vectorized over a
+whole Arrow string array for every dictionary: tokens are coded in a
+code space fixed per matcher, and an n-gram is looked up one token at a
+time through dense per-level prefix ids of the surfaces, so no surface
+length or token count is too large for it.
 """
 
 from __future__ import annotations
@@ -136,44 +143,48 @@ class GazetteerMatcher:
         self._build_code_space()
 
     def _build_code_space(self) -> None:
-        """The batch matcher's fixed token-code space (see match_batch).
+        """The batch matcher's fixed token-code space and prefix levels
+        (see match_batch).
 
         Dictionary tokens get codes 0..T-1 in sorted order and every other
-        token the single code T, which no surface contains.  Each surface
-        is packed once into an int64 key in base T+1; ``_surfaces`` maps
-        a surface length to its sorted keys and the CSR of their entity
-        codes, or is None when the longest surface would overflow the
-        packing (match_batch then walks per text).
+        token the single code T, which no surface contains.  A surface
+        prefix of j tokens has a dense id at level j: at level 1 its
+        token code; at level j >= 2 its index in ``_level_keys[j]``, the
+        sorted distinct ``id_{j-1} * (T + 1) + code_j`` of the surfaces
+        with at least j tokens.  An id is below max(S, T + 1) for S
+        surfaces, so a key never overflows.  ``_row_of[j][id]`` is the
+        surface row of a whole j-token surface, or -1 for a proper
+        prefix; a row's entity codes are ``_flat[_offs[row]:][:_counts[row]]``.
         """
         tokens = sorted({t for key in self.index for t in key})
         self._tokens = pa.array(tokens, pa.string())
         self._token_code = {t: c for c, t in enumerate(tokens)}
         base = len(tokens) + 1
         self._base = base
+        keys = list(self.index)
+        n_tok = np.array([len(k) for k in keys], np.int64)
+        code = np.array([self._token_code[t] for k in keys for t in k], np.int64)
+        first = np.cumsum(n_tok) - n_tok
+        rows = np.arange(len(keys))
         self._is_first = np.zeros(base, bool)
-        max_n = self.lengths[0] if self.lengths else 0
-        if max_n > 8 or float(base) ** max_n >= float(2**62):
-            self._surfaces = None
-            return
-        by_len: dict[int, list[tuple[int, list[int]]]] = {}
-        for key, ids in self.index.items():
-            packed = 0
-            for t in key:
-                packed = packed * base + self._token_code[t]
-            self._is_first[self._token_code[key[0]]] = True
-            by_len.setdefault(len(key), []).append(
-                (packed, [self.eid_index[e] for e in ids])
-            )
-        self._surfaces = {}
-        for n, entries in sorted(by_len.items()):
-            entries.sort(key=lambda e: e[0])
-            counts = np.array([len(e[1]) for e in entries], np.int64)
-            self._surfaces[n] = (
-                np.array([e[0] for e in entries], np.int64),
-                counts,
-                np.cumsum(counts) - counts,
-                np.array([c for e in entries for c in e[1]], np.int64),
-            )
+        self._is_first[code[first]] = True
+        self._counts = np.array([len(self.index[k]) for k in keys], np.int64)
+        self._offs = np.cumsum(self._counts) - self._counts
+        self._flat = np.array(
+            [self.eid_index[e] for k in keys for e in self.index[k]], np.int64
+        )
+        ids = code[first]
+        row_of = np.full(base, -1, np.int64)
+        row_of[ids[n_tok == 1]] = rows[n_tok == 1]
+        self._level_keys, self._row_of = [None, None], [None, row_of]
+        for j in range(2, int(n_tok.max(initial=0)) + 1):
+            longer = n_tok >= j
+            first, rows, n_tok, ids = first[longer], rows[longer], n_tok[longer], ids[longer]
+            level_keys, ids = np.unique(ids * base + code[first + j - 1], return_inverse=True)
+            row_of = np.full(len(level_keys), -1, np.int64)
+            row_of[ids[n_tok == j]] = rows[n_tok == j]
+            self._level_keys.append(level_keys)
+            self._row_of.append(row_of)
 
     def match_tokens(self, tokens: list[str]) -> list[tuple[int, str]]:
         """(token_pos, entity_id) n-gram hits with longest-match suppression.
@@ -219,11 +230,13 @@ class GazetteerMatcher:
     # tokens are coded in the matcher's fixed code space
     # (_build_code_space), simple tokens ([A-Z]?[a-z]*, whose camelCase
     # split is just lower()) in Arrow and only the other distinct tokens
-    # through the memoized _split_token; n-gram keys are packed only where
-    # the token starts some surface (the vectorized by_first probe) and
-    # looked up by searchsorted; longest-match suppression compares the
-    # hits only.  tests/test_match_batch.py asserts layout equality with
-    # match_tokens on the corpus and on adversarial and random texts.
+    # through the memoized _split_token; only the positions whose token
+    # starts some surface (the vectorized by_first probe) are candidates,
+    # and they walk the surfaces' prefix ids one level (token) at a time,
+    # one searchsorted per level, for every dictionary whatever its
+    # surface lengths; longest-match suppression compares the hits only.
+    # tests/test_match_batch.py asserts layout equality with match_tokens
+    # on the corpus and on adversarial and random texts and dictionaries.
 
     def match_batch(self, texts: "pa.Array"):
         """Vectorized hits for a batch of non-null texts.
@@ -244,27 +257,33 @@ class GazetteerMatcher:
         )
         if n_texts == 0 or not self.lengths:
             return empty
-        if self._surfaces is None:
-            return self._match_batch_fallback(texts)
         norm_counts, stream = self._code_stream(texts)
-        cand = np.flatnonzero(self._is_first[stream])
-        if not len(cand):
+        starts = np.flatnonzero(self._is_first[stream])
+        if not len(starts):
             return empty
         text_end = np.cumsum(norm_counts)
-        room = text_end[np.searchsorted(text_end, cand, side="right")] - cand
+        room = text_end[np.searchsorted(text_end, starts, side="right")] - starts
 
-        # raw hits per length: starts into the stream + surface row ids
+        # raw hits per length: starts into the stream + surface rows, found
+        # by walking the candidates' prefix ids one level at a time
         base = self._base
+        ids = stream[starts]
         hits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for nn, (skeys, _counts, _offs, _flat) in self._surfaces.items():
-            starts = cand[room >= nn]
-            key = stream[starts]
-            for j in range(1, nn):
-                key = key * base + stream[starts + j]
-            loc = np.searchsorted(skeys, key)
-            np.clip(loc, 0, len(skeys) - 1, out=loc)
-            hit = skeys[loc] == key
-            hits[nn] = (starts[hit], loc[hit])
+        for nn in range(1, len(self._row_of)):
+            if nn > 1:
+                fits = room >= nn
+                starts, ids, room = starts[fits], ids[fits], room[fits]
+                key = ids * base + stream[starts + nn - 1]
+                level_keys = self._level_keys[nn]
+                ids = np.searchsorted(level_keys, key)
+                np.clip(ids, 0, len(level_keys) - 1, out=ids)
+                found = level_keys[ids] == key
+                starts, ids, room = starts[found], ids[found], room[found]
+            row = self._row_of[nn][ids]
+            whole = row >= 0
+            hits[nn] = (starts[whole], row[whole])
+            if not len(starts):
+                break
 
         # longest-match suppression: a hit (s, n) is dropped iff ANY raw
         # hit (s', l>n) spans it (s' <= s, s+n <= s'+l); equivalent to the
@@ -272,19 +291,18 @@ class GazetteerMatcher:
         # each length are ascending, so the check is two searchsorted.
         out_starts: list[np.ndarray] = []
         out_codes: list[np.ndarray] = []
-        for nn, (starts, sid) in hits.items():
+        for nn, (starts, row) in hits.items():
             dropped = np.zeros(len(starts), bool)
-            for ll, (longer, _sid) in hits.items():
+            for ll, (longer, _row) in hits.items():
                 if ll > nn and len(longer):
                     dropped |= np.searchsorted(longer, starts, "right") > np.searchsorted(
                         longer, starts + nn - ll, "left"
                     )
             keep = ~dropped
-            starts, sid = starts[keep], sid[keep]
-            _skeys, counts, offs, flat = self._surfaces[nn]
-            ec = counts[sid]
+            starts, row = starts[keep], row[keep]
+            ec = self._counts[row]
             out_starts.append(np.repeat(starts, ec))
-            out_codes.append(flat[np.repeat(offs[sid], ec) + _ranges(ec)])
+            out_codes.append(self._flat[np.repeat(self._offs[row], ec) + _ranges(ec)])
 
         all_starts = np.concatenate(out_starts)
         if not len(all_starts):
@@ -351,24 +369,6 @@ class GazetteerMatcher:
         nz = token_offsets > 0
         before[nz] = ends[token_offsets[nz] - 1]
         return np.diff(before), stream
-
-    def _match_batch_fallback(self, texts: "pa.Array"):
-        """Per-text reference walk (packing-overflow guard path)."""
-        pos_parts: list[np.ndarray] = []
-        code_parts: list[np.ndarray] = []
-        hit_counts = np.zeros(len(texts), np.int64)
-        eid_index = self.eid_index
-        for i, t in enumerate(texts.to_pylist()):
-            hits = self.match_tokens(tokenize(t))
-            hit_counts[i] = len(hits)
-            if hits:
-                pos_parts.append(np.array([h[0] for h in hits], np.int32))
-                code_parts.append(
-                    np.array([eid_index[h[1]] for h in hits], np.int32)
-                )
-        if not pos_parts:
-            return hit_counts, np.empty(0, np.int32), np.empty(0, np.int32)
-        return hit_counts, np.concatenate(pos_parts), np.concatenate(code_parts)
 
 
 def _ranges(counts: np.ndarray) -> np.ndarray:

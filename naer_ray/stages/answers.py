@@ -9,13 +9,14 @@ downstream step distributed.
 
 Dataflow: transcripts ∪ answer-rows (same narrow schema, answers
 carried as role="__answer:<format>" rows with turn_idx=-1) -> the job
-bucket (``pipelines/kg.add_bucket``, hash of conv_id) ->
-groupby(bucket) -> per-bucket kernel that walks the bucket's
-conversations, rebuilds each one's ordered line array, parses its
-answers with the exact reference semantics (naer_ray.refsem parsers:
-alias-before-typing ordering, silent drop of unresolved occurrences;
->=0.90 Jaccard resolution through one ``jaccard.LineResolver`` per
-conversation) and materializes triples.  Parse failures do not kill
+bucket (``pipelines/kg.add_bucket``, hash of conv_id) -> the job's one
+exchange, ``sort("bucket")`` -> per-block kernel that walks the block's
+conversations (``extract.conversation_runs``), rebuilds each one's
+ordered line array, parses its answers with the exact reference
+semantics (naer_ray.refsem parsers: alias-before-typing ordering,
+silent drop of unresolved occurrences; >=0.90 Jaccard resolution
+through one ``jaccard.LineResolver`` per conversation) and
+materializes triples.  Parse failures do not kill
 the job: they surface as ``pred="__error__"`` rows routed to a
 dead-letter output (scaled-mode analogue of the reference's
 per-project try/catch, TestProjectEvaluator.java:74-84).
@@ -28,7 +29,7 @@ import ray.data
 
 from .. import refsem
 from ..jaccard import LineResolver
-from .extract import triples_table
+from .extract import conversation_runs, error_triple, triples_table
 
 ANSWER_ROLE_PREFIX = "__answer:"
 
@@ -71,46 +72,24 @@ def _parse_one(conv_id: str, lines: list[str], answers: list[tuple[str, str]], r
             else:
                 entities = refsem.parse_structured_text(answer, sad)
         except Exception as exc:  # noqa: BLE001 — dead-letter, never crash the job
-            rows.append(
-                {
-                    "subj": conv_id,
-                    "pred": "__error__",
-                    "obj": f"{type(exc).__name__}: {exc}",
-                    "conv_id": conv_id,
-                    "turn_idx": None,
-                    "ref_type": None,
-                }
-            )
+            rows.append(error_triple(conv_id, exc))
             continue
         rows.extend(refsem.entities_to_triples(entities, conv_id))
 
 
 def parse_answer_group(group: pa.Table) -> pa.Table:
-    """Bucket-group kernel: walks conversation runs, parses each one.
-
-    Works for both a single-conversation group and a multi-conversation
-    hash bucket (the scale path — Ray group dispatch stays O(buckets)).
-    """
-    group = group.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
-    conv_ids = group["conv_id"].to_pylist()
-    turn_idxs = group["turn_idx"].to_pylist()
-    roles = group["role"].to_pylist()
-    texts = group["text"].to_pylist()
-
+    """Block kernel walk: parses each conversation of ``group`` (one
+    conversation or a block of whole job buckets) and returns its triples."""
     rows: list[dict] = []
-    i, n = 0, len(conv_ids)
-    while i < n:
-        conv_id = conv_ids[i]
-        j = i
+    for conv_id, conv in conversation_runs(group):
         lines: list[str] = []
         answers: list[tuple[str, str]] = []  # (format, answer)
-        while j < n and conv_ids[j] == conv_id:
-            role, text = roles[j], texts[j]
+        for role, turn_idx, text in zip(
+            conv["role"].to_pylist(), conv["turn_idx"].to_pylist(), conv["text"].to_pylist()
+        ):
             if role and role.startswith(ANSWER_ROLE_PREFIX):
                 answers.append((role[len(ANSWER_ROLE_PREFIX) :], text))
-            elif turn_idxs[j] >= 1:
+            elif turn_idx >= 1:
                 lines.append(text)
-            j += 1
         _parse_one(conv_id, lines, answers, rows)
-        i = j
     return triples_table(rows)

@@ -14,9 +14,10 @@ Two-stage, shuffle-minimizing design:
   not a small fraction of the turns (1.27 mention rows per turn on the
   synthetic bench corpus), but the rows are narrow: the text is
   dropped and entities travel as integer codes.
-* :func:`make_conversation_assembler` — per-bucket kernel (one job
-  bucket per call): resolves anaphora (INDIRECT occurrences, reference doc
-  example NamedEntityReferenceType.java:15-19), dedups occurrences
+* :func:`make_conversation_assembler` — block kernel (one call per
+  exchange block of whole job buckets): resolves anaphora (INDIRECT
+  occurrences, reference doc example NamedEntityReferenceType.java:15-19),
+  dedups occurrences
   (NamedEntity's SortedSet semantics, NamedEntity.java:147-149) and
   materializes (subj, pred, obj) triples.
 
@@ -176,6 +177,31 @@ def make_mention_detector(dict_ref, quarantine: bool = False):
 
 def triples_table(rows: list[dict]) -> pa.Table:
     return pa.Table.from_pylist(rows, schema=schema.TRIPLES)
+
+
+def error_triple(conv_id: str, exc: BaseException) -> dict:
+    """The dead-letter row of a conversation whose extraction failed:
+    ``pred="__error__"``, the exception in ``obj``."""
+    return {
+        "subj": conv_id,
+        "pred": "__error__",
+        "obj": f"{type(exc).__name__}: {exc}",
+        "conv_id": conv_id,
+        "turn_idx": None,
+        "ref_type": None,
+    }
+
+
+def conversation_runs(table: pa.Table, order=("turn_idx",)):
+    """Yield ``(conv_id, rows)`` for each conversation of ``table``, in
+    conv_id order, its rows sorted by the ``order`` columns (a stable
+    sort, so ties keep their input order)."""
+    table = table.sort_by([(c, "ascending") for c in ("conv_id", *order)])
+    runs = _pc.run_end_encode(table["conv_id"].combine_chunks())
+    start = 0
+    for conv_id, end in zip(runs.values.to_pylist(), runs.run_ends.to_pylist()):
+        yield conv_id, table.slice(start, end - start)
+        start = end
 
 
 def make_conversation_assembler(dict_ref):

@@ -36,7 +36,7 @@ import pyarrow as pa
 
 from .. import refsem
 from ..jaccard import LineResolver
-from .extract import triples_table
+from .extract import error_triple, triples_table
 
 SYSTEM_MESSAGE = "You are a software engineer and software architect."
 
@@ -229,16 +229,5 @@ class LLMExtractor:
         try:
             entities = self.recognize(lines)
         except Exception as exc:  # noqa: BLE001 — second failure dead-letters
-            return triples_table(
-                [
-                    {
-                        "subj": conv_id,
-                        "pred": "__error__",
-                        "obj": f"{type(exc).__name__}: {exc}",
-                        "conv_id": conv_id,
-                        "turn_idx": None,
-                        "ref_type": None,
-                    }
-                ]
-            )
+            return triples_table([error_triple(conv_id, exc)])
         return triples_table(refsem.entities_to_triples(entities, conv_id))

@@ -398,10 +398,13 @@ def test_kg_job_without_mentions(ray_session, tmp_path):
 
 
 def test_kg_job_annotations_metrics(ray_session, ref_corpus, tmp_path):
-    """The job's eval_vs_annotations metrics equal the evaluator run on
-    the same triples outside the job."""
-    from naer_ray.pipelines.evaluate import eval_vs_annotations
-    from naer_ray.pipelines.kg import build_triples, run_kg_job
+    """The job's eval_vs_annotations metrics, counted per bucket in its
+    writer, equal the gate's count over the whole triples and gold tables
+    in this process."""
+    import pyarrow.compute as pc
+
+    from naer_ray.pipelines.evaluate import GATES, _metrics, annotation_triples
+    from naer_ray.pipelines.kg import run_kg_job
 
     transcripts, dictionary = _corpus_paths(ref_corpus)
     annotations = os.path.join(ref_corpus, "reference_annotations.parquet")
@@ -409,9 +412,10 @@ def test_kg_job_annotations_metrics(ray_session, ref_corpus, tmp_path):
     run_kg_job(transcripts, dictionary, out, n_buckets=4, annotations_path=annotations)
     with open(os.path.join(out, "metrics.json")) as f:
         got = json.load(f)["eval_vs_annotations"]
-    want = eval_vs_annotations(
-        build_triples(transcripts, dictionary_path=dictionary), annotations
-    )
+    triples = pq.read_table(os.path.join(out, "triples")).drop_columns(["bucket"])
+    triples = triples.filter(pc.not_equal(triples["pred"], "__error__"))
+    gold = annotation_triples(pq.read_table(annotations))
+    want = _metrics(*GATES["eval_vs_annotations"](triples, gold))
     assert got == want
 
 

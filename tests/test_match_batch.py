@@ -6,7 +6,7 @@ among hits) twin of match_tokens; these tests compare them text-by-text
 on the fixture corpus and on adversarial synthetic strings (ambiguous
 equal spans, nested longer surfaces, camelCase, digit and non-ASCII
 boundary cases, empty/punctuation-only texts, sliced and chunked
-arrays, the packing-overflow fallback).
+arrays) and on dictionaries of long, nested and random surfaces.
 """
 
 import os
@@ -110,22 +110,6 @@ def test_random_texts_identical():
         for _ in range(500)
     ]
     _assert_match(m, texts)
-
-
-def test_packing_overflow_fallback(monkeypatch):
-    """The fallback walk path must produce the identical layout."""
-    rows = [
-        {"entity_id": "e1", "canonical_name": "Auth Service", "type": "COMPONENT",
-         "aliases": [], "interface_of": None},
-        {"entity_id": "e2", "canonical_name": "Service", "type": "COMPONENT",
-         "aliases": [], "interface_of": None},
-    ]
-    m = GazetteerMatcher(rows)
-    texts = ["the Auth Service talks to a Service", "no match", ""]
-    direct = m.match_batch(pa.array(texts, pa.string()))
-    fb = m._match_batch_fallback(pa.array(texts, pa.string()))
-    for a, b in zip(direct, fb):
-        np.testing.assert_array_equal(a, b)
 
 
 def _rows(*names):
@@ -238,7 +222,6 @@ def test_random_large_vocabulary():
         parts = [word(w) for w in rng.choice(vocab, size=rng.integers(1, 5))]
         names.add(("" if rng.random() < 0.3 else " ").join(parts))
     m = GazetteerMatcher(_rows(*sorted(names)))
-    assert m._surfaces is not None
     seps = [" ", "  ", ", ", "-", "é", "—", "_", "\n"]
     name_list = sorted(names)
     texts = []
@@ -258,25 +241,106 @@ def test_random_large_vocabulary():
     _assert_match(m, texts)
 
 
-def test_code_space_overflow_guard_falls_back(monkeypatch):
-    """Surfaces too long to pack in the fixed code space take the
-    per-text walk: over 8 tokens, or (T + 1) ** max_n >= 2 ** 62."""
-    words = [f"w{chr(97 + i // 26)}{chr(97 + i % 26)}" for i in range(300)]
-    cases = [
-        _rows(" ".join(words[:9]), "waa wab"),  # 9 tokens
-        _rows(" ".join(words[:8]), *words[8:]),  # 301 ** 8 >= 2 ** 62
+_WORDS = [f"w{chr(97 + i // 26)}{chr(97 + i % 26)}" for i in range(300)]
+
+
+def _assert_long_surface(rows):
+    """The batch matcher equals the walk on a dictionary whose first
+    surface is its longest, on texts built around that surface."""
+    m = GazetteerMatcher(rows)
+    longest = rows[0]["canonical_name"]
+    assert m.lengths[0] == len(longest.split())
+    texts = [
+        longest,
+        f"x {longest} y {longest}",
+        " ".join(longest.split()[:-1]),  # all but the last token
+        " ".join(longest.split()[1:]),
+        "waa wab wac",
+        "none here",
+        "",
+        " ".join(_WORDS[::-1]),
     ]
-    for rows in cases:
+    _assert_match(m, texts)
+    counts, _pos, _code = m.match_batch(pa.array([longest], pa.string()))
+    assert counts.tolist() == [1]
+
+
+def test_nine_token_surface():
+    _assert_long_surface(_rows(" ".join(_WORDS[:9]), "waa wab"))
+
+
+def test_eight_token_surface_over_large_token_space():
+    """300 dictionary tokens and an 8-token surface: 301 ** 8 > 2 ** 62,
+    more n-grams than one int64 could number."""
+    _assert_long_surface(_rows(" ".join(_WORDS[:8]), *_WORDS[8:]))
+
+
+def test_forty_token_surface():
+    _assert_long_surface(
+        _rows(" ".join(_WORDS[:40]), " ".join(_WORDS[:39]), "waa wab", *_WORDS[40:])
+    )
+
+
+def test_nested_prefix_surfaces():
+    m = GazetteerMatcher(_rows("a b", "a b c", "a b c d", "b c", "c d e"))
+    texts = ["a b", "a b c", "a b c d", "a b c d e", "a b x", "a b c x d",
+             "a a b b c c d", "b c d e", "c d", "a b a b c a b c d", "a"]
+    _assert_match(m, texts)
+
+
+def test_sparse_dictionary_with_six_token_alias():
+    """A sparse-style dictionary (1,200 entities, 1-3 token names, each
+    with a camelCase alias) plus one 6-token alias."""
+    rng = np.random.default_rng(11)
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+    vocab = sorted({"".join(rng.choice(letters, size=rng.integers(3, 9))) for _ in range(4000)})
+    rows = []
+    for i in range(1200):
+        parts = [w.capitalize() for w in rng.choice(vocab, size=rng.integers(1, 4))]
+        rows.append({"entity_id": f"e{i:04d}", "canonical_name": " ".join(parts),
+                     "type": "COMPONENT", "aliases": ["".join(parts)],
+                     "interface_of": None})
+    six = " ".join(vocab[:6])
+    rows[0]["aliases"].append(six)
+    m = GazetteerMatcher(rows)
+    assert m.lengths[0] == 6
+    texts = [six, f"see {six} and {rows[0]['canonical_name']}"]
+    for _ in range(400):
+        toks = [vocab[rng.integers(len(vocab))] for _ in range(rng.integers(0, 30))]
+        if rng.random() < 0.3:
+            toks.insert(rng.integers(len(toks) + 1), rows[rng.integers(len(rows))]["canonical_name"])
+        if rng.random() < 0.1:
+            toks.insert(rng.integers(len(toks) + 1), " ".join(vocab[:rng.integers(1, 7)]))
+        texts.append(" ".join(toks))
+    _assert_match(m, texts)
+
+
+def test_property_random_dictionaries():
+    """Seeded: random dictionaries of surfaces up to 12 tokens over small
+    vocabularies (so surfaces share prefixes and nest), random texts."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        vocab = [chr(97 + i) for i in range(int(rng.integers(2, 15)))]
+        names = {
+            " ".join(rng.choice(vocab, size=rng.integers(1, 13)))
+            for _ in range(int(rng.integers(1, 40)))
+        }
+        rows = _rows(*sorted(names))
+        # a few ambiguous surfaces: a second entity per name
+        rows += [dict(r, entity_id=r["entity_id"] + "b") for r in rows[::5]]
         m = GazetteerMatcher(rows)
-        assert m._surfaces is None and m.lengths[0] in (8, 9)
-        calls = []
-        fallback = m._match_batch_fallback
-        monkeypatch.setattr(
-            m, "_match_batch_fallback", lambda t: calls.append(1) or fallback(t)
-        )
-        texts = [rows[0]["canonical_name"], "waa wab wac", "none here", ""]
+        name_list = sorted(names)
+        texts = []
+        for _ in range(60):
+            toks = []
+            while len(toks) < rng.integers(0, 40):
+                if rng.random() < 0.2:
+                    toks += name_list[rng.integers(len(name_list))].split()
+                else:
+                    # unknown tokens share one code, beside every dictionary token
+                    toks.append(vocab[rng.integers(len(vocab))] if rng.random() < 0.75 else "zz")
+            texts.append(" ".join(toks))
         _assert_match(m, texts)
-        assert calls == [1]
 
 
 def test_matcher_cache_keyed_by_content(ray_session):

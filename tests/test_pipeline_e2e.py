@@ -26,67 +26,79 @@ def ref_paths(ray_session, ref_corpus):
     }
 
 
-def test_parity_gate(ref_paths):
+def _job(ref_paths, out, dictionary=None, **options):
+    """Run the checkpointed job into ``out``: (counters, its triples)."""
+    import pyarrow.parquet as pq
+
+    from naer_ray.pipelines.kg import run_kg_job
+
+    counters = run_kg_job(ref_paths["transcripts"], dictionary, out, **options)
+    return counters, pq.read_table(os.path.join(out, "triples"))
+
+
+def test_parity_gate(ref_paths, tmp_path):
     """Exact parity, over exactly the conversations the oracle covers."""
     import pyarrow.parquet as pq
 
-    from naer_ray.pipelines.evaluate import eval_vs_expected
-    from naer_ray.pipelines.kg import build_triples, split_errors
-
-    triples = build_triples(
-        ref_paths["transcripts"],
+    counters, triples = _job(
+        ref_paths,
+        str(tmp_path / "kg"),
         extractor="answers",
         answers_path=ref_paths["answers"],
-    ).materialize()
-    ok, bad = split_errors(triples)
-    assert bad.count() == 0
-    covered = set(ok.unique("conv_id"))
+        expected_path=ref_paths["expected"],
+    )
+    assert not pc.any(pc.equal(triples["pred"], "__error__")).as_py()
+    covered = set(triples["conv_id"].to_pylist())
     expected = set(pq.read_table(ref_paths["expected"], columns=["conv_id"])["conv_id"].to_pylist())
     assert covered, f"the parity gate covered {len(covered)} conversations"
     assert covered == expected, (
         f"covered {len(covered)} conversations, expected {len(expected)}: "
         f"missing {sorted(expected - covered)}, extra {sorted(covered - expected)}"
     )
-    m = eval_vs_expected(ok, ref_paths["expected"])
+    m = counters["metrics"]["parity_vs_expected"]
     assert m["precision"] == 1.0, (len(covered), m)
     assert m["recall"] == 1.0, (len(covered), m)
 
 
 def test_synthetic_gazetteer_exact(ref_paths):
     """Gazetteer extractor reproduces recorded placements on synthetic convs."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
     from naer_ray.pipelines import evaluate as ev
     from naer_ray.pipelines.kg import build_triples
 
-    triples = build_triples(
-        ref_paths["transcripts"], dictionary_path=ref_paths["dictionary"]
-    )
-    syn = triples.map_batches(
-        lambda t: t.filter(pc.starts_with(t["conv_id"], "syn:")),
-        batch_format="pyarrow",
-    )
-    both = syn.union(
-        ev._annotations_as_triplerows(ref_paths["annotations"]).map_batches(
-            lambda t: t.filter(pc.starts_with(t["conv_id"], "syn:")),
-            batch_format="pyarrow",
+    triples = pa.concat_tables(
+        ray.get(
+            build_triples(
+                ref_paths["transcripts"], dictionary_path=ref_paths["dictionary"]
+            ).to_arrow_refs()
         )
     )
-    per_conv = both.groupby("conv_id").map_groups(
-        ev._conv_eval_kernel, batch_format="pyarrow"
-    )
-    agg = per_conv.sum(["tp", "fp", "fn"])
-    assert agg["sum(fp)"] == 0 and agg["sum(fn)"] == 0, agg
-    assert agg["sum(tp)"] > 100
+    gold = ev.annotation_triples(pq.read_table(ref_paths["annotations"]))
+
+    def syn(t):
+        return t.filter(pc.starts_with(t["conv_id"], "syn:"))
+
+    tp, fp, fn = ev.annotation_counts(syn(triples), syn(gold))
+    assert fp == 0 and fn == 0, (tp, fp, fn)
+    assert tp > 100
 
 
-def test_reference_gold_eval_reported(ref_paths):
+def test_reference_gold_eval_reported(ref_paths, tmp_path):
     """Honest eval vs human gold: recorded, sanity-bounded (not the parity gate)."""
-    from naer_ray.pipelines.evaluate import eval_vs_annotations
-    from naer_ray.pipelines.kg import build_triples
+    import json
 
-    triples = build_triples(
-        ref_paths["transcripts"], dictionary_path=ref_paths["dictionary"]
+    out = str(tmp_path / "kg")
+    _job(
+        ref_paths,
+        out,
+        dictionary=ref_paths["dictionary"],
+        annotations_path=ref_paths["annotations"],
     )
-    m = eval_vs_annotations(triples, ref_paths["annotations"])
+    with open(os.path.join(out, "metrics.json")) as f:
+        m = json.load(f)["eval_vs_annotations"]
     # gazetteer extractor against human annotations (incl. anaphora the
     # dictionary can't see): recall well above the naive-substring baseline
     assert m["recall"] >= 0.70, m
