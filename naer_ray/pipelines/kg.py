@@ -698,7 +698,7 @@ def run_kg_job(
         manifest.save()
 
     # stage 3 (optional): cross-corpus canonicalization of the node
-    # table's entity names — union-find over name-pool similarity edges,
+    # table's entity names — union-find over names whose pools intersect,
     # in this process, which wrote those names; it writes the labels (one
     # row per name) and the (node, sameAs, label) edges of the
     # non-identity labels

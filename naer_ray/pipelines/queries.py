@@ -258,8 +258,7 @@ FROM occ
 def c01_canonical_labels(sf_dir: str):
     """Canonicalization (pool explode -> exact edges -> union-find) over
     part names ∪ their UPPER variants; oracle: each name labels with
-    least(name, UPPER(name)).  Fuzzy JW disabled so the exact-edge path
-    is SQL-checkable."""
+    least(name, UPPER(name))."""
     import pyarrow.parquet as pq
 
     from ..stages.canon import canonical_labels
@@ -267,7 +266,7 @@ def c01_canonical_labels(sf_dir: str):
     part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_name"])
     names = sorted(set(part["p_name"].to_pylist()))
     out = names + [n.upper() for n in names]
-    return canonical_labels(pa.table({"name": pa.array(out, pa.string())}), jw_threshold=1.01)
+    return canonical_labels(pa.table({"name": pa.array(out, pa.string())}))
 
 
 C01_SQL = """
@@ -277,34 +276,51 @@ UNION ALL
 SELECT UPPER(p_name) AS node, LEAST(p_name, UPPER(p_name)) AS label FROM names
 """
 
-# c02: planted-typo corpus for the FUZZY (Jaro-Winkler) path.  Each name
-# has a unique 2-char prefix (one name per blocking bucket, so fuzzy
-# comparisons can only pair a name with its own typo), fixed length 9
-# (9//4 == 8//4, so the char-dropped typo stays in the length band), and
-# JW(name, name[:-1]) = 0.978 >= 0.93 while cross-name pairs are never
-# compared — the cluster structure is closed-form.
-_C02_PREFIXES = [a + b for a in "bcdfghjklmnpqrst" for b in "aeiouy"][:200]
-C02_NAMES = [p + "service" for p in _C02_PREFIXES]  # len 2 + 7 = 9
+# c02: planted alias-pool corpus.  Per prefix p: "<p>service" carries the
+# alias "<p>svc", so the separate name "<p>svc" joins it only through
+# that pool; the decoy "<p>svcs" (alias "<p>serv") is one letter off
+# both yet shares no pool key, so it stays alone.
+_C02_PREFIXES = [a + b for a in "bcdfghjklmnpqrst" for b in "aeiouy"]
+C02_ROWS = [
+    row
+    for p in _C02_PREFIXES
+    for row in ((p + "service", [p + "svc"]), (p + "svc", []), (p + "svcs", [p + "serv"]))
+]
 
 
 def c02_fuzzy_canonical_labels(sf_dir: str):
-    """Fuzzy canonicalization end-to-end at the REAL 0.93 JW threshold
-    (c01 disables fuzzy): planted typo pairs (name, name-minus-last-char)
-    must cluster, label = the lexicographic min (= the typo).  Exercises
-    pool explode -> blocking -> blocked JW edges -> union-find
-    (stages/canon.py)."""
+    """Alias-pool canonicalization end to end: two names are one entity
+    iff their name pools ({name} ∪ aliases, lowercased) intersect, and
+    each name is labelled with its component's smallest name.  The key
+    predates the one-rule canonicalization, when c02 checked the
+    Jaro-Winkler edges that rule replaced; the ``__ray_entry__``
+    contract pins it."""
     from ..stages.canon import canonical_labels
 
-    names = sorted(C02_NAMES + [n[:-1] for n in C02_NAMES])
-    return canonical_labels(pa.table({"name": pa.array(names, pa.string())}), jw_threshold=0.93)
+    names = pa.table(
+        {
+            "name": pa.array([n for n, _ in C02_ROWS], pa.string()),
+            "aliases": pa.array([a for _, a in C02_ROWS], pa.list_(pa.string())),
+        }
+    )
+    return canonical_labels(names, aliases_col="aliases")
 
 
 C02_SQL = (
-    "SELECT node, label FROM (VALUES "
-    + ", ".join(
-        f"('{n}', '{n[:-1]}'), ('{n[:-1]}', '{n[:-1]}')" for n in C02_NAMES
-    )
-    + ") AS t(node, label)"
+    "WITH RECURSIVE names(name, alias) AS (VALUES "
+    + ", ".join(f"('{n}', '{a[0]}')" if a else f"('{n}', NULL)" for n, a in C02_ROWS)
+    + """),
+pools AS (
+  SELECT name, lower(name) AS pool_key FROM names
+  UNION
+  SELECT name, lower(alias) FROM names WHERE alias IS NOT NULL),
+edges AS (
+  SELECT a.name AS a, b.name AS b FROM pools a JOIN pools b USING (pool_key)),
+reach(node, other) AS (
+  SELECT a, b FROM edges
+  UNION
+  SELECT reach.node, edges.b FROM reach JOIN edges ON reach.other = edges.a)
+SELECT node, min(other) AS label FROM reach GROUP BY node"""
 )
 
 

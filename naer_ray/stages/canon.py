@@ -8,26 +8,22 @@ there is nothing to move:
 
 1. explode: every entity name becomes its name pool —
    {cleanComponentName(name)} ∪ aliases, all normalized surface forms
-   (names.normalize_surface: lowercase, camelCase split) — as distinct
-   (pool_key, name) pairs;
-2. edges: (a) a self edge per name, so the labelling is total, (b) exact
-   edges between names sharing a space-collapsed pool key, and (c)
-   Jaro-Winkler >= threshold edges between pool keys of one block (first
-   two characters + length band of the collapsed key; the documented
-   partitioning assumption: names in different blocks are never
-   fuzzy-compared);
+   (names.normalize_surface: lowercase, camelCase split), keyed with
+   their spaces collapsed;
+2. edges: each name joins the smallest name sharing one of its pool
+   keys (itself, when it shares none), so two names are one entity iff
+   their pools intersect (the reference's J3 rule) and the labelling is
+   total;
 3. union-find (:func:`_union_find`), labelled by the component's
    lexicographically-smallest member — deterministic, mirroring the
    reference's rename-unify where the matching pool name wins.
 
-A block's pairwise comparisons are capped at :data:`MAX_BLOCK` rows.
 :func:`connected_components` is the Dataset form of step 3, with a
 distributed label-propagation path for graphs that outgrow one process.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import defaultdict
 
 import numpy as np
@@ -38,116 +34,31 @@ import pyarrow.compute as pc
 from ..hashing import _fnv64_arr
 from ..names import clean_component_name, normalize_surface
 
-#: most (pool_key, name) rows one block compares pairwise; the sorted
-#: head is kept and the rest lose their fuzzy candidate pairs
-MAX_BLOCK = 500
 #: schema of the (node, label) table of :func:`canonical_labels`
 _LABELS = pa.schema([("node", pa.string()), ("label", pa.string())])
 
 
-def jaro(s1: str, s2: str) -> float:
-    """Standard Jaro similarity (public algorithm)."""
-    if s1 == s2:
-        return 1.0
-    len1, len2 = len(s1), len(s2)
-    if not len1 or not len2:
-        return 0.0
-    match_dist = max(len1, len2) // 2 - 1
-    m1 = [False] * len1
-    m2 = [False] * len2
-    matches = 0
-    for i, c in enumerate(s1):
-        lo, hi = max(0, i - match_dist), min(len2, i + match_dist + 1)
-        for j in range(lo, hi):
-            if not m2[j] and s2[j] == c:
-                m1[i] = m2[j] = True
-                matches += 1
-                break
-    if not matches:
-        return 0.0
-    t = 0
-    k = 0
-    for i in range(len1):
-        if m1[i]:
-            while not m2[k]:
-                k += 1
-            if s1[i] != s2[k]:
-                t += 1
-            k += 1
-    t //= 2
-    return (matches / len1 + matches / len2 + (matches - t) / matches) / 3
-
-
-def jaro_winkler(s1: str, s2: str, p: float = 0.1, max_prefix: int = 4) -> float:
-    """Jaro-Winkler: Jaro boosted by the common prefix (<=4 chars)."""
-    j = jaro(s1, s2)
-    prefix = 0
-    for a, b in zip(s1[:max_prefix], s2[:max_prefix]):
-        if a != b:
-            break
-        prefix += 1
-    return j + prefix * p * (1 - j)
-
-
-def _block_key(norm_name: str) -> str:
-    """Blocking bucket: first 2 chars + length band of the space-collapsed key.
-
-    Collapsing spaces puts spacing variants ("webui" / "web ui") in the
-    same block; the length band (//4) bounds block size.  Documented
-    partitioning assumption: names differing in their first two
-    collapsed characters or by >4 collapsed chars in length are never
-    fuzzy-compared (exact pool-key / collapsed-key edges still apply).
-    """
-    collapsed = norm_name.replace(" ", "")
-    return f"{collapsed[:2]}|{len(collapsed) // 4}"
-
-
-def _block_edges(block: list[tuple[str, str]], jw_threshold: float) -> list[tuple[str, str]]:
-    """Jaro-Winkler >= threshold edges between the sorted (pool_key, name)
-    rows of one block.  Oversized blocks are capped deterministically
-    (sorted head); rows beyond the cap lose fuzzy candidate pairs,
-    reported via a RuntimeWarning with the dropped-row count."""
-    if len(block) > MAX_BLOCK:
-        warnings.warn(
-            f"canonicalization block capped: {len(block) - MAX_BLOCK} rows beyond "
-            f"max_block={MAX_BLOCK} lose fuzzy candidate pairs",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        block = block[:MAX_BLOCK]
-    rows = []
-    for i, (key_i, name_i) in enumerate(block):
-        for key_j, name_j in block[i + 1 :]:
-            if key_i != key_j and jaro_winkler(key_i, key_j) >= jw_threshold:
-                rows.append((min(name_i, name_j), max(name_i, name_j)))
-    return rows
-
-
-def _union_find(id_a: pd.Series, id_b: pd.Series) -> pd.DataFrame:
-    """(node, label) of the graph whose edges are ``zip(id_a, id_b)``,
-    sorted by node; label = the smallest node of the component.  Classic
+def _union_find(edges) -> dict:
+    """{node: label} of the graph of ``edges`` ((a, b) pairs), in node
+    order; label = the smallest node of the component.  Classic
     union-find in this process."""
     parent: dict = {}
 
     def find(x):
         root = x
-        while parent.get(root, root) != root:
+        while parent[root] != root:
             root = parent[root]
-        while parent.get(x, x) != x:
+        while parent[x] != root:
             parent[x], x = root, parent[x]
         return root
 
-    for a, b in zip(id_a, id_b):
-        ra, rb = find(a), find(b)
+    for a, b in edges:
+        ra, rb = find(parent.setdefault(a, a)), find(parent.setdefault(b, b))
         if ra != rb:
             # always attach under the smaller root -> final root is the
             # component min, matching the distributed min-label semantics
-            lo, hi = (ra, rb) if ra <= rb else (rb, ra)
-            parent[hi] = lo
-    nodes = pd.unique(pd.concat([id_a, id_b], ignore_index=True))
-    return pd.DataFrame(
-        {"node": nodes, "label": [find(n) for n in nodes]}
-    ).sort_values("node").reset_index(drop=True)
+            parent[max(ra, rb)] = min(ra, rb)
+    return {n: find(n) for n in sorted(parent)}
 
 
 def connected_components(
@@ -189,7 +100,10 @@ def connected_components(
         )
     if n_edges <= driver_threshold:
         df = pairs.to_pandas()
-        return ray.data.from_pandas(_union_find(df["id_a"], df["id_b"]))
+        labels = _union_find(zip(df["id_a"], df["id_b"]))
+        return ray.data.from_pandas(
+            pd.DataFrame({"node": list(labels), "label": list(labels.values())})
+        )
 
     # ---- distributed rounds, Arrow-native end to end: one shared
     # schema S = (node, other?, label?, is_old, changed, bucket) for
@@ -327,40 +241,24 @@ def connected_components(
     return labels.select_columns(["node", "label"])
 
 
-def canonical_labels(names: pa.Table, aliases_col: str | None = None,
-                     jw_threshold: float = 0.93) -> pa.Table:
+def canonical_labels(names: pa.Table, aliases_col: str | None = None) -> pa.Table:
     """``name`` column (plus an optional ``aliases_col`` of name lists) ->
     the (node=name, label=canonical name) table, sorted by node.
 
     Explode, edges and union-find in this process (module docstring); the
     label is the lexicographically smallest name in the component
-    (deterministic).  A name whose pool is empty gets no row.
-    ``jw_threshold > 1.0`` disables the fuzzy edges."""
+    (deterministic).  A name whose pool is empty gets no row."""
     aliases = (
         names[aliases_col].to_pylist()
         if aliases_col and aliases_col in names.column_names
         else [None] * names.num_rows
     )
-    pairs: set[tuple[str, str]] = set()
+    by_key: dict[str, set[str]] = defaultdict(set)
     for name, alts in zip(names["name"].to_pylist(), aliases):
         pool = {normalize_surface(clean_component_name(name))}
         pool.update(normalize_surface(a) for a in alts or [])
         pool.discard("")
-        pairs.update((key, name) for key in pool)
-    # a self edge per name makes the labelling total
-    edges = [(n, n) for n in sorted({n for _, n in pairs})]
-    by_collapsed: dict[str, set[str]] = defaultdict(set)
-    blocks: dict[str, list[tuple[str, str]]] = defaultdict(list)
-    for key, name in sorted(pairs):
-        by_collapsed[key.replace(" ", "")].add(name)
-        blocks[_block_key(key)].append((key, name))
-    for same in by_collapsed.values():
-        first, *rest = sorted(same)
-        edges += [(first, other) for other in rest]
-    if jw_threshold <= 1.0:
-        for block in blocks.values():
-            edges += _block_edges(block, jw_threshold)
-    df = pd.DataFrame(edges, columns=["id_a", "id_b"], dtype=object)
-    return pa.Table.from_pandas(
-        _union_find(df["id_a"], df["id_b"]), schema=_LABELS, preserve_index=False
-    )
+        for key in pool:
+            by_key[key.replace(" ", "")].add(name)
+    labels = _union_find((min(same), name) for same in by_key.values() for name in same)
+    return pa.table({"node": list(labels), "label": list(labels.values())}, schema=_LABELS)

@@ -24,10 +24,16 @@ import shutil
 import tempfile
 
 
-def content_sha256(path: str | None, suffix: str = "") -> str | None:
+#: package modules that no job imports (the test-data generator and the
+#: oracle query registry), left out of :func:`code_sha256` so that editing
+#: them keeps existing outputs resumable
+CODE_HASH_EXCLUDE = ("testdata.py", os.path.join("pipelines", "queries.py"))
+
+
+def content_sha256(path: str | None, suffix: str = "", exclude: tuple = ()) -> str | None:
     """sha256 of a file's bytes, or of every file under a directory whose
-    name ends in ``suffix`` (relative path + bytes, in sorted order);
-    None for no path."""
+    name ends in ``suffix`` (relative path + bytes, in sorted order, less
+    the relative paths in ``exclude``); None for no path."""
     if path is None:
         return None
     h = hashlib.sha256()
@@ -38,6 +44,7 @@ def content_sha256(path: str | None, suffix: str = "") -> str | None:
             for f in names
             if f.endswith(suffix)
         )
+        files = [rel for rel in files if rel not in exclude]
         for rel in files:
             h.update(rel.encode() + b"\0")
             with open(os.path.join(path, rel), "rb") as f:
@@ -49,9 +56,12 @@ def content_sha256(path: str | None, suffix: str = "") -> str | None:
 
 
 def code_sha256() -> str:
-    """sha256 of the library's source: every ``naer_ray/**/*.py`` file
-    (``__pycache__`` bytecode differs from run to run, so it is left out)."""
-    return content_sha256(os.path.dirname(os.path.dirname(__file__)), suffix=".py")
+    """sha256 of the library's source: every ``naer_ray/**/*.py`` file but
+    :data:`CODE_HASH_EXCLUDE` (``__pycache__`` bytecode differs from run to
+    run, so it is left out)."""
+    return content_sha256(
+        os.path.dirname(os.path.dirname(__file__)), suffix=".py", exclude=CODE_HASH_EXCLUDE
+    )
 
 
 def files_fingerprint(path: str | None) -> str | None:

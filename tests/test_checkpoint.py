@@ -284,8 +284,9 @@ def test_kg_job_keeps_dictionary_between_jobs(ray_session, ref_corpus, tmp_path,
 def test_kg_job_resume_canonicalizes_without_execution(ray_session, tmp_path, monkeypatch):
     """A finished job resumed with ``canonicalize=True`` starts no Ray Data
     execution, and writes the canon outputs byte-identical to a clean
-    canonicalizing run (on a gazetteer_dense input, whose entity names
-    have near-duplicates)."""
+    canonicalizing run (on a gazetteer_dense input plus the entities
+    "WebUI" and "Web UI", whose pools intersect, mentioned in one turn)."""
+    import pyarrow as pa
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     from naer_ray.pipelines.kg import run_kg_job
@@ -295,6 +296,18 @@ def test_kg_job_resume_canonicalizes_without_execution(ray_session, tmp_path, mo
     spec = gen.generate("gazetteer_dense", 1, in_dir, scale=0.1)
     transcripts = os.path.join(in_dir, spec["transcripts"])
     dictionary = os.path.join(in_dir, spec["dictionary"])
+    entries = pq.read_table(dictionary)
+    extra = [
+        {"entity_id": f"web-{i}", "canonical_name": name, "type": "COMPONENT",
+         "aliases": [], "interface_of": None}
+        for i, name in enumerate(["WebUI", "Web UI"])
+    ]
+    pq.write_table(pa.concat_tables([entries, pa.Table.from_pylist(extra, entries.schema)]),
+                   dictionary)
+    turn = pq.read_table(os.path.join(transcripts, "part-0000.parquet")).slice(0, 1)
+    turn = turn.set_column(0, "conv_id", pa.array(["web:00000"]))
+    turn = turn.set_column(3, "text", pa.array(["The WebUI calls the Web UI."]))
+    pq.write_table(turn, os.path.join(transcripts, "part-9999.parquet"))
     clean, resumed = str(tmp_path / "clean"), str(tmp_path / "resumed")
     run_kg_job(transcripts, dictionary, clean, n_buckets=4, canonicalize=True)
     run_kg_job(transcripts, dictionary, resumed, n_buckets=4)
@@ -309,6 +322,8 @@ def test_kg_job_resume_canonicalizes_without_execution(ray_session, tmp_path, mo
     monkeypatch.setattr(StreamingExecutor, "execute", counting)
     counters = run_kg_job(transcripts, dictionary, resumed, n_buckets=4, canonicalize=True)
     assert counters["buckets_computed"] == 0 and calls == []
+    same_as = pq.read_table(os.path.join(clean, "canon"), columns=["subj", "pred", "obj"])
+    assert same_as.to_pylist() == [{"subj": "WebUI", "pred": "sameAs", "obj": "Web UI"}]
     for stage in ("canonical_labels", "canon"):
         want = _bucket_sha256(clean, stage)
         assert want and _bucket_sha256(resumed, stage) == want, stage

@@ -61,13 +61,15 @@ def test_bucket_series_in_range_and_deterministic():
 
 
 def test_kg_core_does_not_import_testdata():
-    """The job, the pipeline and canonicalization run without the
-    test-data generator module being imported."""
+    """The job, the pipeline, canonicalization and the answers and llm
+    extractors run without the test-data generator or the oracle query
+    registry being imported: both lie outside ``checkpoint.code_sha256``."""
     code = (
-        "import sys; import naer_ray.job, naer_ray.pipelines.kg, naer_ray.stages.canon; "
-        "print('naer_ray.testdata' in sys.modules)"
+        "import sys; import naer_ray.job, naer_ray.pipelines.kg, naer_ray.stages.canon, "
+        "naer_ray.stages.llm, naer_ray.stages.answers; "
+        "print(sorted({'naer_ray.testdata', 'naer_ray.pipelines.queries'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], cwd=REPO, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

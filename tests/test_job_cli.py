@@ -202,21 +202,27 @@ def test_resume_refuses_changed_code(ray_session, ref_corpus, tmp_path, monkeypa
 
 
 def test_code_sha256_hashes_only_python_source(tmp_path):
-    """The code hash covers the package's .py files; bytecode under
-    __pycache__ changes from run to run and must not change it."""
+    """The code hash covers the package's .py files but the test-data
+    generator and the oracle query registry; bytecode under __pycache__
+    changes from run to run and must not change it, and neither must an
+    excluded module."""
     import naer_ray
-    from naer_ray.state.checkpoint import code_sha256, content_sha256
+    from naer_ray.state.checkpoint import CODE_HASH_EXCLUDE, code_sha256, content_sha256
 
     pkg = os.path.dirname(naer_ray.__file__)
-    assert code_sha256() == content_sha256(pkg, suffix=".py")
+    assert set(CODE_HASH_EXCLUDE) == {"testdata.py", os.path.join("pipelines", "queries.py")}
+    assert code_sha256() == content_sha256(pkg, suffix=".py", exclude=CODE_HASH_EXCLUDE)
+    assert code_sha256() != content_sha256(pkg, suffix=".py")
 
     (tmp_path / "a.py").write_text("x = 1\n")
-    before = content_sha256(str(tmp_path), suffix=".py")
+    (tmp_path / "gen.py").write_text("y = 1\n")
+    before = content_sha256(str(tmp_path), suffix=".py", exclude=("gen.py",))
     (tmp_path / "__pycache__").mkdir()
     (tmp_path / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"\0")
-    assert content_sha256(str(tmp_path), suffix=".py") == before
+    (tmp_path / "gen.py").write_text("y = 2\n")
+    assert content_sha256(str(tmp_path), suffix=".py", exclude=("gen.py",)) == before
     (tmp_path / "a.py").write_text("x = 2\n")
-    assert content_sha256(str(tmp_path), suffix=".py") != before
+    assert content_sha256(str(tmp_path), suffix=".py", exclude=("gen.py",)) != before
 
 
 def test_no_resume_clears_earlier_state(ray_session, ref_corpus, tmp_path):

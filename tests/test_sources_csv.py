@@ -1,4 +1,4 @@
-"""CSV sources (reference S4/S5) against the actual reference files."""
+"""CSV sources (reference S5) against the actual reference files."""
 
 import glob
 import os
@@ -11,23 +11,6 @@ BASE = "/root/reference/src/test/resources/evaluation_resources"
 def _require_reference() -> None:
     if not os.path.isdir(BASE):
         pytest.skip("reference tree not present")
-
-
-def test_read_gold_csv(ray_session):
-    _require_reference()
-    from naer_ray.sources.goldstandard import gold_entities, read_gold_csv
-
-    path = f"{BASE}/teastore/goldstandards/goldstandard_NER.csv"
-    ds = read_gold_csv(path, conv_id="ref:teastore")
-    df = ds.to_pandas()
-    assert list(df.columns) == ["conv_id", "component_name", "turn_idx", "ref_type"]
-    assert (df["ref_type"] == "DIRECT").all()
-    assert len(df) == 27  # 28 lines minus header
-    assert {"Registry", "WebUI", "Auth"} <= set(df["component_name"])
-
-    grouped = gold_entities(ds).to_pandas()
-    reg = grouped[grouped["component_name"] == "Registry"].iloc[0]
-    assert reg["occurrence_turns"][0] == 1
 
 
 def test_read_gazetteer_csv():
